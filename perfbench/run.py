@@ -7,8 +7,10 @@ Run from the root of a source checkout (the directory holding ``src/``):
 
 Every sample runs in a fresh interpreter (``perfbench/child.py``), one at a
 time, so no cache of the package carries over between samples. Timing is
-``time.perf_counter`` only. Outputs are checked against the committed golden
-CLI bytes and the numeric references (``perfbench/checks.py``). With
+``time.perf_counter`` only; the reported times are scaled by the run's host
+factor, which a calibration between samples measures (``calibrate``).
+Outputs are checked against the committed golden CLI bytes and the numeric
+references (``perfbench/checks.py``). With
 ``--trace 0`` the last stdout line carries the end-to-end metrics, with
 ``--trace 1`` the per-layer metrics of a separate traced run; the metric
 names and units are the ones listed in ``BENCHMARK.json``.
@@ -33,9 +35,13 @@ from child import REPORT_MARK
 
 HERE = Path(__file__).resolve().parent
 CHILD = str(HERE / "child.py")
-SETUP_PROBES = 3  # before sampling; one more precedes every untraced sample
+SETUP_PROBES = 3  # before sampling; more are spread over the run
+PROBE_EVERY_S = 3.0  # an untraced sample is preceded by a probe this often
 IMPORTTIME_PROBES = 3
 CHILD_TIMEOUT_S = 150
+# A round figure near calibrate()'s time on a 2-vCPU Xeon VM (Python 3.11,
+# numpy 2.4); the timing metrics are scaled to a host on which it takes this long.
+CAL_REFERENCE_S = 0.025
 HANKEL_EXCEPTIONS = ("QuadratureNotConverged", "OverflowError", "TooCloseToPositiveIntegerPole")
 SETUP_PROBE_CODE = (
     "import zetaroutes\n"
@@ -54,6 +60,25 @@ def percentile(values, q: int) -> float:
     """Nearest-rank percentile: the smallest value with q% at or below it."""
     ordered = sorted(values)
     return ordered[max(0, math.ceil(q / 100 * len(ordered)) - 1)]
+
+
+def calibrate() -> float:
+    """Seconds taken by a fixed piece of work that belongs to the benchmark.
+
+    Small-array numpy calls mixed with complex arithmetic, in the parent
+    process between samples. It never touches the package, so no change to
+    the package moves it; only the host's speed does. On a shared host that
+    speed drifts by 20% or more over minutes, and it drifts much alike for
+    this work and for the samples around it.
+    """
+    import numpy as np
+
+    x = np.linspace(0.1, 2.0, 64) + 0.5j
+    acc = 0j
+    t0 = perf_counter()
+    for i in range(4000):
+        acc += np.exp(-x * (1 + 1e-4 * i)).sum() * complex(i, 1) ** 0.5
+    return perf_counter() - t0
 
 
 def child_env(root: Path) -> dict:
@@ -89,11 +114,16 @@ class Bench:
         self.spec = spec
         self.env = child_env(root)
         self.golden = checks.load_golden()
+        self.cal_s: list[float] | None = None  # a list while a run calibrates
 
     # -- processes -----------------------------------------------------------
 
     def spawn(self, args, stdin: bytes | None = None):
-        """Run one fresh interpreter; (seconds spawn-to-exit, t_spawn, proc)."""
+        """Run one fresh interpreter; (seconds spawn-to-exit, t_spawn, proc).
+
+        While a run calibrates, every spawn is preceded by a calibration."""
+        if self.cal_s is not None:
+            self.cal_s.append(calibrate())
         t_spawn = perf_counter()
         proc = subprocess.run(
             [sys.executable, *args],
@@ -236,6 +266,7 @@ class Bench:
         return plan
 
     def run(self, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+        self.cal_s = None
         self.spawn(["-c", "import zetaroutes"])  # bytecode cache warm-up
         probes = [self.setup_probe() for _ in range(SETUP_PROBES)]
         imports = self.import_breakdown() if trace else {}
@@ -247,12 +278,14 @@ class Bench:
         unit = workloads.CYCLE if workload == "cold_cli" else 1
         samples: list[dict] = []
         unit_s: list[float] = []
-        start = perf_counter()
+        self.cal_s = None if trace else []
+        start = last_probe = perf_counter()
         while True:
             t0 = perf_counter()
             for _ in range(unit):
-                if not trace:
+                if not trace and perf_counter() - last_probe >= PROBE_EVERY_S:
                     probes.append(self.setup_probe())
+                    last_probe = perf_counter()
                 for traced in (False, True) if trace else (False,):
                     samples.append(sample(plan, traced) | {"traced": traced})
             unit_s.append(perf_counter() - t0)
@@ -270,11 +303,16 @@ class Bench:
         # Means over samples, not medians: the host's speed switches between
         # two levels for seconds at a time, and a median over samples flips
         # between them from run to run while the mean moves smoothly.
-        values = {
+        measured = {
             "setup_s": setup["setup_s"],
             "wall_s": fmean(s["wall_s"] for s in plain),
             "point_p50_ms": fmean(percentile(s["op_s"], 50) for s in plain) * 1e3,
             "point_p95_ms": fmean(percentile(s["op_s"], 95) for s in plain) * 1e3,
+        }
+        calibration_s = fmean(self.cal_s) if self.cal_s else CAL_REFERENCE_S
+        host_factor = CAL_REFERENCE_S / calibration_s
+        values = {
+            **{name: value * host_factor for name, value in measured.items()},
             "peak_rss_mb": median(s["rss_mb"] for s in plain),
         }
         attempted = sum(s["attempted"] for s in samples)
@@ -282,6 +320,10 @@ class Bench:
         info = {
             "workload": workload,
             "samples": len(plain),
+            "calibration_s": calibration_s,
+            "calibrations": len(self.cal_s or ()),
+            "host_factor": host_factor,
+            "measured": measured,
             "failed_frac": fails / attempted,
             "python": setup["python"],
             "numpy": setup["numpy"],

@@ -5,7 +5,8 @@
 Every workload runs one sample of a few operations, untraced and traced, and
 must emit every metric that BENCHMARK.json lists. Then a corrupted golden
 byte and a perturbed reference value must each turn exactly one operation
-into a failure, so the correctness gate cannot pass vacuously.
+into a failure, so the correctness gate cannot pass vacuously. Last, every
+reported time must be its measured figure times the run's host factor.
 """
 
 import itertools
@@ -97,3 +98,12 @@ def test_perturbed_reference_fails_one_operation(tiny, monkeypatch):
     assert clean["failed"] == 0
     assert result["failed"] == 1
     assert not result["correct"]
+
+
+def test_timings_are_scaled_by_the_host_factor(tiny):
+    result = tiny.run("numeric_grid", seed=3, seconds=0, trace=False)
+    info = result["info"]
+    assert info["calibrations"] >= 1
+    assert info["host_factor"] == pytest.approx(run.CAL_REFERENCE_S / info["calibration_s"])
+    for name, measured in info["measured"].items():
+        assert result["metrics"][name]["value"] == pytest.approx(measured * info["host_factor"])
