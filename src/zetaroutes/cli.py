@@ -24,6 +24,7 @@ from .numeric import (
     ContourSpec,
     NearPole,
     NumericConfig,
+    QuadratureNotConverged,
     TooCloseToPositiveIntegerPole,
     cotangent_check,
     cotangent_tail_bound,
@@ -192,9 +193,6 @@ _CONFIG_KEYS = {
     "target_tol": float,
     "radius": float,
     "x_max": float,
-    "panels_ray": int,
-    "panels_arc": int,
-    "nodes_per_panel": int,
 }
 
 
@@ -227,9 +225,6 @@ def _numeric_options(args) -> tuple[NumericConfig, dict]:
         "target_tol": "tol",
         "radius": "radius",
         "x_max": "x_max",
-        "panels_ray": "panels_ray",
-        "panels_arc": "panels_arc",
-        "nodes_per_panel": "nodes_per_panel",
     }
     for key, attr in flag_map.items():
         flag = getattr(args, attr, None)
@@ -240,11 +235,7 @@ def _numeric_options(args) -> tuple[NumericConfig, dict]:
         em_terms_J=values.get("em_terms_J", NumericConfig.em_terms_J),
         target_tol=values.get("target_tol", NumericConfig.target_tol),
     )
-    contour_overrides = {
-        k: values[k]
-        for k in ("radius", "x_max", "panels_ray", "panels_arc", "nodes_per_panel")
-        if k in values
-    }
+    contour_overrides = {k: values[k] for k in ("radius", "x_max") if k in values}
     return cfg, contour_overrides
 
 
@@ -331,7 +322,7 @@ def _cmd_zeta_numeric(args) -> int:
         if method == "hankel":
             try:
                 value = zeta_hankel(s, _contour_for(s, overrides), tol=cfg.target_tol * 10)
-            except TooCloseToPositiveIntegerPole as exc:
+            except (TooCloseToPositiveIntegerPole, QuadratureNotConverged) as exc:
                 if args.method == "both":
                     continue  # fall back to the em record
                 print(f"error: {exc}", file=sys.stderr)
@@ -495,9 +486,6 @@ def _add_numeric_options(p) -> None:
     p.add_argument("--tol", type=float, help="target tolerance")
     p.add_argument("--radius", type=float, help="contour radius (0, 2pi)")
     p.add_argument("--x-max", type=float, help="contour ray truncation")
-    p.add_argument("--panels-ray", type=int, help="quadrature panels per ray")
-    p.add_argument("--panels-arc", type=int, help="quadrature panels on the arc")
-    p.add_argument("--nodes-per-panel", type=int, help="Gauss-Legendre nodes per panel")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -590,10 +578,14 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (NearPole, PoleArgument, TooCloseToPositiveIntegerPole) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (
+        NearPole,
+        PoleArgument,
+        TooCloseToPositiveIntegerPole,
+        QuadratureNotConverged,
+        ValueError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,19 +24,17 @@ class MixedPiPowers(ValueError):
     """Adding pi-monomials of different pi powers; an identity check is ill-formed."""
 
 
-def binomial(n: int, k: int) -> Fraction:
-    """C(n, k) as an exact rational; 0 when k > n."""
+def binomial(n: int, k: int) -> int:
+    """C(n, k); 0 when k > n."""
     if n < 0 or k < 0:
         raise ValueError("binomial requires nonnegative arguments")
-    if k > n:
-        return Fraction(0)
-    return Fraction(math.comb(n, k))
+    return math.comb(n, k)
 
 
-def factorial(n: int) -> Fraction:
+def factorial(n: int) -> int:
     if n < 0:
         raise ValueError("factorial requires a nonnegative argument")
-    return Fraction(math.factorial(n))
+    return math.factorial(n)
 
 
 def pi_to_float(pi_digits: int = 32) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -84,17 +84,12 @@ class ContourSpec:
 
     radius: float = math.pi
     x_max: float = 40.0
-    panels_ray: int = 16
-    panels_arc: int = 8
-    nodes_per_panel: int = 16
 
     def __post_init__(self) -> None:
         if not 0.0 < self.radius < 2 * math.pi:
             raise ValueError("radius must lie in (0, 2 pi)")
         if self.x_max <= self.radius:
             raise ValueError("x_max must exceed the radius")
-        if min(self.panels_ray, self.panels_arc) < 1 or self.nodes_per_panel < 2:
-            raise ValueError("panel and node counts must be positive")
 
 
 DEFAULT_NUMERIC = NumericConfig()
@@ -179,35 +174,43 @@ def zeta_em(s: complex, cfg: NumericConfig | None = None) -> complex:
 # -- Hankel contour route -----------------------------------------------------
 
 
+# The fixed quadrature rule: 16-point Gauss-Legendre panels, 16 per ray and
+# half as many on the arc to start, doubled up to six times.
+_GAUSS_X, _GAUSS_W = leggauss(16)
+_PANELS_RAY = 16
+_REFINEMENTS = 6
+
+
+def _integrand(x, s: complex):
+    """(-x)^{s-1}/(e^x - 1), elementwise; the one copy of the expression."""
+    return np.exp((s - 1) * np.log(-x)) / (np.exp(x) - 1.0)
+
+
 def hankel_integrand(x: complex, s: complex) -> complex:
     """(-x)^{s-1}/(e^x - 1) with the cut along the positive real axis."""
     x = complex(x)
-    s = complex(s)
     if x.imag == 0.0 and x.real > 0.0:
         raise OnBranchCut(f"x = {x} lies on the branch cut")
     k = round(x.imag / (2 * math.pi))
     if abs(x - 2j * math.pi * k) < 1e-12:
         raise AtPole(f"x = {x} is at a pole of 1/(e^x - 1)")
-    return cmath.exp((s - 1) * cmath.log(-x)) / (cmath.exp(x) - 1)
+    return complex(_integrand(x, complex(s)))
 
 
-def _panel_nodes(a: float, b: float, panels: int, gauss_x, gauss_w):
+def _panel_nodes(a: float, b: float, panels: int):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + half[:, None] * gauss_x[None, :]).ravel()
-    w = (half[:, None] * gauss_w[None, :]).ravel()
+    t = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
+    w = (half[:, None] * _GAUSS_W[None, :]).ravel()
     return t, w
 
 
-def _contour_nodes(spec: ContourSpec):
+def _contour_nodes(spec: ContourSpec, panels_ray: int):
     """All quadrature nodes x and complex weights w with I = sum w f(x)."""
-    gx, gw = leggauss(spec.nodes_per_panel)
-    t, wt = _panel_nodes(0.0, spec.x_max, spec.panels_ray, gx, gw)
-    theta, wth = _panel_nodes(
-        0.5 * math.pi, 1.5 * math.pi, spec.panels_arc, gx, gw
-    )
+    t, wt = _panel_nodes(0.0, spec.x_max, panels_ray)
+    theta, wth = _panel_nodes(0.5 * math.pi, 1.5 * math.pi, panels_ray // 2)
     r = spec.radius
     arc = r * np.exp(1j * theta)
     nodes = np.concatenate([t + 1j * r, arc, t - 1j * r])
@@ -215,27 +218,29 @@ def _contour_nodes(spec: ContourSpec):
     return nodes, weights
 
 
-def _hankel_integral(s: complex, spec: ContourSpec) -> complex:
-    x, w = _contour_nodes(spec)
-    f = np.exp((s - 1) * np.log(-x)) / (np.exp(x) - 1.0)
+def _hankel_integral(
+    s: complex, spec: ContourSpec, panels_ray: int = _PANELS_RAY
+) -> complex:
+    """The loop integral with `panels_ray` panels per ray, half on the arc."""
+    x, w = _contour_nodes(spec, panels_ray)
+    # Keep f named: multiplying a bare temporary lets numpy reuse its buffer
+    # in place, which rounds the product differently on large arrays.
+    f = _integrand(x, s)
     return complex(np.sum(w * f))
 
 
 def zeta_hankel(
-    s: complex,
-    contour: ContourSpec | None = None,
-    tol: float = 1e-12,
-    max_refinements: int = 6,
+    s: complex, contour: ContourSpec | None = None, tol: float = 1e-12
 ) -> complex:
     """zeta(s) = -Gamma(1-s) I(s) / (2 pi i) with I over the Hankel contour.
 
     Orientation: in above the cut from x_max, counterclockwise around the
     origin, out below the cut (validated by the Re s > 1 limit, where the
     loop reproduces (e^{-pi s i} - e^{pi s i}) times the real-axis integral).
-    Panels double until two successive evaluations agree to `tol`; with
-    max_refinements=0 the single unrefined evaluation is returned, with no
-    convergence guarantee. Positive integers are rejected: Gamma(1-s) blows
-    up against a vanishing integral.
+    The rule is fixed: 16-point Gauss-Legendre panels, 16 per ray and 8 on
+    the arc to start, doubled up to six times until two successive results
+    agree to `tol`; otherwise QuadratureNotConverged is raised. Positive
+    integers are rejected: Gamma(1-s) blows up against a vanishing integral.
     """
     s = complex(s)
     nearest = max(1, round(s.real))
@@ -245,16 +250,11 @@ def zeta_hankel(
         )
     spec = contour if contour is not None else default_contour(s)
     prefactor = -gamma_complex(1 - s) / (2j * math.pi)
-    prev = prefactor * _hankel_integral(s, spec)
-    if max_refinements == 0:
-        return prev
-    for _ in range(max_refinements):
-        spec = replace(
-            spec,
-            panels_ray=2 * spec.panels_ray,
-            panels_arc=2 * spec.panels_arc,
-        )
-        cur = prefactor * _hankel_integral(s, spec)
+    panels = _PANELS_RAY
+    prev = prefactor * _hankel_integral(s, spec, panels)
+    for _ in range(_REFINEMENTS):
+        panels *= 2
+        cur = prefactor * _hankel_integral(s, spec, panels)
         if abs(cur - prev) < tol:
             return cur
         prev = cur

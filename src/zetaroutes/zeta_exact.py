@@ -76,7 +76,7 @@ def sin_gamma_limit_exact(n: int) -> PiValue:
     Gamma recurrence n times."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return PiValue(1 / factorial(n), 1)
+    return PiValue(Fraction(1, factorial(n)), 1)
 
 
 def zeta_neg_via_residue(n: int) -> ClassicalValue:
@@ -96,7 +96,8 @@ def zeta_neg_via_residue(n: int) -> ClassicalValue:
     # Both sides carry one power of pi and one of i, so the quotient of the
     # rational parts is zeta(-n) itself.
     sg = sin_gamma_limit_exact(n)
-    assert sg.pi_exp == 1
+    if sg.pi_exp != 1:
+        raise abel.InternalInconsistency(f"sin(pi x) Gamma(x) limit {sg} lacks pi^1")
     value = 2 * branch * c / (-2 * sg.coeff)
     return ClassicalValue(-n, PiValue(value), Route.RESIDUE_SERIES)
 
@@ -205,7 +206,10 @@ def simple_funceq_check(m: int) -> bool:
         raise ValueError("m must be nonnegative")
     lhs = 2 * zeta_nonpositive(2 * m + 1).value.coeff / factorial(2 * m + 1)
     even = zeta_even_positive(m + 1).value
-    assert even.pi_exp == 2 * m + 2
+    if even.pi_exp != 2 * m + 2:
+        raise abel.InternalInconsistency(
+            f"zeta({2 * m + 2}) = {even} does not carry pi^{2 * m + 2}"
+        )
     sign = -1 if m % 2 == 0 else 1  # (-1)^{m+1}
     rhs = sign * even.coeff / Fraction(2) ** (2 * m)
     return lhs == rhs

@@ -13,6 +13,7 @@ from zetaroutes.cli import (
     run,
 )
 from zetaroutes.exact import PiValue
+from zetaroutes.numeric import zeta_em
 
 
 def invoke(capsys, *argv):
@@ -94,15 +95,28 @@ class TestZetaNumeric:
         assert abs(za - zb) <= 1e-8
 
     def test_near_positive_integer_falls_back_to_em(self, capsys):
-        code, out, _ = invoke(capsys, "zeta", "numeric", "2.0")
-        assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 1  # hankel skipped, em only
-        assert float(lines[0]) == pytest.approx(1.6449340668482264, rel=1e-12)
+        # Near a positive integer Hankel refuses; at 0.5+20i it does not
+        # converge. Either way --method both prints the em record alone.
+        cases = {
+            ("2.0",): 1.6449340668482264,
+            ("0.5", "20"): zeta_em(0.5 + 20j),
+        }
+        for argv, expected in cases.items():
+            code, out, _ = invoke(capsys, "zeta", "numeric", *argv)
+            assert code == 0
+            lines = out.splitlines()
+            assert len(lines) == 1  # hankel skipped, em only
+            assert complex(lines[0]) == pytest.approx(expected, rel=1e-12)
 
     def test_hankel_only_near_pole_is_error(self, capsys):
-        code, _, err = invoke(capsys, "zeta", "numeric", "2.0", "--method", "hankel")
-        assert code == 2
+        for argv in (
+            ("2.0", "--method", "hankel"),
+            ("0.5", "20", "--method", "hankel"),  # QuadratureNotConverged
+            ("-30",),  # em's OutOfValidatedRange after Hankel fails to converge
+        ):
+            code, _, err = invoke(capsys, "zeta", "numeric", *argv)
+            assert code == 2
+            assert err.startswith("error: ")
 
     def test_pole_at_one(self, capsys):
         code, _, err = invoke(capsys, "zeta", "numeric", "1")
@@ -192,12 +206,14 @@ class TestConfigFile:
 
     def test_bad_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "zeta.cfg"
-        cfg.write_text("bogus = 1\n")
-        code, _, err = invoke(
-            capsys, "zeta", "numeric", "0.5", "--config", str(cfg)
-        )
-        assert code == 2
-        assert "bogus" in err
+        # panels_ray is not a key: the quadrature rule is fixed
+        for key, line in (("bogus", "bogus = 1"), ("panels_ray", "panels_ray = 32")):
+            cfg.write_text(line + "\n")
+            code, _, err = invoke(
+                capsys, "zeta", "numeric", "0.5", "--config", str(cfg)
+            )
+            assert code == 2
+            assert repr(key) in err
 
 
 class TestRender:

@@ -38,6 +38,7 @@ def zeta2_numeric_oracle():
 class TestBinomial:
     def test_small_case(self):
         assert binomial(5, 2) == 10
+        assert type(binomial(5, 2)) is int
 
     def test_identity_case(self):
         assert binomial(7, 0) == 1
@@ -62,6 +63,7 @@ class TestFactorial:
 
     def test_small(self):
         assert factorial(5) == 120
+        assert type(factorial(5)) is int
 
     def test_against_iterated_multiplication(self):
         acc = 1

@@ -1,6 +1,5 @@
 import cmath
 import math
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -138,16 +137,19 @@ class TestZetaHankel:
         b = zeta_hankel(s, ContourSpec(radius=3.0, x_max=40.0))
         assert abs(a - b) <= 2e-9
 
-    def test_node_doubling_stability(self):
+    def test_converged_value_matches_256_ray_panels(self):
+        # A much finer fixed rule (256 ray and 128 arc panels) must agree
+        # with the refinement loop's converged value.
         s = -0.5 + 1j
-        base = ContourSpec()
-        a = zeta_hankel(s, base)
-        b = zeta_hankel(s, replace(base, nodes_per_panel=2 * base.nodes_per_panel))
-        assert abs(a - b) <= 1e-10
+        spec = ContourSpec()
+        converged = zeta_hankel(s, spec)
+        prefactor = -gamma_complex(1 - s) / (2j * math.pi)
+        fine = prefactor * _hankel_integral(s, spec, 256)
+        assert abs(converged - fine) <= 1e-10
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(QuadratureNotConverged):
-            zeta_hankel(-0.5, tol=0.0, max_refinements=2)
+            zeta_hankel(-0.5, tol=0.0)
 
 
 class TestInvertedContour:
