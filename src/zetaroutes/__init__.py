@@ -11,6 +11,7 @@ quadrature for zeta(s) at complex s, the inside-out residue sum, and the
 partial-fraction cotangent identity.
 """
 
+from .errors import DomainError, InternalInconsistency
 from .exact import BigRational, MixedPiPowers, PiValue, binomial, factorial
 from .series import LaurentSeries, OutOfTrustedRange, ZeroSeries, exp_series
 from .bernoulli import (
@@ -21,7 +22,6 @@ from .bernoulli import (
     faulhaber_sum,
 )
 from .abel import (
-    InternalInconsistency,
     RationalFunction,
     abel_numeric_estimate,
     abel_sum_exact,
@@ -90,6 +90,7 @@ __all__ = [
     "em_alternating_value",
     "operator_genfun_check",
     "zeta_neg_via_abel",
+    "DomainError",
     "InternalInconsistency",
     "ClassicalValue",
     "Route",

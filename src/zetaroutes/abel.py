@@ -24,12 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bernoulli import bernoulli_via_recurrence
+from .errors import InternalInconsistency
 from .exact import BigRational, factorial
 from .series import LaurentSeries, exp_series
-
-
-class InternalInconsistency(ArithmeticError):
-    """Two supposedly-equal exact routes disagreed; an implementation bug."""
 
 
 # -- dense polynomials over Fraction ----------------------------------------
@@ -262,8 +259,6 @@ def em_alternating_value(m: int) -> BigRational:
 
 def zeta_neg_via_abel(m: int) -> BigRational:
     """zeta(-m) = A_m / (1 - 2^{1+m})."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     return abel_sum_exact(m) / (1 - Fraction(2) ** (1 + m))
 
 

@@ -2,8 +2,9 @@
 
 Output is a list of records rendered as plain text (default), JSON, CSV or
 Markdown. Exact values stay exact unless --as-float is passed. Exit status:
-0 success and all checks passing, 1 a verification failed, 2 usage error
-(including the pole at argument 1).
+0 success and all checks passing; 1 a verification failed or an
+InternalInconsistency; 2 a usage error or a DomainError, raised by the library
+function that owns the domain (such as the pole at argument 1).
 """
 
 from __future__ import annotations
@@ -18,14 +19,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import abel
+from .errors import DomainError, InternalInconsistency
 from .exact import PiValue, format_rational, parse_rational
 from .bernoulli import bernoulli_via_recurrence, bernoulli_via_series
 from .numeric import (
-    ContourSpec,
-    NearPole,
     NumericConfig,
-    QuadratureNotConverged,
-    TooCloseToPositiveIntegerPole,
     cotangent_check,
     cotangent_tail_bound,
     default_contour,
@@ -36,7 +34,6 @@ from .numeric import (
     zeta_hankel,
 )
 from .zeta_exact import (
-    PoleArgument,
     Route,
     funceq_exact_check,
     routes_for_argument,
@@ -239,10 +236,6 @@ def _numeric_options(args) -> tuple[NumericConfig, dict]:
     return cfg, contour_overrides
 
 
-def _contour_for(s: complex, overrides: dict) -> ContourSpec:
-    return replace(default_contour(s), **overrides) if overrides else default_contour(s)
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -253,9 +246,6 @@ def _emit(args, records) -> None:
 
 
 def _cmd_bernoulli(args) -> int:
-    if args.max < 0:
-        print("error: --max must be nonnegative", file=sys.stderr)
-        return 2
     methods = {
         "series": (("series", bernoulli_via_series),),
         "recurrence": (("recurrence", bernoulli_via_recurrence),),
@@ -276,25 +266,7 @@ def _cmd_bernoulli(args) -> int:
 
 def _cmd_zeta_exact(args) -> int:
     k = args.argument
-    if k == 1:
-        print("error: zeta(1) is a pole; no value exists", file=sys.stderr)
-        return 2
-    if k > 1 and k % 2:
-        print(
-            f"error: argument {k}: positive classical points are the even integers",
-            file=sys.stderr,
-        )
-        return 2
-    if args.route == "all":
-        routes = routes_for_argument(k)
-    else:
-        routes = (Route(args.route),)
-        if routes[0] not in routes_for_argument(k):
-            print(
-                f"error: route {args.route!r} does not apply at argument {k}",
-                file=sys.stderr,
-            )
-            return 2
+    routes = routes_for_argument(k) if args.route == "all" else (Route(args.route),)
     records = []
     for route in routes:
         cv = zeta_classical(k, route)
@@ -309,39 +281,24 @@ def _cmd_zeta_exact(args) -> int:
 def _cmd_zeta_numeric(args) -> int:
     s = complex(args.re, args.im)
     cfg, overrides = _numeric_options(args)
-    if abs(s - 1) < 1e-6:
-        print("error: zeta(1) is a pole; no value exists", file=sys.stderr)
-        return 2
-    methods = []
-    if args.method in ("hankel", "both"):
-        methods.append("hankel")
-    if args.method in ("em", "both"):
-        methods.append("em")
+    arg = _format_complex_arg(s)
     records = []
-    for method in methods:
-        if method == "hankel":
-            try:
-                value = zeta_hankel(s, _contour_for(s, overrides), tol=cfg.target_tol * 10)
-            except (TooCloseToPositiveIntegerPole, QuadratureNotConverged) as exc:
-                if args.method == "both":
-                    continue  # fall back to the em record
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        else:
-            try:
-                value = zeta_em(s, cfg)
-            except NearPole as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        records.append(complex_record(value, method, _format_complex_arg(s)))
+    if args.method in ("hankel", "both"):
+        # Outside the try: a bad --radius or --x-max is an error, not a fallback.
+        contour = replace(default_contour(s), **overrides)
+        try:
+            value = zeta_hankel(s, contour, tol=cfg.target_tol * 10)
+            records.append(complex_record(value, "hankel", arg))
+        except DomainError:
+            if args.method == "hankel":
+                raise  # with "both", the em record stands alone
+    if args.method in ("em", "both"):
+        records.append(complex_record(zeta_em(s, cfg), "em", arg))
     _emit(args, records)
     return 0
 
 
 def _cmd_abel(args) -> int:
-    if args.m < 0:
-        print("error: M must be nonnegative", file=sys.stderr)
-        return 2
     exact = abel.abel_sum_exact(args.m)
     records = [rational_record(exact, "abel", args.m)]
     status = 0
@@ -392,12 +349,7 @@ def _cmd_verify_funceq(args) -> int:
         ok &= passed
         records.append(bool_record(passed, "funceq-simple", m))
     if args.grid:
-        try:
-            points = _parse_grid(args.grid)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for s in points:
+        for s in _parse_grid(args.grid):
             res = funceq_residual(s, cfg)
             ok &= res <= args.grid_tol
             records.append(residual_record(res, "funceq-residual", _format_complex_arg(s)))
@@ -409,11 +361,7 @@ def _cmd_verify_cotangent(args) -> int:
     try:
         x = parse_rational(args.x)
     except (ValueError, ZeroDivisionError):
-        print(f"error: --x must be a rational like 1/4, got {args.x!r}", file=sys.stderr)
-        return 2
-    if not 0 < x < 1:
-        print("error: --x must lie strictly between 0 and 1", file=sys.stderr)
-        return 2
+        raise ValueError(f"--x must be a rational like 1/4, got {args.x!r}") from None
     diff = cotangent_check(x, args.terms)
     bound = cotangent_tail_bound(x, args.terms)
     passed = diff <= bound
@@ -430,11 +378,7 @@ def _cmd_verify_contour_inversion(args) -> int:
         parts = args.s.split(",")
         s = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
     except (ValueError, IndexError):
-        print(f"error: --s must be RE or RE,IM, got {args.s!r}", file=sys.stderr)
-        return 2
-    if s.real > -0.5:
-        print("error: contour inversion requires Re(s) <= -0.5", file=sys.stderr)
-        return 2
+        raise ValueError(f"--s must be RE or RE,IM, got {args.s!r}") from None
     cfg, _ = _numeric_options(args)
     diff = inverted_contour_check(s, args.poles, cfg)
     bound = inverted_contour_bound(s, args.poles)
@@ -449,8 +393,7 @@ def _cmd_verify_contour_inversion(args) -> int:
 
 def _cmd_table_classical(args) -> int:
     if args.max < 0:
-        print("error: --max must be nonnegative", file=sys.stderr)
-        return 2
+        raise ValueError("--max must be nonnegative")
     records = []
     for k in range(-args.max, 1):
         cv = zeta_classical(k, Route.CLOSED_FORM)
@@ -570,6 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit status by the first matching class; ValueError includes DomainError.
+EXIT_CODES = {InternalInconsistency: 1, ValueError: 2, OSError: 2}
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
@@ -578,16 +525,9 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (
-        NearPole,
-        PoleArgument,
-        TooCloseToPositiveIntegerPole,
-        QuadratureNotConverged,
-        ValueError,
-        OSError,
-    ) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def main() -> None:

@@ -12,16 +12,14 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+from .errors import MixedPiPowers
+
 BigRational = Fraction
 
 # 40 digits, enough to round correctly to any double-precision target.
 PI_LITERAL = "3.141592653589793238462643383279502884197"
 
 MIN_PI_DIGITS = 16
-
-
-class MixedPiPowers(ValueError):
-    """Adding pi-monomials of different pi powers; an identity check is ill-formed."""
 
 
 def binomial(n: int, k: int) -> int:

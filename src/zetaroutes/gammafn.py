@@ -11,6 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 
+from .errors import PoleAtNonpositiveInteger, finite_or_out_of_range
+
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
     0.99999999999980993,
@@ -27,10 +29,7 @@ _LANCZOS_COEFFS = (
 _POLE_TOL = 1e-12
 
 
-class PoleAtNonpositiveInteger(ArithmeticError):
-    """Gamma requested at (or within 1e-12 of) a nonpositive integer."""
-
-
+@finite_or_out_of_range
 def gamma_complex(z: complex) -> complex:
     z = complex(z)
     nearest = round(z.real)

@@ -29,32 +29,18 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bernoulli import bernoulli_via_recurrence
+from .errors import (
+    AtPole,
+    NearPole,
+    OnBranchCut,
+    OutOfValidatedRange,
+    QuadratureNotConverged,
+    TooCloseToPositiveIntegerPole,
+    finite_or_out_of_range,
+    require_finite,
+)
 from .exact import factorial
 from .gammafn import gamma_complex
-
-
-class NearPole(ArithmeticError):
-    """Evaluation too close to a pole of zeta or Gamma."""
-
-
-class OutOfValidatedRange(ValueError):
-    """Re(s) too negative for the configured number of correction terms."""
-
-
-class OnBranchCut(ValueError):
-    """Integrand evaluated on the positive real axis."""
-
-
-class AtPole(ArithmeticError):
-    """Integrand evaluated at a pole 2 pi i k of 1/(e^x - 1)."""
-
-
-class TooCloseToPositiveIntegerPole(ArithmeticError):
-    """Hankel route rejected: Gamma(1-s) pole meets a vanishing integral."""
-
-
-class QuadratureNotConverged(ArithmeticError):
-    """Panel refinement failed to stabilize the contour integral."""
 
 
 @dataclass(frozen=True)
@@ -72,6 +58,7 @@ class NumericConfig:
             raise ValueError("em_terms_N must be positive")
         if self.target_tol < 1e-13:
             raise ValueError("target_tol below double-precision headroom")
+        require_finite("target_tol", self.target_tol)
 
 
 @dataclass(frozen=True)
@@ -90,6 +77,7 @@ class ContourSpec:
             raise ValueError("radius must lie in (0, 2 pi)")
         if self.x_max <= self.radius:
             raise ValueError("x_max must exceed the radius")
+        require_finite("x_max", self.x_max)
 
 
 DEFAULT_NUMERIC = NumericConfig()
@@ -100,6 +88,7 @@ _B2J_OVER_FACT = tuple(
 )
 
 _EPS = 2.3e-16
+_MAX_DIRICHLET_N = 10**6
 
 
 def _dirichlet_cutoff(s: complex, cfg: NumericConfig) -> int:
@@ -130,12 +119,17 @@ def _dirichlet_cutoff(s: complex, cfg: NumericConfig) -> int:
 
 def default_contour(s: complex) -> ContourSpec:
     """Radius pi; the ray truncation grows with |s| to keep the tail tiny."""
-    return ContourSpec(x_max=max(40.0, 10.0 + 2.0 * abs(s)))
+    require_finite("s", s)
+    try:
+        return ContourSpec(x_max=max(40.0, 10.0 + 2.0 * abs(s)))
+    except OverflowError:
+        raise OutOfValidatedRange(f"|s| exceeds double precision at s = {s}") from None
 
 
 # -- Euler-Maclaurin route ----------------------------------------------------
 
 
+@finite_or_out_of_range
 def zeta_em(s: complex, cfg: NumericConfig | None = None) -> complex:
     """zeta(s) by Euler-Maclaurin acceleration of sum k^-s.
 
@@ -144,6 +138,8 @@ def zeta_em(s: complex, cfg: NumericConfig | None = None) -> complex:
     ``_dirichlet_cutoff``. Absolute accuracy tracks cfg.target_tol down to
     moderately negative Re(s); far into the left half-plane double-precision
     cancellation against the N^{1-s} term progressively costs digits.
+    N is capped at 10^6, so |Im s| <= 5e5; beyond the cap, and where the sum
+    overflows double precision, OutOfValidatedRange is raised.
     """
     cfg = cfg or DEFAULT_NUMERIC
     s = complex(s)
@@ -155,6 +151,8 @@ def zeta_em(s: complex, cfg: NumericConfig | None = None) -> complex:
             f"Re(s) = {s.real} needs more than {j_max} correction terms"
         )
     n = _dirichlet_cutoff(s, cfg)
+    if n > _MAX_DIRICHLET_N:
+        raise OutOfValidatedRange(f"s = {s} needs a Dirichlet cutoff N > 10^6")
     if n > 1:
         k = np.arange(1, n, dtype=np.float64)
         partial = complex(np.sum(np.exp(-s * np.log(k))))
@@ -229,6 +227,7 @@ def _hankel_integral(
     return complex(np.sum(w * f))
 
 
+@finite_or_out_of_range
 def zeta_hankel(
     s: complex, contour: ContourSpec | None = None, tol: float = 1e-12
 ) -> complex:
@@ -239,8 +238,9 @@ def zeta_hankel(
     loop reproduces (e^{-pi s i} - e^{pi s i}) times the real-axis integral).
     The rule is fixed: 16-point Gauss-Legendre panels, 16 per ray and 8 on
     the arc to start, doubled up to six times until two successive results
-    agree to `tol`; otherwise QuadratureNotConverged is raised. Positive
-    integers are rejected: Gamma(1-s) blows up against a vanishing integral.
+    agree to `tol`; otherwise, or at once for a sum that is not finite,
+    QuadratureNotConverged is raised. Positive integers are rejected:
+    Gamma(1-s) blows up against a vanishing integral.
     """
     s = complex(s)
     nearest = max(1, round(s.real))
@@ -250,12 +250,12 @@ def zeta_hankel(
         )
     spec = contour if contour is not None else default_contour(s)
     prefactor = -gamma_complex(1 - s) / (2j * math.pi)
-    panels = _PANELS_RAY
-    prev = prefactor * _hankel_integral(s, spec, panels)
-    for _ in range(_REFINEMENTS):
-        panels *= 2
-        cur = prefactor * _hankel_integral(s, spec, panels)
-        if abs(cur - prev) < tol:
+    prev = None
+    for level in range(_REFINEMENTS + 1):
+        cur = prefactor * _hankel_integral(s, spec, _PANELS_RAY << level)
+        if not cmath.isfinite(cur):
+            raise QuadratureNotConverged(f"contour integral at s = {s} is not finite")
+        if prev is not None and abs(cur - prev) < tol:
             return cur
         prev = cur
     raise QuadratureNotConverged(
@@ -266,6 +266,7 @@ def zeta_hankel(
 # -- identity checks ----------------------------------------------------------
 
 
+@finite_or_out_of_range
 def inverted_contour_check(
     s: complex, n_poles: int, cfg: NumericConfig | None = None
 ) -> float:
@@ -301,6 +302,7 @@ def inverted_contour_bound(s: complex, n_poles: int) -> float:
     return max(1e-8, prefactor * tail)
 
 
+@finite_or_out_of_range
 def funceq_residual(s: complex, cfg: NumericConfig | None = None) -> float:
     """Relative residual of 2 cos(pi s/2) Gamma(s) zeta(s) = (2 pi)^s zeta(1-s).
 
@@ -308,9 +310,8 @@ def funceq_residual(s: complex, cfg: NumericConfig | None = None) -> float:
     normalized by the larger side.
     """
     s = complex(s)
-    for pole in (0.0, 1.0):
-        if abs(s - pole) < 1e-3:
-            raise NearPole(f"s = {s} too close to {pole}")
+    if abs(s - 1) < 1e-3:
+        raise NearPole(f"s = {s} too close to 1.0")
     nearest = round(s.real)
     if nearest <= 0 and abs(s - nearest) < 1e-3:
         raise NearPole(f"s = {s} too close to a Gamma pole")

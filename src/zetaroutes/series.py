@@ -11,17 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import OutOfTrustedRange, ZeroSeries
 from .exact import BigRational
 
 DEFAULT_ORDER = 40
-
-
-class ZeroSeries(ZeroDivisionError):
-    """Inversion of a series with no nonzero stored coefficient."""
-
-
-class OutOfTrustedRange(IndexError):
-    """Coefficient requested outside [valuation, order]."""
 
 
 @dataclass(frozen=True)

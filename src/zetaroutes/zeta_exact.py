@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import abel
 from .bernoulli import bernoulli_via_series
+from .errors import ArgumentNotEvenPositive, InternalInconsistency, PoleArgument
 from .exact import PiValue, factorial
 from .series import LaurentSeries, exp_series
 
@@ -31,14 +32,6 @@ class Route(str, Enum):
     GENERATING_FUNCTION = "genfun"
     ABEL_SUMMATION = "abel"
     FUNCTIONAL_EQUATION = "funceq"
-
-
-class ArgumentNotEvenPositive(ValueError):
-    """The exact functional-equation check only runs at even s >= 2."""
-
-
-class PoleArgument(ValueError):
-    """zeta has a pole at 1; no route represents that point."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +90,7 @@ def zeta_neg_via_residue(n: int) -> ClassicalValue:
     # rational parts is zeta(-n) itself.
     sg = sin_gamma_limit_exact(n)
     if sg.pi_exp != 1:
-        raise abel.InternalInconsistency(f"sin(pi x) Gamma(x) limit {sg} lacks pi^1")
+        raise InternalInconsistency(f"sin(pi x) Gamma(x) limit {sg} lacks pi^1")
     value = 2 * branch * c / (-2 * sg.coeff)
     return ClassicalValue(-n, PiValue(value), Route.RESIDUE_SERIES)
 
@@ -207,7 +200,7 @@ def simple_funceq_check(m: int) -> bool:
     lhs = 2 * zeta_nonpositive(2 * m + 1).value.coeff / factorial(2 * m + 1)
     even = zeta_even_positive(m + 1).value
     if even.pi_exp != 2 * m + 2:
-        raise abel.InternalInconsistency(
+        raise InternalInconsistency(
             f"zeta({2 * m + 2}) = {even} does not carry pi^{2 * m + 2}"
         )
     sign = -1 if m % 2 == 0 else 1  # (-1)^{m+1}
@@ -245,25 +238,20 @@ def zeta_classical(argument: int, route: Route) -> ClassicalValue:
     """One classical value by one named route."""
     if argument == 1:
         raise PoleArgument("zeta(1) is a pole")
-    if argument <= 0:
-        m = -argument
-        if route is Route.CLOSED_FORM:
-            return zeta_nonpositive(m)
-        if route is Route.RESIDUE_SERIES:
-            return zeta_neg_via_residue(m)
-        if route is Route.GENERATING_FUNCTION:
-            return zeta_neg_via_G(m + 1)[m]
-        if route is Route.ABEL_SUMMATION:
-            return zeta_neg_via_abel_route(m)
-        raise ValueError(f"route {route.value} does not apply at argument {argument}")
-    if argument % 2:
+    if argument > 0 and argument % 2:
         raise ValueError("positive classical arguments must be even")
-    n = argument // 2
+    if route not in routes_for_argument(argument):
+        raise ValueError(f"route {route.value} does not apply at argument {argument}")
+    m, n = -argument, argument // 2
     if route is Route.CLOSED_FORM:
-        return zeta_even_positive(n)
-    if route is Route.FUNCTIONAL_EQUATION:
-        return zeta_even_via_funceq(n)
-    raise ValueError(f"route {route.value} does not apply at argument {argument}")
+        return zeta_nonpositive(m) if argument <= 0 else zeta_even_positive(n)
+    if route is Route.RESIDUE_SERIES:
+        return zeta_neg_via_residue(m)
+    if route is Route.GENERATING_FUNCTION:
+        return zeta_neg_via_G(m + 1)[m]
+    if route is Route.ABEL_SUMMATION:
+        return zeta_neg_via_abel_route(m)
+    return zeta_even_via_funceq(n)
 
 
 def routes_for_argument(argument: int) -> tuple[Route, ...]:
