@@ -3,7 +3,7 @@
 Three independent routes live here:
 
 * the operator route: apply theta = x*d/dx repeatedly to 1/(1+x) and
-  evaluate at x = 1 (exact rational-function calculus);
+  evaluate at x = 1 (exact, on the integer numerators over (1+x)^{m+1});
 * the closed form (-1)^m (1 - 2^{m+1}) B_{m+1} / (m+1);
 * a numeric Abel limit: partial sums at x = 1 - 2^-j, Richardson
   extrapolated in 1 - x.
@@ -19,9 +19,9 @@ expansion and the numeric Abel limit all agree on -1/8.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .bernoulli import bernoulli_via_recurrence
 from .errors import InternalInconsistency
@@ -198,12 +198,20 @@ def apply_euler_operator(f: RationalFunction, m: int) -> RationalFunction:
     return f
 
 
-@lru_cache(maxsize=None)
-def _theta_power_of_geometric(m: int) -> RationalFunction:
-    """theta^m applied to 1/(1+x); cached, the chain is reused everywhere."""
-    if m == 0:
-        return one_over_one_plus_x()
-    return _theta_power_of_geometric(m - 1).euler_op()
+_THETA_NUMERATORS: list[list[int]] = [[1]]  # P_0, P_1, ..., grown under the lock
+_LOCK = threading.Lock()
+
+
+def _theta_numerator(m: int) -> list[int]:
+    """P_m with theta^m 1/(1+x) = P_m(x)/(1+x)^{m+1}, integer coefficients low
+    degree first, by P_k = x[(1+x) P'_{k-1} - k P_{k-1}]."""
+    chain = _THETA_NUMERATORS
+    with _LOCK:
+        for k in range(len(chain), m + 1):
+            p = chain[-1] + [0]
+            # coefficient i of (1+x) P' - k P is (i+1) p_{i+1} + (i-k) p_i
+            chain.append([0] + [(i + 1) * p[i + 1] + (i - k) * p[i] for i in range(k)])
+    return chain[m]
 
 
 # -- the Abel sums -----------------------------------------------------------
@@ -229,7 +237,7 @@ def abel_sum_exact(m: int) -> BigRational:
     if m == 0:
         value = 1 - one_over_one_plus_x()(1)
     else:
-        value = -_theta_power_of_geometric(m)(1)
+        value = -Fraction(sum(_theta_numerator(m)), 2 ** (m + 1))
     check = abel_closed_form(m)
     if value != check:
         raise InternalInconsistency(
@@ -274,7 +282,7 @@ def operator_genfun_check(order: int = 20) -> bool:
         raise ValueError("order must be >= 1")
     rhs = (LaurentSeries.constant(1, order) + exp_series(1, order)).invert().shifted(1)
     for m in range(order):
-        lhs_coeff = _theta_power_of_geometric(m)(1) / factorial(m)
+        lhs_coeff = Fraction(sum(_theta_numerator(m)), 2 ** (m + 1) * factorial(m))
         if lhs_coeff != rhs.coeff_or_zero(m + 1):
             return False
     return True

@@ -5,9 +5,9 @@ Convention: B_1 = -1/2, fixed by z/(e^z - 1) = sum B_n z^n / n!.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import BigRational, binomial, factorial
 from .series import LaurentSeries, exp_series
@@ -37,28 +37,38 @@ def bernoulli_generating_series(order: int) -> LaurentSeries:
     return expm1.shifted(-1).invert()
 
 
-@lru_cache(maxsize=None)
+# One growing prefix B_0, B_1, ... per method, grown under the lock. The series
+# prefix is rebuilt at twice its length or more: O(log n) inversions in a sweep.
+_SERIES_PREFIX: list[BigRational] = []
+_RECURRENCE_PREFIX: list[BigRational] = [Fraction(1)]
+_LOCK = threading.Lock()
+
+
 def bernoulli_via_series(max_index: int) -> BernoulliTable:
     """B_n = n! * [z^n] (z/(e^z - 1))."""
     if max_index < 0:
         raise ValueError("max_index must be nonnegative")
-    gen = bernoulli_generating_series(max_index)
-    values = tuple(factorial(n) * gen.coeff_or_zero(n) for n in range(max_index + 1))
-    return BernoulliTable(values, max_index)
+    prefix = _SERIES_PREFIX
+    with _LOCK:
+        if len(prefix) <= max_index:
+            order = max(max_index, 2 * len(prefix))
+            gen = bernoulli_generating_series(order)
+            prefix[:] = [factorial(n) * gen.coeff_or_zero(n) for n in range(order + 1)]
+    return BernoulliTable(tuple(prefix[: max_index + 1]), max_index)
 
 
-@lru_cache(maxsize=None)
 def bernoulli_via_recurrence(max_index: int) -> BernoulliTable:
     """Independent route: sum_{k=0}^{n} C(n+1, k) B_k = 0 with B_0 = 1."""
     if max_index < 0:
         raise ValueError("max_index must be nonnegative")
-    values = [Fraction(1)]
-    for n in range(1, max_index + 1):
-        acc = Fraction(0)
-        for k in range(n):
-            acc += binomial(n + 1, k) * values[k]
-        values.append(-acc / (n + 1))
-    return BernoulliTable(tuple(values), max_index)
+    values = _RECURRENCE_PREFIX
+    with _LOCK:
+        for n in range(len(values), max_index + 1):
+            acc = Fraction(0)
+            for k in range(n):
+                acc += binomial(n + 1, k) * values[k]
+            values.append(-acc / (n + 1))
+    return BernoulliTable(tuple(values[: max_index + 1]), max_index)
 
 
 def even_part_check(order: int) -> bool:

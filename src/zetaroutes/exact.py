@@ -9,17 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .errors import MixedPiPowers
 
 BigRational = Fraction
-
-# 40 digits, enough to round correctly to any double-precision target.
-PI_LITERAL = "3.141592653589793238462643383279502884197"
-
-MIN_PI_DIGITS = 16
 
 
 def binomial(n: int, k: int) -> int:
@@ -33,16 +27,6 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError("factorial requires a nonnegative argument")
     return math.factorial(n)
-
-
-def pi_to_float(pi_digits: int = 32) -> float:
-    """pi correct to `pi_digits` significant digits, as a double."""
-    if pi_digits < MIN_PI_DIGITS:
-        raise ValueError(f"pi_digits must be >= {MIN_PI_DIGITS}")
-    with localcontext() as ctx:
-        ctx.prec = min(pi_digits, len(PI_LITERAL) - 1)
-        rounded = +Decimal(PI_LITERAL)
-    return float(rounded)
 
 
 def format_rational(q: Fraction) -> str:
@@ -98,11 +82,9 @@ class PiValue:
     def scale(self, q: Fraction) -> "PiValue":
         return PiValue(self.coeff * q, self.pi_exp)
 
-    def to_float(self, pi_digits: int = 32) -> float:
+    def to_float(self) -> float:
         """coeff * pi**pi_exp in double precision (relative error a few ulp)."""
-        if self.coeff == 0:
-            return 0.0
-        return float(self.coeff) * pi_to_float(pi_digits) ** self.pi_exp
+        return float(self.coeff) * math.pi**self.pi_exp
 
     def to_json(self) -> dict:
         return {"coeff": format_rational(self.coeff), "pi_exp": self.pi_exp}

@@ -88,7 +88,7 @@ _B2J_OVER_FACT = tuple(
 )
 
 _EPS = 2.3e-16
-_MAX_DIRICHLET_N = 10**6
+_MAX_TERMS = 10**6  # cap on the terms of any numeric sum: cutoff, poles, pairs
 
 
 def _dirichlet_cutoff(s: complex, cfg: NumericConfig) -> int:
@@ -151,7 +151,7 @@ def zeta_em(s: complex, cfg: NumericConfig | None = None) -> complex:
             f"Re(s) = {s.real} needs more than {j_max} correction terms"
         )
     n = _dirichlet_cutoff(s, cfg)
-    if n > _MAX_DIRICHLET_N:
+    if n > _MAX_TERMS:
         raise OutOfValidatedRange(f"s = {s} needs a Dirichlet cutoff N > 10^6")
     if n > 1:
         k = np.arange(1, n, dtype=np.float64)
@@ -251,13 +251,14 @@ def zeta_hankel(
     spec = contour if contour is not None else default_contour(s)
     prefactor = -gamma_complex(1 - s) / (2j * math.pi)
     prev = None
-    for level in range(_REFINEMENTS + 1):
-        cur = prefactor * _hankel_integral(s, spec, _PANELS_RAY << level)
-        if not cmath.isfinite(cur):
-            raise QuadratureNotConverged(f"contour integral at s = {s} is not finite")
-        if prev is not None and abs(cur - prev) < tol:
-            return cur
-        prev = cur
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is typed below
+        for level in range(_REFINEMENTS + 1):
+            cur = prefactor * _hankel_integral(s, spec, _PANELS_RAY << level)
+            if not cmath.isfinite(cur):
+                raise QuadratureNotConverged(f"contour integral at s = {s} is not finite")
+            if prev is not None and abs(cur - prev) < tol:
+                return cur
+            prev = cur
     raise QuadratureNotConverged(
         f"contour integral at s = {s} did not stabilize to {tol}"
     )
@@ -275,13 +276,15 @@ def inverted_contour_check(
     For Re s <= -1/2 the residue sum converges; its partial form is
     -i (2 pi)^s 2 sin(pi s/2) sum_{n<=N} n^{s-1}, compared against
     -2i sin(pi s) Gamma(s) zeta(s) with zeta from the Euler-Maclaurin route.
-    Returns the absolute difference.
+    Returns the absolute difference; n_poles is validated in 1..10^6.
     """
     s = complex(s)
     if s.real > -0.5:
         raise ValueError("inverted contour requires Re(s) <= -0.5")
     if n_poles < 1:
         raise ValueError("n_poles must be positive")
+    if n_poles > _MAX_TERMS:
+        raise OutOfValidatedRange(f"n_poles = {n_poles} exceeds 10^6")
     n = np.arange(1, n_poles + 1, dtype=np.float64)
     partial = complex(np.sum(np.exp((s - 1) * np.log(n))))
     rhs = -1j * (2 * math.pi) ** s * 2 * cmath.sin(math.pi * s / 2) * partial
@@ -324,13 +327,15 @@ def cotangent_check(x, n_terms: int) -> float:
     """|pi cot(pi x) - (1/x + sum_{n<=N} (1/(x+n) + 1/(x-n)))| for rational x.
 
     The paired terms are 2x/(x^2 - n^2); the truncation error obeys
-    cotangent_tail_bound.
+    cotangent_tail_bound. n_terms is validated in 1..10^6.
     """
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError("x must be a rational strictly between 0 and 1")
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
+    if n_terms > _MAX_TERMS:
+        raise OutOfValidatedRange(f"n_terms = {n_terms} exceeds 10^6")
     xf = float(x)
     n = np.arange(1.0, n_terms + 1)
     series = 1.0 / xf + float(np.sum(2.0 * xf / (xf * xf - n * n)))

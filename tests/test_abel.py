@@ -1,10 +1,14 @@
+import sys
 from fractions import Fraction as F
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from zetaroutes import abel
 from zetaroutes.abel import (
+    Poly,
     RationalFunction,
     abel_closed_form,
     abel_numeric_estimate,
@@ -53,6 +57,36 @@ class TestEulerOperator:
         lhs = apply_euler_operator(f, m + 1)
         rhs = apply_euler_operator(apply_euler_operator(f, m), 1)
         assert lhs == rhs
+
+
+class TestIntegerChain:
+    @pytest.mark.parametrize("m", range(9))
+    def test_matches_operator_calculus(self, m):
+        # theta^m 1/(1+x) = P_m(x)/(1+x)^{m+1}, read off the integer chain
+        num = Poly(tuple(abel._theta_numerator(m)))
+        den = Poly(tuple(comb(m + 1, i) for i in range(m + 2)))
+        expected = apply_euler_operator(one_over_one_plus_x(), m)
+        assert RationalFunction(num, den) == expected
+
+    def test_pinned_third_power(self):
+        assert abel._theta_numerator(3) == [0, -1, 4, -1]  # x(-1 + 4x - x^2)
+
+    def test_concurrent_growth_stores_each_power_once(self, monkeypatch, concurrently):
+        expected = [list(abel._theta_numerator(m)) for m in range(101)]
+        monkeypatch.setattr(abel, "_THETA_NUMERATORS", [[1]])
+        ms = [100, 3, 57, 11, 100, 29, 73, 7]
+        got = concurrently(abel._theta_numerator, ms)
+        assert got == [expected[m] for m in ms]
+
+    def test_completes_past_a_low_recursion_limit(self):
+        # a chain that recursed once per power of theta would hit the limit
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            value = abel_sum_exact(300)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value == abel_closed_form(300)
 
 
 class TestAbelSumExact:

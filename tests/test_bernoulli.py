@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from zetaroutes import bernoulli
 from zetaroutes.bernoulli import (
     BernoulliTable,
     bernoulli_via_recurrence,
@@ -61,6 +62,44 @@ def test_methods_agree_through_32():
     b = bernoulli_via_recurrence(32)
     assert a.values == b.values
     assert a.values == tuple(recurrence_oracle(32))
+
+
+# Each method with the state of a table that holds nothing it computed.
+FRESH_TABLE = pytest.mark.parametrize(
+    "method, prefix, fresh",
+    [
+        (bernoulli_via_series, "_SERIES_PREFIX", []),
+        (bernoulli_via_recurrence, "_RECURRENCE_PREFIX", [F(1)]),
+    ],
+    ids=["series", "recurrence"],
+)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(40, 25, 10, 3, 0), (0, 3, 10, 25, 40), (10, 3, 40, 0, 25, 41)],
+    ids=["descending", "ascending", "interleaved"],
+)
+@FRESH_TABLE
+def test_growing_table_in_any_request_order(monkeypatch, sizes, method, prefix, fresh):
+    monkeypatch.setattr(bernoulli, prefix, list(fresh))
+    oracle = recurrence_oracle(max(sizes))
+    for n in sizes:
+        table = method(n)
+        assert table.max_index == n
+        assert table.values == tuple(oracle[: n + 1])
+
+
+@FRESH_TABLE
+def test_concurrent_growth_stores_each_entry_once(
+    monkeypatch, concurrently, method, prefix, fresh
+):
+    monkeypatch.setattr(bernoulli, prefix, list(fresh))
+    sizes = [60, 5, 33, 17, 48, 2, 60, 29]
+    oracle = recurrence_oracle(max(sizes))
+    tables = concurrently(method, sizes)
+    for n, table in zip(sizes, tables):
+        assert table.values == tuple(oracle[: n + 1])
 
 
 def test_odd_entries_vanish():

@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import zetaroutes
 from zetaroutes import abel
 from zetaroutes.cli import (
     OutputRecord,
@@ -118,6 +122,21 @@ class TestZetaNumeric:
             lines = out.splitlines()
             assert len(lines) == 1  # hankel skipped, em only
             assert complex(lines[0]) == pytest.approx(expected, rel=1e-12)
+
+    def test_hankel_overflow_prints_no_warning(self):
+        # A fresh process shows what pytest's warning capture would hide:
+        # numpy's overflow warnings once reached stderr here.
+        src = os.path.dirname(os.path.dirname(zetaroutes.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetaroutes", "zeta", "numeric", "0.5", "1e4"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == f"{zeta_em(0.5 + 1e4j)}\n"
+        assert proc.stderr == ""
 
     def test_hankel_only_near_pole_is_error(self, capsys):
         for argv in (
@@ -293,6 +312,10 @@ def test_usage_error_exit_code(capsys):
         (("verify", "contour-inversion", "--s=-2", "--poles", "10"), "Gamma pole"),
         (("verify", "contour-inversion", "--s=-2.5,1e3", "--poles", "10"),
          "inverted_contour_check exceeds double precision"),
+        (("verify", "cotangent", "--x", "1/4", "--terms", "1000000000000"),
+         "n_terms = 1000000000000 exceeds 10^6"),
+        (("verify", "contour-inversion", "--s", "-2.5", "--poles", "1000000000000"),
+         "n_poles = 1000000000000 exceeds 10^6"),
     ],
 )
 def test_domain_error_exits_2(capsys, argv, reason):
@@ -317,7 +340,7 @@ _NUMBERS = st.one_of(
     st.floats(-50, 50).map(repr),
 )
 _SIZES = st.integers(-30, 30).map(str)
-_COUNTS = st.integers(-2, 1000).map(str)
+_COUNTS = st.one_of(st.integers(-2, 1000), st.just(10**12)).map(str)
 _RATIONALS = st.one_of(
     st.sampled_from(["1/0", "0", "1", "1/4", "-1/3", "3/2", "x"]),
     st.fractions(-2, 2, max_denominator=50).map(str),

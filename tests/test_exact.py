@@ -13,7 +13,6 @@ from zetaroutes.exact import (
     factorial,
     format_rational,
     parse_rational,
-    pi_to_float,
 )
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=30)
@@ -113,10 +112,6 @@ class TestPiValue:
     def test_to_float_plain_rational(self):
         assert PiValue(F(-1, 12)).to_float() == -0.08333333333333333
 
-    def test_to_float_requires_enough_digits(self):
-        with pytest.raises(ValueError):
-            PiValue(F(1)).to_float(pi_digits=8)
-
     def test_pi_squared_against_library_pi(self):
         value = PiValue(F(1), 2).to_float()
         assert abs(value - math.pi**2) <= 1e-14 * math.pi**2
@@ -164,5 +159,4 @@ class TestSerialization:
 
 
 def test_pi_literal_matches_library():
-    assert pi_to_float(16) == math.pi
-    assert pi_to_float(32) == math.pi
+    assert PiValue(F(1), 1).to_float() == math.pi
