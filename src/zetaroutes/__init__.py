@@ -51,7 +51,6 @@ from .numeric import (
     AtPole,
     ContourSpec,
     NearPole,
-    NumericConfig,
     OnBranchCut,
     OutOfValidatedRange,
     QuadratureNotConverged,
@@ -108,7 +107,6 @@ __all__ = [
     "PoleArgument",
     "gamma_complex",
     "PoleAtNonpositiveInteger",
-    "NumericConfig",
     "ContourSpec",
     "zeta_em",
     "zeta_hankel",

@@ -13,9 +13,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import abel
@@ -23,10 +22,8 @@ from .errors import DomainError, InternalInconsistency
 from .exact import PiValue, format_rational, parse_rational
 from .bernoulli import bernoulli_via_recurrence, bernoulli_via_series
 from .numeric import (
-    NumericConfig,
     cotangent_check,
     cotangent_tail_bound,
-    default_contour,
     funceq_residual,
     inverted_contour_bound,
     inverted_contour_check,
@@ -40,8 +37,6 @@ from .zeta_exact import (
     simple_funceq_check,
     zeta_classical,
 )
-
-CONFIG_ENV_VAR = "ZETAROUTES_CONFIG"
 
 KINDS = ("exact_rational", "exact_pi_monomial", "numeric_complex", "boolean_check", "residual")
 
@@ -182,60 +177,6 @@ def _floated(records) -> list[OutputRecord]:
     return out
 
 
-# -- numeric configuration -----------------------------------------------------
-
-_CONFIG_KEYS = {
-    "em_terms_N": int,
-    "em_terms_J": int,
-    "target_tol": float,
-    "radius": float,
-    "x_max": float,
-}
-
-
-def _read_config_file(path: str) -> dict:
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](val.strip())
-    return values
-
-
-def _numeric_options(args) -> tuple[NumericConfig, dict]:
-    """Defaults, overridden by the config file, overridden by flags."""
-    values: dict = {}
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        values.update(_read_config_file(path))
-    flag_map = {
-        "em_terms_N": "em_n",
-        "em_terms_J": "em_j",
-        "target_tol": "tol",
-        "radius": "radius",
-        "x_max": "x_max",
-    }
-    for key, attr in flag_map.items():
-        flag = getattr(args, attr, None)
-        if flag is not None:
-            values[key] = flag
-    cfg = NumericConfig(
-        em_terms_N=values.get("em_terms_N", NumericConfig.em_terms_N),
-        em_terms_J=values.get("em_terms_J", NumericConfig.em_terms_J),
-        target_tol=values.get("target_tol", NumericConfig.target_tol),
-    )
-    contour_overrides = {k: values[k] for k in ("radius", "x_max") if k in values}
-    return cfg, contour_overrides
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -280,20 +221,17 @@ def _cmd_zeta_exact(args) -> int:
 
 def _cmd_zeta_numeric(args) -> int:
     s = complex(args.re, args.im)
-    cfg, overrides = _numeric_options(args)
     arg = _format_complex_arg(s)
     records = []
     if args.method in ("hankel", "both"):
-        # Outside the try: a bad --radius or --x-max is an error, not a fallback.
-        contour = replace(default_contour(s), **overrides)
         try:
-            value = zeta_hankel(s, contour, tol=cfg.target_tol * 10)
+            value = zeta_hankel(s)
             records.append(complex_record(value, "hankel", arg))
         except DomainError:
             if args.method == "hankel":
                 raise  # with "both", the em record stands alone
     if args.method in ("em", "both"):
-        records.append(complex_record(zeta_em(s, cfg), "em", arg))
+        records.append(complex_record(zeta_em(s), "em", arg))
     _emit(args, records)
     return 0
 
@@ -337,7 +275,6 @@ def _format_complex_arg(s: complex) -> str:
 
 
 def _cmd_verify_funceq(args) -> int:
-    cfg, _ = _numeric_options(args)
     records = []
     ok = True
     for n in range(1, args.exact_max + 1):
@@ -350,7 +287,7 @@ def _cmd_verify_funceq(args) -> int:
         records.append(bool_record(passed, "funceq-simple", m))
     if args.grid:
         for s in _parse_grid(args.grid):
-            res = funceq_residual(s, cfg)
+            res = funceq_residual(s)
             ok &= res <= args.grid_tol
             records.append(residual_record(res, "funceq-residual", _format_complex_arg(s)))
     _emit(args, records)
@@ -379,8 +316,7 @@ def _cmd_verify_contour_inversion(args) -> int:
         s = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
     except (ValueError, IndexError):
         raise ValueError(f"--s must be RE or RE,IM, got {args.s!r}") from None
-    cfg, _ = _numeric_options(args)
-    diff = inverted_contour_check(s, args.poles, cfg)
+    diff = inverted_contour_check(s, args.poles)
     bound = inverted_contour_bound(s, args.poles)
     passed = diff <= bound
     records = [
@@ -422,15 +358,6 @@ def _add_format_options(p, default="plain") -> None:
     )
 
 
-def _add_numeric_options(p) -> None:
-    p.add_argument("--config", help=f"key=value config file (or ${CONFIG_ENV_VAR})")
-    p.add_argument("--em-n", type=int, help="Dirichlet partial-sum cutoff")
-    p.add_argument("--em-j", type=int, help="number of Bernoulli correction terms")
-    p.add_argument("--tol", type=float, help="target tolerance")
-    p.add_argument("--radius", type=float, help="contour radius (0, 2pi)")
-    p.add_argument("--x-max", type=float, help="contour ray truncation")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zetaroutes",
@@ -465,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("im", type=float, nargs="?", default=0.0, metavar="IM")
     p.add_argument("--method", choices=("hankel", "em", "both"), default="both")
     _add_format_options(p)
-    _add_numeric_options(p)
     p.set_defaults(func=_cmd_zeta_numeric)
 
     p = sub.add_parser("abel", help="Abel sum of 1^M - 2^M + 3^M - ...")
@@ -487,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-tol", type=float, default=1e-9,
                    help="residual tolerance on the grid (default %(default)s)")
     _add_format_options(p)
-    _add_numeric_options(p)
     p.set_defaults(func=_cmd_verify_funceq)
 
     p = vsub.add_parser("cotangent", help="partial-fraction cotangent identity")
@@ -500,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True, help="RE or RE,IM with RE <= -0.5")
     p.add_argument("--poles", type=int, required=True)
     _add_format_options(p)
-    _add_numeric_options(p)
     p.set_defaults(func=_cmd_verify_contour_inversion)
 
     table = sub.add_parser("table", help="value tables")

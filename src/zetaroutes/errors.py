@@ -67,7 +67,11 @@ def require_finite(name: str, value: complex) -> None:
 
 
 def finite_or_out_of_range(fn):
-    """OutOfValidatedRange for a non-finite s or an over- or underflow in fn(s)."""
+    """OutOfValidatedRange for a non-finite s or an over- or underflow in fn(s).
+
+    A DomainError passes through; a plain ValueError (cmath's "math domain
+    error" on an overflowed argument) becomes OutOfValidatedRange naming s.
+    """
 
     @functools.wraps(fn)
     def wrapper(s, *args, **kwargs):
@@ -76,7 +80,9 @@ def finite_or_out_of_range(fn):
             value = fn(s, *args, **kwargs)
             if cmath.isfinite(value):
                 return value
-        except (OverflowError, ZeroDivisionError):
+        except DomainError:
+            raise
+        except (OverflowError, ZeroDivisionError, ValueError):
             pass
         raise OutOfValidatedRange(f"{fn.__name__} exceeds double precision at s = {s}")
 

@@ -31,6 +31,7 @@ from numpy.polynomial.legendre import leggauss
 from .bernoulli import bernoulli_via_recurrence
 from .errors import (
     AtPole,
+    DomainError,
     NearPole,
     OnBranchCut,
     OutOfValidatedRange,
@@ -41,24 +42,6 @@ from .errors import (
 )
 from .exact import factorial
 from .gammafn import gamma_complex
-
-
-@dataclass(frozen=True)
-class NumericConfig:
-    """Euler-Maclaurin knobs: Dirichlet cutoff, correction terms, target."""
-
-    em_terms_N: int = 30
-    em_terms_J: int = 14
-    target_tol: float = 1e-13
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.em_terms_J <= 15:
-            raise ValueError("em_terms_J must be in 1..15")
-        if self.em_terms_N < 1:
-            raise ValueError("em_terms_N must be positive")
-        if self.target_tol < 1e-13:
-            raise ValueError("target_tol below double-precision headroom")
-        require_finite("target_tol", self.target_tol)
 
 
 @dataclass(frozen=True)
@@ -80,32 +63,34 @@ class ContourSpec:
         require_finite("x_max", self.x_max)
 
 
-DEFAULT_NUMERIC = NumericConfig()
-
-# B_{2j}/(2j)! as floats, j = 1..16, from the exact table.
-_B2J_OVER_FACT = tuple(
-    float(bernoulli_via_recurrence(32)[2 * j] / factorial(2 * j)) for j in range(1, 17)
-)
-
 _EPS = 2.3e-16
 _MAX_TERMS = 10**6  # cap on the terms of any numeric sum: cutoff, poles, pairs
+_EM_FLOOR_N = 30  # least Dirichlet cutoff for Re s >= 0
+_EM_TERMS_J = 14  # Bernoulli correction terms in zeta_em
+
+# B_{2j}/(2j)! as floats, j = 1..J+1 (the first omitted term sizes the
+# cutoff), from the exact table.
+_B2J_OVER_FACT = tuple(
+    float(bernoulli_via_recurrence(2 * _EM_TERMS_J + 2)[2 * j] / factorial(2 * j))
+    for j in range(1, _EM_TERMS_J + 2)
+)
 
 
-def _dirichlet_cutoff(s: complex, cfg: NumericConfig) -> int:
+def _dirichlet_cutoff(s: complex) -> int:
     """Partial-sum cutoff N for the Euler-Maclaurin evaluation.
 
-    For Re s >= 0 the configured N (grown with |Im s|) is fine. For Re s < 0
+    For Re s >= 0 the floor N = 30 (grown with |Im s|) is fine. For Re s < 0
     the terms k^{-s} grow, and round-off of the partial sum against the
     N^{1-s} continuation term costs ~ N^{1-Re s} eps; balancing that against
     the first omitted Bernoulli term picks a much smaller N. At negative
     integer s the rising product vanishes, the expansion terminates, and the
     minimum N is exact.
     """
-    n_pos = max(cfg.em_terms_N, math.ceil(2 * abs(s.imag)))
+    n_pos = max(_EM_FLOOR_N, math.ceil(2 * abs(s.imag)))
     sigma = s.real
     if sigma >= 0:
         return n_pos
-    j = cfg.em_terms_J
+    j = _EM_TERMS_J
     rising = 1.0
     for i in range(2 * j + 1):
         rising *= abs(s + i)
@@ -120,9 +105,9 @@ def _dirichlet_cutoff(s: complex, cfg: NumericConfig) -> int:
 def default_contour(s: complex) -> ContourSpec:
     """Radius pi; the ray truncation grows with |s| to keep the tail tiny."""
     require_finite("s", s)
-    try:
+    try:  # abs(s) overflows, or 2|s| rounds to inf and ContourSpec refuses it
         return ContourSpec(x_max=max(40.0, 10.0 + 2.0 * abs(s)))
-    except OverflowError:
+    except (OverflowError, OutOfValidatedRange):
         raise OutOfValidatedRange(f"|s| exceeds double precision at s = {s}") from None
 
 
@@ -130,27 +115,26 @@ def default_contour(s: complex) -> ContourSpec:
 
 
 @finite_or_out_of_range
-def zeta_em(s: complex, cfg: NumericConfig | None = None) -> complex:
+def zeta_em(s: complex) -> complex:
     """zeta(s) by Euler-Maclaurin acceleration of sum k^-s.
 
     Partial sum to N-1, then N^{1-s}/(s-1) + N^{-s}/2 plus J Bernoulli
     corrections B_{2j}/(2j)! times rising products of s, with N picked by
-    ``_dirichlet_cutoff``. Absolute accuracy tracks cfg.target_tol down to
-    moderately negative Re(s); far into the left half-plane double-precision
-    cancellation against the N^{1-s} term progressively costs digits.
+    ``_dirichlet_cutoff``; N >= 30 for Re s >= 0 and J = 14. The absolute
+    error is about 1e-13 or less for Re s >= 0; to the left, double-precision
+    cancellation against the N^{1-s} term progressively costs digits (about
+    1e-10 at s = -10.5).
     N is capped at 10^6, so |Im s| <= 5e5; beyond the cap, and where the sum
     overflows double precision, OutOfValidatedRange is raised.
     """
-    cfg = cfg or DEFAULT_NUMERIC
     s = complex(s)
     if abs(s - 1) < 1e-6:
         raise NearPole("zeta pole at s = 1")
-    j_max = cfg.em_terms_J
-    if s.real <= -(2 * j_max - 1):
+    if s.real <= -(2 * _EM_TERMS_J - 1):
         raise OutOfValidatedRange(
-            f"Re(s) = {s.real} needs more than {j_max} correction terms"
+            f"Re(s) = {s.real} needs more than {_EM_TERMS_J} correction terms"
         )
-    n = _dirichlet_cutoff(s, cfg)
+    n = _dirichlet_cutoff(s)
     if n > _MAX_TERMS:
         raise OutOfValidatedRange(f"s = {s} needs a Dirichlet cutoff N > 10^6")
     if n > 1:
@@ -161,7 +145,7 @@ def zeta_em(s: complex, cfg: NumericConfig | None = None) -> complex:
     value = partial + n ** (1 - s) / (s - 1) + 0.5 * n ** (-s)
     rising = s
     npow = n ** (-s - 1)
-    for j in range(1, j_max + 1):
+    for j in range(1, _EM_TERMS_J + 1):
         if j > 1:
             rising *= (s + 2 * j - 3) * (s + 2 * j - 2)
             npow /= n * n
@@ -268,9 +252,7 @@ def zeta_hankel(
 
 
 @finite_or_out_of_range
-def inverted_contour_check(
-    s: complex, n_poles: int, cfg: NumericConfig | None = None
-) -> float:
+def inverted_contour_check(s: complex, n_poles: int) -> float:
     """Inside-out contour: residues at 2 pi i n versus the loop value.
 
     For Re s <= -1/2 the residue sum converges; its partial form is
@@ -280,15 +262,15 @@ def inverted_contour_check(
     """
     s = complex(s)
     if s.real > -0.5:
-        raise ValueError("inverted contour requires Re(s) <= -0.5")
+        raise DomainError("inverted contour requires Re(s) <= -0.5")
     if n_poles < 1:
-        raise ValueError("n_poles must be positive")
+        raise DomainError("n_poles must be positive")
     if n_poles > _MAX_TERMS:
         raise OutOfValidatedRange(f"n_poles = {n_poles} exceeds 10^6")
     n = np.arange(1, n_poles + 1, dtype=np.float64)
     partial = complex(np.sum(np.exp((s - 1) * np.log(n))))
     rhs = -1j * (2 * math.pi) ** s * 2 * cmath.sin(math.pi * s / 2) * partial
-    lhs = -2j * cmath.sin(math.pi * s) * gamma_complex(s) * zeta_em(s, cfg)
+    lhs = -2j * cmath.sin(math.pi * s) * gamma_complex(s) * zeta_em(s)
     return abs(lhs - rhs)
 
 
@@ -306,7 +288,7 @@ def inverted_contour_bound(s: complex, n_poles: int) -> float:
 
 
 @finite_or_out_of_range
-def funceq_residual(s: complex, cfg: NumericConfig | None = None) -> float:
+def funceq_residual(s: complex) -> float:
     """Relative residual of 2 cos(pi s/2) Gamma(s) zeta(s) = (2 pi)^s zeta(1-s).
 
     Both zeta values come from the Euler-Maclaurin route; the residual is
@@ -318,8 +300,8 @@ def funceq_residual(s: complex, cfg: NumericConfig | None = None) -> float:
     nearest = round(s.real)
     if nearest <= 0 and abs(s - nearest) < 1e-3:
         raise NearPole(f"s = {s} too close to a Gamma pole")
-    lhs = 2 * cmath.cos(math.pi * s / 2) * gamma_complex(s) * zeta_em(s, cfg)
-    rhs = (2 * math.pi) ** s * zeta_em(1 - s, cfg)
+    lhs = 2 * cmath.cos(math.pi * s / 2) * gamma_complex(s) * zeta_em(s)
+    rhs = (2 * math.pi) ** s * zeta_em(1 - s)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 

@@ -155,6 +155,16 @@ class TestZetaNumeric:
             assert code == 2
             assert "pole" in err
 
+    def test_config_variable_changes_nothing(self, capsys, tmp_path, monkeypatch):
+        # The CLI once read numeric knobs from the file this variable names.
+        cfg = tmp_path / "zeta.cfg"
+        cfg.write_text("em_terms_N = 50\n")
+        monkeypatch.delenv("ZETAROUTES_CONFIG", raising=False)
+        unset = invoke(capsys, "zeta", "numeric", "0.5", "3")
+        monkeypatch.setenv("ZETAROUTES_CONFIG", str(cfg))
+        assert invoke(capsys, "zeta", "numeric", "0.5", "3") == unset
+        assert unset[0] == 0
+
 
 class TestVerify:
     def test_funceq_exact_and_grid(self, capsys):
@@ -228,32 +238,6 @@ class TestTable:
         assert out_md.splitlines()[0].startswith("| kind |")
 
 
-class TestConfigFile:
-    def test_config_file_and_flag_override(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "zeta.cfg"
-        cfg.write_text("em_terms_N = 50\nradius = 2.0\n# comment\n")
-        monkeypatch.setenv("ZETAROUTES_CONFIG", str(cfg))
-        code, out, _ = invoke(capsys, "zeta", "numeric", "0.5", "--method", "em")
-        assert code == 0
-        # flag overrides the file
-        code2, out2, _ = invoke(
-            capsys, "zeta", "numeric", "0.5", "--method", "em", "--em-n", "30"
-        )
-        assert code2 == 0
-        assert abs(complex(out.strip()) - complex(out2.strip())) <= 1e-12
-
-    def test_bad_config_key(self, capsys, tmp_path):
-        cfg = tmp_path / "zeta.cfg"
-        # panels_ray is not a key: the quadrature rule is fixed
-        for key, line in (("bogus", "bogus = 1"), ("panels_ray", "panels_ray = 32")):
-            cfg.write_text(line + "\n")
-            code, _, err = invoke(
-                capsys, "zeta", "numeric", "0.5", "--config", str(cfg)
-            )
-            assert code == 2
-            assert repr(key) in err
-
-
 class TestRender:
     def test_empty_json(self):
         assert render([], "json") == "[]"
@@ -284,6 +268,15 @@ class TestRender:
 def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
+    # The numeric tuning flags are gone; two of them once exited 0 unread.
+    for argv in (
+        ("verify", "funceq", "--tol", "1e-3"),
+        ("verify", "contour-inversion", "--s", "-2.5", "--poles", "10", "--radius", "1"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
     for argv in (("bernoulli", "--max", "-1"), ("abel", "-1")):
         code, out, err = invoke(capsys, *argv)
         assert code == 2
@@ -301,12 +294,15 @@ def test_usage_error_exit_code(capsys):
         (("zeta", "numeric", "nan"), "s = (nan+0j) is not finite"),
         (("zeta", "numeric", "1e300"), "zeta_em exceeds double precision"),
         (("zeta", "numeric", "0.5", "1e300"), "Dirichlet cutoff"),
-        (("zeta", "numeric", "1.7e308", "1.7e308"), "|s| exceeds double precision"),
+        (("zeta", "numeric", "1.7e308", "1.7e308", "--method", "hankel"),
+         "|s| exceeds double precision"),
         (("zeta", "numeric", "0.5", "1e4", "--method", "hankel"), "not finite"),
         (("zeta", "numeric", "0.5", "250", "--method", "hankel"), "not finite"),
-        (("zeta", "numeric", "0.5", "--x-max", "nan"), "x_max = nan is not finite"),
-        (("zeta", "numeric", "0.5", "--tol", "nan"), "target_tol = nan is not finite"),
-        (("zeta", "numeric", "0.5", "--em-n", "1000000000000"), "Dirichlet cutoff"),
+        (("verify", "funceq", "--exact-max", "0", "--grid=-1.7e308:-1.7e308:25:25:1"),
+         "exceeds double precision at s = (-1.7e+308+25j)"),
+        (("zeta", "numeric", "--method", "hankel", "--", "-1.7e308", "25"),
+         "|s| exceeds double precision at s = (-1.7e+308+25j)"),
+        (("zeta", "numeric", "0.5", "1e6", "--method", "em"), "Dirichlet cutoff"),
         (("verify", "funceq", "--exact-max", "0", "--grid=0.5:0.5:1e3:1e3:1"),
          "funceq_residual exceeds double precision"),
         (("verify", "contour-inversion", "--s=-2", "--poles", "10"), "Gamma pole"),
@@ -316,6 +312,8 @@ def test_usage_error_exit_code(capsys):
          "n_terms = 1000000000000 exceeds 10^6"),
         (("verify", "contour-inversion", "--s", "-2.5", "--poles", "1000000000000"),
          "n_poles = 1000000000000 exceeds 10^6"),
+        # Hankel's domain error at this s falls back to em, which has its own.
+        (("zeta", "numeric", "--", "-1.7e308", "25"), "needs more than 14 correction terms"),
     ],
 )
 def test_domain_error_exits_2(capsys, argv, reason):
@@ -352,21 +350,6 @@ _FORMAT = st.lists(
 
 
 @st.composite
-def _numeric_options(draw):
-    options = []
-    for flag, values in (
-        ("--em-n", st.one_of(st.integers(-2, 1000), st.just(10**12)).map(str)),
-        ("--em-j", st.integers(-1, 17).map(str)),
-        ("--tol", _NUMBERS),
-        ("--radius", _NUMBERS),
-        ("--x-max", _NUMBERS),
-    ):
-        if draw(st.booleans()):
-            options.append(f"{flag}={draw(values)}")
-    return options
-
-
-@st.composite
 def _argv(draw):
     command = draw(
         st.sampled_from(
@@ -384,7 +367,6 @@ def _argv(draw):
     if command == "numeric":
         method = draw(st.sampled_from(["hankel", "em", "both"]))
         s = draw(st.lists(_NUMBERS, min_size=1, max_size=2))
-        opt += draw(_numeric_options())
         return ["zeta", "numeric", f"--method={method}", *opt, "--", *s]
     if command == "abel":
         oracle = draw(st.sampled_from([[], ["--numeric-oracle"]]))
@@ -392,7 +374,6 @@ def _argv(draw):
     if command == "funceq":
         grid = ":".join(draw(st.lists(_NUMBERS, min_size=4, max_size=4)))
         steps = draw(st.integers(0, 2))
-        opt += draw(_numeric_options())
         return ["verify", "funceq", f"--exact-max={draw(st.integers(-1, 30))}",
                 f"--grid={grid}:{steps}", f"--grid-tol={draw(_NUMBERS)}", *opt]
     if command == "cotangent":
@@ -400,7 +381,6 @@ def _argv(draw):
                 f"--terms={draw(_COUNTS)}", *opt]
     if command == "contour":
         s = ",".join(draw(st.lists(_NUMBERS, min_size=1, max_size=2)))
-        opt += draw(_numeric_options())
         return ["verify", "contour-inversion", f"--s={s}",
                 f"--poles={draw(_COUNTS)}", *opt]
     return ["table", "classical", f"--max={draw(_SIZES)}", *opt]

@@ -9,7 +9,6 @@ from zetaroutes.numeric import (
     AtPole,
     ContourSpec,
     NearPole,
-    NumericConfig,
     OnBranchCut,
     OutOfValidatedRange,
     QuadratureNotConverged,
@@ -32,12 +31,6 @@ from zetaroutes.zeta_exact import zeta_even_positive, zeta_nonpositive
 
 
 class TestConfigs:
-    def test_numeric_config_bounds(self):
-        with pytest.raises(ValueError):
-            NumericConfig(em_terms_J=16)
-        with pytest.raises(ValueError):
-            NumericConfig(target_tol=1e-14)
-
     def test_contour_bounds(self):
         with pytest.raises(ValueError):
             ContourSpec(radius=7.0)
@@ -45,6 +38,8 @@ class TestConfigs:
             ContourSpec(radius=-1.0)
         with pytest.raises(ValueError):
             ContourSpec(radius=3.0, x_max=2.0)
+        with pytest.raises(OutOfValidatedRange, match="x_max = nan is not finite"):
+            ContourSpec(x_max=math.nan)
 
 
 class TestZetaEm:
