@@ -251,18 +251,15 @@ def em_alternating_value(m: int) -> BigRational:
 
     Subtracting twice the even part of the summatory expansion leaves
     sum_n (2^{n+1}-1) B_{n+1} / (n+1)! * f^{(n)}(0) for f(x) = x^m; only the
-    n = m derivative survives. Normalized so the series summed is
-    1^m - 2^m + 3^m - ..., this equals abel_sum_exact(m) for every m >= 1.
+    n = m derivative survives, f^{(m)}(0) = m!, so the sum is that one term.
+    Normalized so the series summed is 1^m - 2^m + 3^m - ..., this equals
+    abel_sum_exact(m) for every m >= 1.
     (At m = 0 the x^0 term at x = 0 joins the sum and the routes differ.)
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    table = bernoulli_via_recurrence(m + 1)
-    acc = Fraction(0)
-    for n in range(m + 1):
-        d_n = factorial(m) if n == m else Fraction(0)  # d^n/dx^n x^m at 0
-        acc += (Fraction(2) ** (n + 1) - 1) * table[n + 1] / factorial(n + 1) * d_n
-    return acc
+    b = bernoulli_via_recurrence(m + 1)[m + 1]
+    return (2 ** (m + 1) - 1) * b / factorial(m + 1) * factorial(m)
 
 
 def zeta_neg_via_abel(m: int) -> BigRational:

@@ -1,6 +1,14 @@
-"""Bernoulli numbers by two independent exact methods, plus Faulhaber sums.
+"""Bernoulli numbers by two exact methods, plus Faulhaber sums.
 
 Convention: B_1 = -1/2, fixed by z/(e^z - 1) = sum B_n z^n / n!.
+
+The two methods are two codes, not two mathematics: with B_k = k! b_k, one
+step of inverting (e^z - 1)/z for the b_k is algebraically the recurrence
+step B_k = -(1/(k+1)) sum_{j<k} C(k+1, j) B_j. Their agreement checks the
+series engine and the table code, not the identity. A genuinely different
+algorithm is the integer tangent-number route of Brent and Harvey, "Fast
+computation of Bernoulli, Tangent and Secant numbers" (2011,
+arXiv:1108.0286); it is not implemented here.
 """
 
 from __future__ import annotations
@@ -9,7 +17,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import BigRational, binomial, factorial
+from .exact import BigRational, CommonDenominator, binomial, factorial
 from .series import LaurentSeries, exp_series
 
 
@@ -63,11 +71,16 @@ def bernoulli_via_recurrence(max_index: int) -> BernoulliTable:
         raise ValueError("max_index must be nonnegative")
     values = _RECURRENCE_PREFIX
     with _LOCK:
-        for n in range(len(values), max_index + 1):
-            acc = Fraction(0)
-            for k in range(n):
-                acc += binomial(n + 1, k) * values[k]
-            values.append(-acc / (n + 1))
+        if len(values) <= max_index:
+            scaled = CommonDenominator(values)
+            for n in range(len(values), max_index + 1):
+                acc, c = 0, 1
+                for k, num in enumerate(scaled.numerators):
+                    acc += c * num
+                    c = c * (n + 1 - k) // (k + 1)  # C(n+1, k+1)
+                b = Fraction(-acc, scaled.denominator * (n + 1))
+                scaled.append(b)
+                values.append(b)
     return BernoulliTable(tuple(values[: max_index + 1]), max_index)
 
 

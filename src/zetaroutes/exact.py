@@ -29,6 +29,28 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
+class CommonDenominator:
+    """Rationals q_k kept as integers numerators[k] over one denominator.
+
+    Sums of products of such values are integer dot products that need a
+    single reduction at the end, instead of a gcd at every addition.
+    """
+
+    def __init__(self, values) -> None:
+        self.denominator = math.lcm(*(q.denominator for q in values))
+        self.numerators = [
+            q.numerator * (self.denominator // q.denominator) for q in values
+        ]
+
+    def append(self, q: Fraction) -> None:
+        """Add q, first growing the denominator to a multiple of q's."""
+        grow = q.denominator // math.gcd(self.denominator, q.denominator)
+        if grow > 1:
+            self.denominator *= grow
+            self.numerators = [num * grow for num in self.numerators]
+        self.numerators.append(q.numerator * (self.denominator // q.denominator))
+
+
 def format_rational(q: Fraction) -> str:
     """Render as "p/q", omitting the denominator when it is 1."""
     return str(q)

@@ -139,7 +139,8 @@ def zeta_em(s: complex) -> complex:
         raise OutOfValidatedRange(f"s = {s} needs a Dirichlet cutoff N > 10^6")
     if n > 1:
         k = np.arange(1, n, dtype=np.float64)
-        partial = complex(np.sum(np.exp(-s * np.log(k))))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is typed below
+            partial = complex(np.sum(np.exp(-s * np.log(k))))
     else:
         partial = 0.0 + 0.0j
     value = partial + n ** (1 - s) / (s - 1) + 0.5 * n ** (-s)
@@ -268,7 +269,8 @@ def inverted_contour_check(s: complex, n_poles: int) -> float:
     if n_poles > _MAX_TERMS:
         raise OutOfValidatedRange(f"n_poles = {n_poles} exceeds 10^6")
     n = np.arange(1, n_poles + 1, dtype=np.float64)
-    partial = complex(np.sum(np.exp((s - 1) * np.log(n))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is typed below
+        partial = complex(np.sum(np.exp((s - 1) * np.log(n))))
     rhs = -1j * (2 * math.pi) ** s * 2 * cmath.sin(math.pi * s / 2) * partial
     lhs = -2j * cmath.sin(math.pi * s) * gamma_complex(s) * zeta_em(s)
     return abs(lhs - rhs)

@@ -8,11 +8,12 @@ computed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OutOfTrustedRange, ZeroSeries
-from .exact import BigRational
+from .exact import BigRational, CommonDenominator
 
 DEFAULT_ORDER = 40
 
@@ -152,21 +153,23 @@ class LaurentSeries:
 
         Uses long division on the relative coefficients; the inverse has
         valuation -v and carries order - 2v trusted exponents' worth.
+        In b_k = -(sum_{i=1..k} a_i b_{k-i}) / a_0 a common scale of the a_i
+        cancels, so they are taken as integers over their lcm, and the b_k
+        as integers over one running denominator: each b_k is then an
+        integer dot product and a single reduction.
         """
         if self.is_zero():
             raise ZeroSeries("cannot invert the zero series")
-        a = self.coeffs
-        lead = a[0]
-        size = len(a)
-        b = [Fraction(0)] * size
-        b[0] = 1 / lead
-        for k in range(1, size):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += a[i] * b[k - i]
-            b[k] = -acc / lead
+        a = CommonDenominator(self.coeffs).numerators
+        b = [1 / self.coeffs[0]]
+        scaled = CommonDenominator(b)
+        for k in range(1, len(a)):
+            acc = sum(map(operator.mul, a[k:0:-1], scaled.numerators))
+            bk = Fraction(-acc, scaled.denominator * a[0])
+            scaled.append(bk)
+            b.append(bk)
         val = -self.valuation
-        return LaurentSeries(val, tuple(b), val + size - 1)
+        return LaurentSeries(val, tuple(b), val + len(b) - 1)
 
     def differentiate(self) -> "LaurentSeries":
         """Termwise d/dz; the trust horizon drops by one."""

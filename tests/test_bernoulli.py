@@ -57,11 +57,10 @@ class TestRecurrenceMethod:
         assert bernoulli_via_recurrence(4)[4] == ORACLE[4]
 
 
-def test_methods_agree_through_32():
-    a = bernoulli_via_series(32)
-    b = bernoulli_via_recurrence(32)
-    assert a.values == b.values
-    assert a.values == tuple(recurrence_oracle(32))
+def test_methods_agree_through_200():
+    oracle = tuple(recurrence_oracle(200))
+    assert bernoulli_via_series(200).values == oracle
+    assert bernoulli_via_recurrence(200).values == oracle
 
 
 # Each method with the state of a table that holds nothing it computed.
@@ -100,6 +99,27 @@ def test_concurrent_growth_stores_each_entry_once(
     tables = concurrently(method, sizes)
     for n, table in zip(sizes, tables):
         assert table.values == tuple(oracle[: n + 1])
+
+
+def primes_through(n):
+    return [p for p in range(2, n + 1) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+@FRESH_TABLE
+def test_von_staudt_clausen_denominators(monkeypatch, method, prefix, fresh):
+    # The denominator of B_2k is the product of the primes p with (p-1) | 2k:
+    # expected values that come from the primes alone, not from either
+    # algorithm. Grown from scratch, each table meets a new prime factor at
+    # every prime 2k+1.
+    monkeypatch.setattr(bernoulli, prefix, list(fresh))
+    table = method(400)
+    primes = primes_through(401)
+    for n in range(2, 401, 2):
+        expected = 1
+        for p in primes:
+            if n % (p - 1) == 0:
+                expected *= p
+        assert table[n].denominator == expected, n
 
 
 def test_odd_entries_vanish():

@@ -25,6 +25,19 @@ from zetaroutes.exact import PiValue
 from zetaroutes.numeric import zeta_em
 
 
+def run_fresh(*argv):
+    """The CLI in a fresh interpreter, so stderr shows what pytest's warning
+    capture would hide."""
+    src = os.path.dirname(os.path.dirname(zetaroutes.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "zetaroutes", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -124,19 +137,27 @@ class TestZetaNumeric:
             assert complex(lines[0]) == pytest.approx(expected, rel=1e-12)
 
     def test_hankel_overflow_prints_no_warning(self):
-        # A fresh process shows what pytest's warning capture would hide:
         # numpy's overflow warnings once reached stderr here.
-        src = os.path.dirname(os.path.dirname(zetaroutes.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "zetaroutes", "zeta", "numeric", "0.5", "1e4"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=60,
-        )
+        proc = run_fresh("zeta", "numeric", "0.5", "1e4")
         assert proc.returncode == 0
         assert proc.stdout == f"{zeta_em(0.5 + 1e4j)}\n"
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("zeta", "numeric", "1.7e308", "--method", "em"),
+             "zeta_em exceeds double precision at s = (1.7e+308+0j)"),
+            (("verify", "contour-inversion", "--s=-1.7e308", "--poles", "10"),
+             "inverted_contour_check exceeds double precision at s = (-1.7e+308+0j)"),
+        ],
+        ids=["em", "contour-inversion"],
+    )
+    def test_overflow_error_prints_no_warning(self, argv, error):
+        proc = run_fresh(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {error}\n"
 
     def test_hankel_only_near_pole_is_error(self, capsys):
         for argv in (
@@ -334,7 +355,9 @@ def test_internal_inconsistency_exits_1(capsys, monkeypatch):
 
 
 _NUMBERS = st.one_of(
-    st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300", "0", "1"]),
+    st.sampled_from(
+        ["nan", "inf", "-inf", "1e300", "-1e300", "1.7e308", "-1.7e308", "0", "1"]
+    ),
     st.floats(-50, 50).map(repr),
 )
 _SIZES = st.integers(-30, 30).map(str)

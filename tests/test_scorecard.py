@@ -1,0 +1,78 @@
+"""Accuracy scorecard of the two numeric routes on the benchmark's seed-0 grid.
+
+Each call of ``zeta_em`` and ``zeta_hankel`` at the 240 points is *ok* (mixed
+error |v - ref| / max(1, |ref|) at most 1e-10 against the committed mpmath
+reference), *refused* (a typed ``DomainError``) or *silent* (a value returned
+that misses by more). Any other exception fails the test.
+"""
+
+import importlib.util
+import json
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from zetaroutes.errors import DomainError
+from zetaroutes.numeric import zeta_em, zeta_hankel
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TOL = 1e-10
+
+# The counts the code gives today, per route and region: 80 silent in all.
+# A later change may edit this table only by moving points from silent to ok
+# or refused, or from refused to ok; a point that turns silent fails the test.
+EXPECTED = {
+    "em": {
+        ("critical", "ok"): 50,
+        ("strip", "ok"): 50,
+        ("right", "ok"): 50,
+        ("left", "ok"): 6,
+        ("left", "silent"): 34,
+        ("high", "ok"): 49,
+        ("zero", "ok"): 1,
+    },
+    "hankel": {
+        ("critical", "ok"): 50,
+        ("strip", "ok"): 50,
+        ("right", "ok"): 3,
+        ("right", "refused"): 1,
+        ("right", "silent"): 46,
+        ("left", "ok"): 5,
+        ("left", "refused"): 35,
+        ("high", "refused"): 49,
+        ("zero", "refused"): 1,
+    },
+}
+
+
+def seed0_grid():
+    """(region, s, reference) for the 240 points of the committed fixture."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    with open(PERFBENCH / "fixtures" / "reference_seed0.json", encoding="utf-8") as fh:
+        fixture = json.load(fh)
+    assert fixture["columns"] == ["re", "im", "zeta_re", "zeta_im"]
+    points = workloads.grid_points(0)
+    assert len(points) == len(fixture["points"]) == 240
+    grid = []
+    for (region, s), (re, im, ref_re, ref_im) in zip(points, fixture["points"]):
+        assert s == complex(re, im)
+        grid.append((region, s, complex(ref_re, ref_im)))
+    return grid
+
+
+def classify(route, s, ref):
+    try:
+        value = route(s)
+    except DomainError:
+        return "refused"
+    return "ok" if abs(value - ref) / max(1.0, abs(ref)) <= TOL else "silent"
+
+
+@pytest.mark.parametrize("name, route", [("em", zeta_em), ("hankel", zeta_hankel)])
+def test_scorecard_counts(name, route):
+    counts = Counter((region, classify(route, s, ref)) for region, s, ref in seed0_grid())
+    assert dict(counts) == EXPECTED[name]
+

@@ -49,6 +49,18 @@ def bernoulli_recurrence(n_max):
     return values
 
 
+def invert_by_long_division(a: LaurentSeries) -> LaurentSeries:
+    """Oracle: b_0 = 1/a_0, b_k = -(sum_{i=1..k} a_i b_{k-i}) / a_0, in Fractions."""
+    c = a.coeffs
+    b = [1 / c[0]]
+    for k in range(1, len(c)):
+        acc = F(0)
+        for i in range(1, k + 1):
+            acc += c[i] * b[k - i]
+        b.append(-acc / c[0])
+    return LaurentSeries(-a.valuation, tuple(b), -a.valuation + len(c) - 1)
+
+
 class TestExpSeries:
     def test_exp_zero_is_one(self):
         s = exp_series(0, 5)
@@ -144,6 +156,25 @@ class TestInvert:
     def test_zero_series_rejected(self):
         with pytest.raises(ZeroSeries):
             LaurentSeries.zero(5).invert()
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            # non-integer lead, negative valuation, zero interior coefficients
+            LaurentSeries.from_coeffs(
+                -3, [F(-7, 6), 0, 0, F(5, 4), 0, F(-2, 9), 0, 0, F(11, 35), 3], 12
+            ),
+            (exp_series(1, 61) - LaurentSeries.constant(1, 61)).shifted(-1),
+            LaurentSeries.constant(1, 40) + exp_series(F(-3, 5), 40),
+        ],
+        ids=["sparse", "bernoulli", "exp"],
+    )
+    def test_matches_long_division(self, series):
+        assert series.invert() == invert_by_long_division(series)
+
+    @given(laurent_unit(max_len=10))
+    def test_matches_long_division_on_random_series(self, a):
+        assert a.invert() == invert_by_long_division(a)
 
     @given(laurent_unit())
     def test_invert_is_involutive(self, a):
