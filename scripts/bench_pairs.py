@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Run perfbench on two checkouts in alternating pairs and write the record.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR \\
+        --pairs table_sweep=10 cold_cli=5 numeric_grid=5 --seconds 40 \\
+        --out BENCH_6.json
+
+Each checkout is a git clone of the commit to measure. For every workload,
+pair i runs `python3 perfbench/run.py --workload W --seconds S` in both
+checkouts, the parent first in even pairs and the change first in odd ones,
+one run at a time. The record keeps each run's last stdout line unedited,
+both commit hashes and, per workload and metric, each side's quartiles and
+the pairs the change won (lower is better for every end-to-end metric). The
+file is rewritten after every pair, so an interrupted session keeps its runs.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def commit(checkout: Path) -> str:
+    return subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def run_once(checkout: Path, workload: str, seconds: float) -> str:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds)],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return proc.stdout.splitlines()[-1]
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summary(pairs: list[dict]) -> dict:
+    """Per metric: each side's [q1, median, q3] and the change's wins."""
+    runs = {side: [json.loads(p[side])["metrics"] for p in pairs] for side in ("parent", "change")}
+    out = {}
+    for name in runs["parent"][0]:
+        parent = [m[name]["value"] for m in runs["parent"]]
+        change = [m[name]["value"] for m in runs["change"]]
+        out[name] = {
+            "parent": quartiles(parent),
+            "change": quartiles(change),
+            "change_wins": sum(c < p for p, c in zip(parent, change)),
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
+    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    record = {
+        "commits": {side: commit(path) for side, path in checkouts.items()},
+        "command": f"python3 perfbench/run.py --workload <w> --seconds {args.seconds:g}",
+        "workloads": {},
+    }
+    for item in args.pairs:
+        workload, n = item.split("=")
+        pairs = []
+        for i in range(int(n)):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = run_once(checkouts[side], workload, args.seconds)
+            pairs.append(pair)
+            record["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}
+            args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

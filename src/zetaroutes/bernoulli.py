@@ -66,12 +66,14 @@ def bernoulli_via_series(max_index: int) -> BernoulliTable:
 
 
 def bernoulli_via_recurrence(max_index: int) -> BernoulliTable:
-    """Independent route: sum_{k=0}^{n} C(n+1, k) B_k = 0 with B_0 = 1."""
+    """Second method: sum_{k=0}^{n} C(n+1, k) B_k = 0 with B_0 = 1."""
     if max_index < 0:
         raise ValueError("max_index must be nonnegative")
     values = _RECURRENCE_PREFIX
     with _LOCK:
         if len(values) <= max_index:
+            # Rebuilt from the prefix on each growing call, so the prefix
+            # stays the one piece of shared state.
             scaled = CommonDenominator(values)
             for n in range(len(values), max_index + 1):
                 acc, c = 0, 1
