@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import abel
-from .errors import DomainError, InternalInconsistency
+from .errors import DomainError, InternalInconsistency, OutOfValidatedRange
 from .exact import PiValue, format_rational, parse_rational
 from .bernoulli import bernoulli_via_recurrence, bernoulli_via_series
 from .numeric import (
@@ -165,15 +165,22 @@ def render(records, fmt: str = "plain") -> str:
 
 
 def _floated(records) -> list[OutputRecord]:
-    """Exact records become numeric ones (--as-float)."""
+    """Exact records become numeric ones (--as-float).
+
+    A value beyond double range raises OutOfValidatedRange naming its argument.
+    """
     out = []
     for r in records:
-        if r.kind == "exact_rational":
-            out.append(complex_record(complex(float(r.payload)), r.route, r.argument))
-        elif r.kind == "exact_pi_monomial":
-            out.append(complex_record(complex(r.payload.to_float()), r.route, r.argument))
-        else:
+        if r.kind not in ("exact_rational", "exact_pi_monomial"):
             out.append(r)
+            continue
+        try:
+            value = float(r.payload) if r.kind == "exact_rational" else r.payload.to_float()
+        except OverflowError:
+            raise OutOfValidatedRange(
+                f"{r.argument} ({r.route} route) exceeds double precision for --as-float"
+            ) from None
+        out.append(complex_record(complex(value), r.route, r.argument))
     return out
 
 

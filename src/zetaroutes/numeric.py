@@ -102,11 +102,25 @@ def _dirichlet_cutoff(s: complex) -> int:
     return min(n_pos, n)
 
 
+_TAIL_DROP = 35.0  # the ray's cut sits at least e^-35 below the integrand's peak
+
+
 def default_contour(s: complex) -> ContourSpec:
-    """Radius pi; the ray truncation grows with |s| to keep the tail tiny."""
+    """Radius pi; the ray truncation grows with s to keep the tail tiny.
+
+    x_max starts at max(40, 10 + 2|s|). For Re s > 1 the ray integrand
+    x^{a} e^{-x}, a = Re s - 1, peaks at x = a, so x_max then grows by
+    factors of 1.1 until it lies e^-35 below that peak:
+    (x - a) - a log(x/a) >= 35. At Re s <= 2 the start already does.
+    """
     require_finite("s", s)
     try:  # abs(s) overflows, or 2|s| rounds to inf and ContourSpec refuses it
-        return ContourSpec(x_max=max(40.0, 10.0 + 2.0 * abs(s)))
+        x_max = max(40.0, 10.0 + 2.0 * abs(s))
+        a = s.real - 1.0
+        if a > 0.0:
+            while (x_max - a) - a * math.log(x_max / a) < _TAIL_DROP:
+                x_max *= 1.1
+        return ContourSpec(x_max=x_max)
     except (OverflowError, OutOfValidatedRange):
         raise OutOfValidatedRange(f"|s| exceeds double precision at s = {s}") from None
 
@@ -162,6 +176,9 @@ def zeta_em(s: complex) -> complex:
 _GAUSS_X, _GAUSS_W = leggauss(16)
 _PANELS_RAY = 16
 _REFINEMENTS = 6
+# Level 0 refuses when its round-off floor eps |prefactor| sum |w f| exceeds
+# this many tolerances: converging points sit below 4e-12 at tol = 1e-12.
+_FLOOR_FACTOR = 100.0
 
 
 def _integrand(x, s: complex):
@@ -201,15 +218,20 @@ def _contour_nodes(spec: ContourSpec, panels_ray: int):
     return nodes, weights
 
 
-def _hankel_integral(
-    s: complex, spec: ContourSpec, panels_ray: int = _PANELS_RAY
-) -> complex:
-    """The loop integral with `panels_ray` panels per ray, half on the arc."""
+def _weighted_terms(s: complex, spec: ContourSpec, panels_ray: int):
+    """The terms w f(x) of the rule with `panels_ray` panels per ray."""
     x, w = _contour_nodes(spec, panels_ray)
     # Keep f named: multiplying a bare temporary lets numpy reuse its buffer
     # in place, which rounds the product differently on large arrays.
     f = _integrand(x, s)
-    return complex(np.sum(w * f))
+    return w * f
+
+
+def _hankel_integral(
+    s: complex, spec: ContourSpec, panels_ray: int = _PANELS_RAY
+) -> complex:
+    """The loop integral with `panels_ray` panels per ray, half on the arc."""
+    return complex(np.sum(_weighted_terms(s, spec, panels_ray)))
 
 
 @finite_or_out_of_range
@@ -223,9 +245,12 @@ def zeta_hankel(
     loop reproduces (e^{-pi s i} - e^{pi s i}) times the real-axis integral).
     The rule is fixed: 16-point Gauss-Legendre panels, 16 per ray and 8 on
     the arc to start, doubled up to six times until two successive results
-    agree to `tol`; otherwise, or at once for a sum that is not finite,
-    QuadratureNotConverged is raised. Positive integers are rejected:
-    Gamma(1-s) blows up against a vanishing integral.
+    agree to `tol`; otherwise QuadratureNotConverged is raised. It is raised
+    on the first level already when the sum is not finite, or when the
+    round-off floor eps |prefactor| sum |w f| of that level's terms is not
+    finite or exceeds 100 tol: no refinement gets below it. Within 0.1 of a
+    positive integer TooCloseToPositiveIntegerPole is raised: Gamma(1-s)
+    blows up against a vanishing integral.
     """
     s = complex(s)
     nearest = max(1, round(s.real))
@@ -238,10 +263,18 @@ def zeta_hankel(
     prev = None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is typed below
         for level in range(_REFINEMENTS + 1):
-            cur = prefactor * _hankel_integral(s, spec, _PANELS_RAY << level)
+            terms = _weighted_terms(s, spec, _PANELS_RAY << level)
+            cur = prefactor * complex(np.sum(terms))
             if not cmath.isfinite(cur):
                 raise QuadratureNotConverged(f"contour integral at s = {s} is not finite")
-            if prev is not None and abs(cur - prev) < tol:
+            if level == 0:
+                floor = _EPS * abs(prefactor) * float(np.sum(np.abs(terms)))
+                if not floor <= _FLOOR_FACTOR * tol:  # also catches a floor of inf
+                    raise QuadratureNotConverged(
+                        f"contour integral at s = {s} has a round-off floor of "
+                        f"{floor:.1e}, above {_FLOOR_FACTOR:g} x tol = {tol}"
+                    )
+            elif abs(cur - prev) < tol:
                 return cur
             prev = cur
     raise QuadratureNotConverged(

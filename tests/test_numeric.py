@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from zetaroutes import numeric as numeric_module
 from zetaroutes.gammafn import gamma_complex
 from zetaroutes.numeric import (
     AtPole,
@@ -145,6 +146,58 @@ class TestZetaHankel:
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(QuadratureNotConverged):
             zeta_hankel(-0.5, tol=0.0)
+
+    @pytest.mark.parametrize("s", [-20 + 30j, 0.5 + 40j])
+    def test_round_off_refusal_costs_one_level(self, monkeypatch, s):
+        calls = []
+        integrand = numeric_module._integrand
+
+        def counted(x, s):
+            calls.append(s)
+            return integrand(x, s)
+
+        monkeypatch.setattr(numeric_module, "_integrand", counted)
+        with pytest.raises(QuadratureNotConverged, match="round-off floor"):
+            zeta_hankel(s)
+        assert len(calls) == 1
+
+    def test_zero_is_refused_by_the_refinement_loop(self):
+        # The floor at this zero (2.1e-12) lies among those of points that
+        # converge (up to 4e-12), so the floor cannot refuse it on level 0;
+        # the refinement loop still does.
+        with pytest.raises(QuadratureNotConverged, match="did not stabilize"):
+            zeta_hankel(0.5 + 14.134725141734693j)
+
+    def test_gate_domain_lattice_converges(self):
+        # -5 <= Re s <= 4, 0 <= Im s <= 9 in steps of 0.5: every point either
+        # agrees with the EM value or is refused as near a positive integer.
+        for i in range(19):
+            for j in range(19):
+                s = complex(-5.0 + 0.5 * i, 0.5 * j)
+                try:
+                    got = zeta_hankel(s)
+                except TooCloseToPositiveIntegerPole:
+                    assert j == 0 and s.real in (1.0, 2.0, 3.0, 4.0)
+                    continue
+                want = zeta_em(s)
+                assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), s
+
+    def test_ray_cut_grows_only_right_of_re_s_two(self):
+        for s in (0.5 + 3j, 2.0, 2.0 + 9j, -5.0 + 9j):
+            assert default_contour(s).x_max == max(40.0, 10.0 + 2.0 * abs(s))
+        for s in (2.5, 7.4 + 16.5j, 40.0):
+            spec = default_contour(s)
+            a = s.real - 1.0
+            drop = (spec.x_max - a) - a * math.log(spec.x_max / a)
+            assert spec.x_max > max(40.0, 10.0 + 2.0 * abs(s))
+            assert drop >= 35.0
+
+    def test_worst_right_region_point(self):
+        # The worst point of the benchmark's seed-0 `right` region: cut at
+        # x_max = 46.2 the ray lost 3.4e-8; cut at 55.9 it misses by 8.7e-12.
+        s = 7.394732803504359 + 16.507676985871694j
+        reference = 1.0027694923424797 + 0.005575622076670691j  # mpmath, 30 digits
+        assert abs(zeta_hankel(s) - reference) <= 1e-10
 
 
 class TestInvertedContour:

@@ -19,7 +19,7 @@ from zetaroutes.numeric import zeta_em, zeta_hankel
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TOL = 1e-10
 
-# The counts the code gives today, per route and region: 80 silent in all.
+# The counts the code gives today, per route and region: 34 silent in all.
 # A later change may edit this table only by moving points from silent to ok
 # or refused, or from refused to ok; a point that turns silent fails the test.
 EXPECTED = {
@@ -35,9 +35,8 @@ EXPECTED = {
     "hankel": {
         ("critical", "ok"): 50,
         ("strip", "ok"): 50,
-        ("right", "ok"): 3,
+        ("right", "ok"): 49,
         ("right", "refused"): 1,
-        ("right", "silent"): 46,
         ("left", "ok"): 5,
         ("left", "refused"): 35,
         ("high", "refused"): 49,
