@@ -277,6 +277,7 @@ def zeta_hankel(
             elif abs(cur - prev) < tol:
                 return cur
             prev = cur
+            del terms  # free them before the next level's, twice as many, exist
     raise QuadratureNotConverged(
         f"contour integral at s = {s} did not stabilize to {tol}"
     )
