@@ -177,7 +177,8 @@ _GAUSS_X, _GAUSS_W = leggauss(16)
 _PANELS_RAY = 16
 _REFINEMENTS = 6
 # Level 0 refuses when its round-off floor eps |prefactor| sum |w f| exceeds
-# this many tolerances: converging points sit below 4e-12 at tol = 1e-12.
+# this many tolerances: converging points reach 4e-12 at tol = 1e-12, so a
+# factor of 1 would refuse some of them.
 _FLOOR_FACTOR = 100.0
 
 
@@ -277,7 +278,7 @@ def zeta_hankel(
             elif abs(cur - prev) < tol:
                 return cur
             prev = cur
-            del terms  # free them before the next level's, twice as many, exist
+            del terms  # freed before the next, twice as large, level is built
     raise QuadratureNotConverged(
         f"contour integral at s = {s} did not stabilize to {tol}"
     )

@@ -333,12 +333,12 @@ def test_usage_error_exit_code(capsys):
          "n_terms = 1000000000000 exceeds 10^6"),
         (("verify", "contour-inversion", "--s", "-2.5", "--poles", "1000000000000"),
          "n_poles = 1000000000000 exceeds 10^6"),
+        # Hankel's domain error at this s falls back to em, which has its own.
+        (("zeta", "numeric", "--", "-1.7e308", "25"), "needs more than 14 correction terms"),
         (("bernoulli", "--max", "260", "--as-float"),
          "B_260 (series route) exceeds double precision for --as-float"),
         (("table", "classical", "--max", "300", "--as-float"),
          "-299 (closed route) exceeds double precision for --as-float"),
-        # Hankel's domain error at this s falls back to em, which has its own.
-        (("zeta", "numeric", "--", "-1.7e308", "25"), "needs more than 14 correction terms"),
     ],
 )
 def test_domain_error_exits_2(capsys, argv, reason):
