@@ -8,8 +8,10 @@
 Each checkout is a git clone of the commit to measure. For every workload,
 pair i runs `python3 perfbench/run.py --workload W --seconds S` in both
 checkouts, the parent first in even pairs and the change first in odd ones,
-one run at a time. The record keeps each run's last stdout line unedited,
-both commit hashes and, per workload and metric, each side's quartiles and
+one run at a time. The record keeps each run's last two stdout lines
+unedited: the result under the side's name and, under `<side>_info`, the info
+line before it, which holds the run's `host_factor`. It also keeps both
+commit hashes and, per workload and metric, each side's quartiles and
 the pairs the change won (lower is better for every end-to-end metric). The
 file is rewritten after every pair, so an interrupted session keeps its runs.
 """
@@ -28,7 +30,8 @@ def commit(checkout: Path) -> str:
     ).stdout.strip()
 
 
-def run_once(checkout: Path, workload: str, seconds: float) -> str:
+def run_once(checkout: Path, workload: str, seconds: float) -> tuple[str, str]:
+    """The run's info line and its result line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds)],
         cwd=checkout,
@@ -36,7 +39,8 @@ def run_once(checkout: Path, workload: str, seconds: float) -> str:
         text=True,
         check=True,
     )
-    return proc.stdout.splitlines()[-1]
+    info, result = proc.stdout.splitlines()[-2:]
+    return info, result
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -83,7 +87,8 @@ def main() -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"first": order[0]}
             for side in order:
-                pair[side] = run_once(checkouts[side], workload, args.seconds)
+                info, pair[side] = run_once(checkouts[side], workload, args.seconds)
+                pair[f"{side}_info"] = info
             pairs.append(pair)
             record["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}
             args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -22,10 +22,8 @@ from .bernoulli import (
     faulhaber_sum,
 )
 from .abel import (
-    RationalFunction,
     abel_numeric_estimate,
     abel_sum_exact,
-    apply_euler_operator,
     em_alternating_value,
     operator_genfun_check,
     zeta_neg_via_abel,
@@ -82,8 +80,6 @@ __all__ = [
     "bernoulli_via_recurrence",
     "even_part_check",
     "faulhaber_sum",
-    "RationalFunction",
-    "apply_euler_operator",
     "abel_sum_exact",
     "abel_numeric_estimate",
     "em_alternating_value",

@@ -20,182 +20,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import bernoulli_via_recurrence
 from .errors import InternalInconsistency
 from .exact import BigRational, factorial
 from .series import LaurentSeries, exp_series
-
-
-# -- dense polynomials over Fraction ----------------------------------------
-
-
-@dataclass(frozen=True)
-class Poly:
-    """Dense polynomial, coefficients low degree first, no trailing zeros."""
-
-    coeffs: tuple[BigRational, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(
-            c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs
-        )
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            coeffs = (Fraction(0),)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            tuple(
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            )
-        )
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly((Fraction(0),))
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(tuple(out))
-
-    def scale(self, q) -> "Poly":
-        q = Fraction(q)
-        return Poly(tuple(q * c for c in self.coeffs))
-
-    def derivative(self) -> "Poly":
-        if self.degree == 0:
-            return Poly((Fraction(0),))
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def __call__(self, x) -> BigRational:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 1)
-        d = other.degree
-        lead = other.coeffs[-1]
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
-                continue
-            q = rem[i] / lead
-            quot[i - d] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i - d + j] -= q * b
-        return Poly(tuple(quot)), Poly(tuple(rem[:d] or [Fraction(0)]))
-
-    def monic(self) -> "Poly":
-        lead = self.coeffs[-1]
-        if lead == 0 or lead == 1:
-            return self
-        return self.scale(1 / lead)
-
-
-def _primitive(p: Poly) -> Poly:
-    """Integer-coefficient scalar multiple with content 1 (controls the
-    coefficient blowup of plain Euclid over the rationals)."""
-    if p.is_zero():
-        return p
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * scale) for c in p.coeffs]
-    content = math.gcd(*ints)
-    return Poly(tuple(Fraction(i // content) for i in ints))
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (primitive remainder sequence)."""
-    a, b = _primitive(a), _primitive(b)
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, _primitive(r)
-    return a.monic()
-
-
-def poly_from_coeffs(*coeffs) -> Poly:
-    return Poly(tuple(Fraction(c) for c in coeffs))
-
-
-# -- rational functions ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """num/den, always reduced, denominator monic; equality is structural."""
-
-    num: Poly
-    den: Poly
-
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not num.is_zero():
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def euler_op(self) -> "RationalFunction":
-        """theta f = x * f'(x), by the quotient rule, reduced."""
-        x = poly_from_coeffs(0, 1)
-        num = x * (self.num.derivative() * self.den - self.num * self.den.derivative())
-        return RationalFunction(num, self.den * self.den)
-
-    def __call__(self, x) -> BigRational:
-        x = Fraction(x)
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at x = {x}")
-        return self.num(x) / d
-
-
-def one_over_one_plus_x() -> RationalFunction:
-    return RationalFunction(poly_from_coeffs(1), poly_from_coeffs(1, 1))
-
-
-def apply_euler_operator(f: RationalFunction, m: int) -> RationalFunction:
-    """(x d/dx)^m f, exactly."""
-    if m < 0:
-        raise ValueError("operator power must be nonnegative")
-    for _ in range(m):
-        f = f.euler_op()
-    return f
 
 
 _THETA_NUMERATORS: list[list[int]] = [[1]]  # P_0, P_1, ..., grown under the lock
@@ -227,17 +57,15 @@ def abel_closed_form(m: int) -> BigRational:
 def abel_sum_exact(m: int) -> BigRational:
     """Abel sum A_m of 1^m - 2^m + 3^m - ..., by the operator route.
 
-    A_0 = 1 - [1/(1+x)] at x=1 (the geometric series); for m >= 1 the
-    operator annihilates the constant term, leaving
-    A_m = -[(x d/dx)^m (1/(1+x))] at x=1. Cross-checked against the
-    Bernoulli closed form on every call.
+    theta^m 1/(1+x) = sum_{k>=0} (-1)^k k^m x^k = P_m(x)/(1+x)^{m+1}, so
+    A_m is the k = 0 term 0^m minus P_m(1)/2^{m+1}. That term is 1 only at
+    m = 0, so A_0 = 1 - P_0(1)/2 (the geometric series) and
+    A_m = -P_m(1)/2^{m+1} for m >= 1. Cross-checked against the Bernoulli
+    closed form on every call.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        value = 1 - one_over_one_plus_x()(1)
-    else:
-        value = -Fraction(sum(_theta_numerator(m)), 2 ** (m + 1))
+    value = (m == 0) - Fraction(sum(_theta_numerator(m)), 2 ** (m + 1))
     check = abel_closed_form(m)
     if value != check:
         raise InternalInconsistency(

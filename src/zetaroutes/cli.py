@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -258,6 +259,9 @@ def _cmd_abel(args) -> int:
     return status
 
 
+_MAX_GRID_STEPS = 1000  # STEPS^2 <= 10^6 points, numeric's cap on the terms of a sum
+
+
 def _parse_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 5:
@@ -266,6 +270,8 @@ def _parse_grid(spec: str):
     steps = int(parts[4])
     if steps < 1:
         raise ValueError("grid STEPS must be positive")
+    if steps > _MAX_GRID_STEPS:
+        raise OutOfValidatedRange(f"grid STEPS = {steps} gives more than 10^6 points")
     points = []
     for i in range(steps):
         fr = i / (steps - 1) if steps > 1 else 0.0
@@ -282,6 +288,11 @@ def _format_complex_arg(s: complex) -> str:
 
 
 def _cmd_verify_funceq(args) -> int:
+    if args.exact_max < 0:
+        raise ValueError("--exact-max must be nonnegative")
+    if not 0 <= args.grid_tol < math.inf:
+        raise ValueError(f"--grid-tol must be finite and nonnegative, got {args.grid_tol}")
+    grid = _parse_grid(args.grid) if args.grid else []
     records = []
     ok = True
     for n in range(1, args.exact_max + 1):
@@ -292,11 +303,10 @@ def _cmd_verify_funceq(args) -> int:
         passed = simple_funceq_check(m)
         ok &= passed
         records.append(bool_record(passed, "funceq-simple", m))
-    if args.grid:
-        for s in _parse_grid(args.grid):
-            res = funceq_residual(s)
-            ok &= res <= args.grid_tol
-            records.append(residual_record(res, "funceq-residual", _format_complex_arg(s)))
+    for s in grid:
+        res = funceq_residual(s)
+        ok &= res <= args.grid_tol
+        records.append(residual_record(res, "funceq-residual", _format_complex_arg(s)))
     _emit(args, records)
     return 0 if ok else 1
 
@@ -319,9 +329,8 @@ def _cmd_verify_cotangent(args) -> int:
 
 def _cmd_verify_contour_inversion(args) -> int:
     try:
-        parts = args.s.split(",")
-        s = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
-    except (ValueError, IndexError):
+        s = complex(*map(float, args.s.split(",")))  # a third field is a TypeError
+    except (ValueError, TypeError):
         raise ValueError(f"--s must be RE or RE,IM, got {args.s!r}") from None
     diff = inverted_contour_check(s, args.poles)
     bound = inverted_contour_bound(s, args.poles)

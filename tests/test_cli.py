@@ -298,7 +298,15 @@ def test_usage_error_exit_code(capsys):
         assert code == 2
         assert out == ""
         assert "unrecognized arguments" in err
-    for argv in (("bernoulli", "--max", "-1"), ("abel", "-1")):
+    # Each argv after the first two once exited 0, or 1 as if a check had failed.
+    for argv in (
+        ("bernoulli", "--max", "-1"),
+        ("abel", "-1"),
+        ("verify", "funceq", "--exact-max", "-3"),
+        ("verify", "funceq", "--grid-tol", "nan"),
+        ("verify", "funceq", "--grid-tol", "-1"),
+        ("verify", "contour-inversion", "--s=-2.5,1,junk", "--poles", "10"),
+    ):
         code, out, err = invoke(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -339,6 +347,8 @@ def test_usage_error_exit_code(capsys):
          "B_260 (series route) exceeds double precision for --as-float"),
         (("table", "classical", "--max", "300", "--as-float"),
          "-299 (closed route) exceeds double precision for --as-float"),
+        (("verify", "funceq", "--exact-max", "0", "--grid=0:1:0:1:1000000"),
+         "grid STEPS = 1000000 gives more than 10^6 points"),
     ],
 )
 def test_domain_error_exits_2(capsys, argv, reason):

@@ -1,10 +1,13 @@
 """The scripts import package internals; run each once so a signature
 change in the library cannot break them unseen."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,3 +28,31 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def _result(wall_s):
+    return json.dumps({"metrics": {"wall_s": {"value": wall_s, "unit": "s"}}})
+
+
+def test_bench_pairs_keeps_the_info_line_and_summarises(monkeypatch):
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    info = json.dumps({"env": {}, "info": {"host_factor": 1.25}})
+    stdout = f"{info}\n{_result(0.5)}\n"
+    monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: SimpleNamespace(stdout=stdout))
+    assert bench.run_once(ROOT, "cold_cli", 1.0) == (info, _result(0.5))
+
+    pairs = [
+        {"parent": _result(1.0), "parent_info": info, "change": _result(0.5)},
+        {"parent": _result(2.0), "change": _result(3.0), "change_info": info},
+    ]
+    assert bench.summary(pairs) == {
+        "wall_s": {
+            "parent": [1.25, 1.5, 1.75],
+            "change": [1.125, 1.75, 2.375],
+            "change_wins": 1,
+            "pairs": 2,
+        }
+    }
