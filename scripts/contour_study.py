@@ -16,10 +16,12 @@ itself.
 import argparse
 import math
 
+import numpy as np
+
 from zetaroutes.gammafn import gamma_complex
 from zetaroutes.numeric import (
     ContourSpec,
-    _hankel_integral,
+    _weighted_terms,
     default_contour,
     zeta_em,
     zeta_hankel,
@@ -40,7 +42,7 @@ def main() -> None:
     spec = default_contour(s)
     prefactor = -gamma_complex(1 - s) / (2j * math.pi)
     for panels in (2, 4, 8, 16, 32):
-        value = prefactor * _hankel_integral(s, spec, panels)
+        value = prefactor * complex(np.sum(_weighted_terms(s, spec, panels)))
         print(f"  {panels:>3} ray panels: error {abs(value - reference):.3e}")
 
     print("\ncontour independence (zeta_hankel, converged):")

@@ -12,10 +12,9 @@ partial-fraction cotangent identity.
 """
 
 from .errors import DomainError, InternalInconsistency
-from .exact import BigRational, MixedPiPowers, PiValue, binomial, factorial
+from .exact import BigRational, PiValue, binomial, factorial
 from .series import LaurentSeries, OutOfTrustedRange, ZeroSeries, exp_series
 from .bernoulli import (
-    BernoulliTable,
     bernoulli_via_recurrence,
     bernoulli_via_series,
     even_part_check,
@@ -46,17 +45,14 @@ from .zeta_exact import (
 )
 from .gammafn import PoleAtNonpositiveInteger, gamma_complex
 from .numeric import (
-    AtPole,
     ContourSpec,
     NearPole,
-    OnBranchCut,
     OutOfValidatedRange,
     QuadratureNotConverged,
     TooCloseToPositiveIntegerPole,
     cotangent_check,
     cotangent_tail_bound,
     funceq_residual,
-    hankel_integrand,
     inverted_contour_bound,
     inverted_contour_check,
     zeta_em,
@@ -68,14 +64,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BigRational",
     "PiValue",
-    "MixedPiPowers",
     "binomial",
     "factorial",
     "LaurentSeries",
     "exp_series",
     "ZeroSeries",
     "OutOfTrustedRange",
-    "BernoulliTable",
     "bernoulli_via_series",
     "bernoulli_via_recurrence",
     "even_part_check",
@@ -106,7 +100,6 @@ __all__ = [
     "ContourSpec",
     "zeta_em",
     "zeta_hankel",
-    "hankel_integrand",
     "inverted_contour_check",
     "inverted_contour_bound",
     "funceq_residual",
@@ -114,8 +107,6 @@ __all__ = [
     "cotangent_tail_bound",
     "NearPole",
     "OutOfValidatedRange",
-    "OnBranchCut",
-    "AtPole",
     "TooCloseToPositiveIntegerPole",
     "QuadratureNotConverged",
     "__version__",

@@ -117,6 +117,7 @@ def operator_genfun_check(order: int = 20) -> bool:
 
 _TAIL_LOG = 33.0  # -ln(1e-14), with margin
 _FIXED_POINT_BITS = 256
+_ABEL_NODES = range(8, 13)  # x_j = 1 - 2^-j
 
 
 def _partial_sum_terms(m: int, lam: float) -> int:
@@ -127,22 +128,23 @@ def _partial_sum_terms(m: int, lam: float) -> int:
     return k
 
 
-def _alternating_power_sum(m: int, j: int, bits: int = _FIXED_POINT_BITS) -> float:
+def _alternating_power_sum(m: int, j: int) -> float:
     """sum_{k<=K} (-1)^{k+1} k^m x^k at x = 1 - 2^-j, in fixed-point integers.
 
     Peak terms reach ~ (m 2^j / e)^m, far beyond double precision, so the
-    accumulation runs over scaled integers (error < 2^{j-bits} per term).
+    accumulation runs over integers scaled by 2^256 (error < 2^{j-256} per
+    term).
     """
     lam = -math.log1p(-(2.0**-j))
     terms = _partial_sum_terms(m, lam)
     p = (1 << j) - 1
-    t = p << (bits - j)  # x^1, scaled by 2^bits
+    t = p << (_FIXED_POINT_BITS - j)  # x^1, scaled by 2^256
     acc = 0
     for k in range(1, terms + 1):
         term = k**m * t
         acc += term if k & 1 else -term
         t = (t * p) >> j
-    return acc / (1 << bits)
+    return acc / (1 << _FIXED_POINT_BITS)
 
 
 def _richardson_to_zero(xs: list[float], ys: list[float]) -> float:
@@ -156,19 +158,16 @@ def _richardson_to_zero(xs: list[float], ys: list[float]) -> float:
     return vals[0]
 
 
-def abel_numeric_estimate(m: int, steps: int = 4) -> float:
+def abel_numeric_estimate(m: int) -> float:
     """Numeric Abel limit of 1^m - 2^m + 3^m - ... (m <= 8).
 
-    Evaluates the power series at x_j = 1 - 2^-j for j = 8 .. 8+steps and
+    Evaluates the power series at x_j = 1 - 2^-j for j = 8 .. 12 and
     Richardson-extrapolates in 1 - x. Agrees with abel_sum_exact to 1e-6.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > 8:
         raise ValueError("numeric oracle validated only for m <= 8")
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    js = range(8, 8 + steps + 1)
-    eps = [2.0**-j for j in js]
-    vals = [_alternating_power_sum(m, j) for j in js]
+    eps = [2.0**-j for j in _ABEL_NODES]
+    vals = [_alternating_power_sum(m, j) for j in _ABEL_NODES]
     return _richardson_to_zero(eps, vals)

@@ -14,29 +14,10 @@ arXiv:1108.0286); it is not implemented here.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import BigRational, CommonDenominator, binomial, factorial
 from .series import LaurentSeries, exp_series
-
-
-@dataclass(frozen=True)
-class BernoulliTable:
-    """B_0 .. B_max_index, exact."""
-
-    values: tuple[BigRational, ...]
-    max_index: int
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.max_index + 1:
-            raise ValueError("table length must be max_index + 1")
-
-    def __getitem__(self, n: int) -> BigRational:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return self.max_index + 1
 
 
 def bernoulli_generating_series(order: int) -> LaurentSeries:
@@ -52,8 +33,8 @@ _RECURRENCE_PREFIX: list[BigRational] = [Fraction(1)]
 _LOCK = threading.Lock()
 
 
-def bernoulli_via_series(max_index: int) -> BernoulliTable:
-    """B_n = n! * [z^n] (z/(e^z - 1))."""
+def bernoulli_via_series(max_index: int) -> tuple[BigRational, ...]:
+    """B_0 .. B_max_index, with B_n = n! * [z^n] (z/(e^z - 1))."""
     if max_index < 0:
         raise ValueError("max_index must be nonnegative")
     prefix = _SERIES_PREFIX
@@ -62,11 +43,12 @@ def bernoulli_via_series(max_index: int) -> BernoulliTable:
             order = max(max_index, 2 * len(prefix))
             gen = bernoulli_generating_series(order)
             prefix[:] = [factorial(n) * gen.coeff_or_zero(n) for n in range(order + 1)]
-    return BernoulliTable(tuple(prefix[: max_index + 1]), max_index)
+    return tuple(prefix[: max_index + 1])
 
 
-def bernoulli_via_recurrence(max_index: int) -> BernoulliTable:
-    """Second method: sum_{k=0}^{n} C(n+1, k) B_k = 0 with B_0 = 1."""
+def bernoulli_via_recurrence(max_index: int) -> tuple[BigRational, ...]:
+    """B_0 .. B_max_index by the second method: sum_{k=0}^{n} C(n+1, k) B_k = 0
+    with B_0 = 1."""
     if max_index < 0:
         raise ValueError("max_index must be nonnegative")
     values = _RECURRENCE_PREFIX
@@ -83,7 +65,7 @@ def bernoulli_via_recurrence(max_index: int) -> BernoulliTable:
                 b = Fraction(-acc, scaled.denominator * (n + 1))
                 scaled.append(b)
                 values.append(b)
-    return BernoulliTable(tuple(values[: max_index + 1]), max_index)
+    return tuple(values[: max_index + 1])
 
 
 def even_part_check(order: int) -> bool:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import abel
 from .errors import DomainError, InternalInconsistency, OutOfValidatedRange
-from .exact import PiValue, format_rational, parse_rational
+from .exact import PiValue
 from .bernoulli import bernoulli_via_recurrence, bernoulli_via_series
 from .numeric import (
     cotangent_check,
@@ -86,7 +86,7 @@ def residual_record(value: float, route: str, argument) -> OutputRecord:
 def _payload_json(record: OutputRecord):
     p = record.payload
     if record.kind == "exact_rational":
-        return format_rational(p)
+        return str(p)
     if record.kind == "exact_pi_monomial":
         return p.to_json()
     if record.kind == "numeric_complex":
@@ -96,9 +96,7 @@ def _payload_json(record: OutputRecord):
 
 def _payload_text(record: OutputRecord) -> str:
     p = record.payload
-    if record.kind == "exact_rational":
-        return format_rational(p)
-    if record.kind == "exact_pi_monomial":
+    if record.kind.startswith("exact"):
         return str(p)
     if record.kind == "numeric_complex":
         if p.imag == 0.0:
@@ -120,20 +118,6 @@ def records_to_dicts(records) -> list[dict]:
         }
         for r in records
     ]
-
-
-def records_from_dicts(dicts) -> list[OutputRecord]:
-    out = []
-    for d in dicts:
-        kind, payload = d["kind"], d["payload"]
-        if kind == "exact_rational":
-            payload = parse_rational(payload)
-        elif kind == "exact_pi_monomial":
-            payload = PiValue.from_json(payload)
-        elif kind == "numeric_complex":
-            payload = complex(payload["re"], payload["im"])
-        out.append(OutputRecord(kind, payload, d["route"], d["argument"]))
-    return out
 
 
 def render(records, fmt: str = "plain") -> str:
@@ -266,8 +250,13 @@ def _parse_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 5:
         raise ValueError("grid must be RE0:RE1:IM0:IM1:STEPS")
-    re0, re1, im0, im1 = map(float, parts[:4])
-    steps = int(parts[4])
+    try:
+        re0, re1, im0, im1 = map(float, parts[:4])
+        steps = int(parts[4])
+    except ValueError:
+        raise ValueError(
+            f"--grid RE0:RE1:IM0:IM1:STEPS takes four numbers and an integer, got {spec!r}"
+        ) from None
     if steps < 1:
         raise ValueError("grid STEPS must be positive")
     if steps > _MAX_GRID_STEPS:
@@ -313,15 +302,15 @@ def _cmd_verify_funceq(args) -> int:
 
 def _cmd_verify_cotangent(args) -> int:
     try:
-        x = parse_rational(args.x)
+        x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--x must be a rational like 1/4, got {args.x!r}") from None
     diff = cotangent_check(x, args.terms)
     bound = cotangent_tail_bound(x, args.terms)
     passed = diff <= bound
     records = [
-        residual_record(diff, "cotangent", format_rational(x)),
-        bool_record(passed, "cotangent", format_rational(x)),
+        residual_record(diff, "cotangent", str(x)),
+        bool_record(passed, "cotangent", str(x)),
     ]
     _emit(args, records)
     return 0 if passed else 1

@@ -13,10 +13,6 @@ class InternalInconsistency(ArithmeticError):
     """Two supposedly-equal exact routes disagreed; an implementation bug."""
 
 
-class MixedPiPowers(DomainError):
-    """Adding pi-monomials of different pi powers; an identity check is ill-formed."""
-
-
 class ZeroSeries(DomainError, ZeroDivisionError):
     """Inversion of a series with no nonzero stored coefficient."""
 
@@ -43,14 +39,6 @@ class NearPole(DomainError, ArithmeticError):
 
 class OutOfValidatedRange(DomainError):
     """Non-finite s, Re(s) too negative, or a value beyond double precision."""
-
-
-class OnBranchCut(DomainError):
-    """Integrand evaluated on the positive real axis."""
-
-
-class AtPole(DomainError, ArithmeticError):
-    """Integrand evaluated at a pole 2 pi i k of 1/(e^x - 1)."""
 
 
 class TooCloseToPositiveIntegerPole(DomainError, ArithmeticError):

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MixedPiPowers
-
 BigRational = Fraction
 
 
@@ -51,15 +49,6 @@ class CommonDenominator:
         self.numerators.append(q.numerator * (self.denominator // q.denominator))
 
 
-def format_rational(q: Fraction) -> str:
-    """Render as "p/q", omitting the denominator when it is 1."""
-    return str(q)
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 @dataclass(frozen=True)
 class PiValue:
     """An exact value coeff * pi**pi_exp with rational coeff and pi_exp >= 0.
@@ -81,26 +70,6 @@ class PiValue:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "pi_exp", exp)
 
-    def __mul__(self, other: "PiValue") -> "PiValue":
-        return PiValue(self.coeff * other.coeff, self.pi_exp + other.pi_exp)
-
-    def __add__(self, other: "PiValue") -> "PiValue":
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if self.pi_exp != other.pi_exp:
-            raise MixedPiPowers(
-                f"cannot add pi^{self.pi_exp} term to pi^{other.pi_exp} term"
-            )
-        return PiValue(self.coeff + other.coeff, self.pi_exp)
-
-    def __neg__(self) -> "PiValue":
-        return PiValue(-self.coeff, self.pi_exp)
-
-    def __sub__(self, other: "PiValue") -> "PiValue":
-        return self + (-other)
-
     def scale(self, q: Fraction) -> "PiValue":
         return PiValue(self.coeff * q, self.pi_exp)
 
@@ -109,14 +78,10 @@ class PiValue:
         return float(self.coeff) * math.pi**self.pi_exp
 
     def to_json(self) -> dict:
-        return {"coeff": format_rational(self.coeff), "pi_exp": self.pi_exp}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PiValue":
-        return cls(parse_rational(obj["coeff"]), int(obj["pi_exp"]))
+        return {"coeff": str(self.coeff), "pi_exp": self.pi_exp}
 
     def __str__(self) -> str:
         if self.pi_exp == 0:
-            return format_rational(self.coeff)
+            return str(self.coeff)
         power = "pi" if self.pi_exp == 1 else f"pi^{self.pi_exp}"
-        return f"{format_rational(self.coeff)}*{power}"
+        return f"{self.coeff}*{power}"

@@ -30,10 +30,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .bernoulli import bernoulli_via_recurrence
 from .errors import (
-    AtPole,
     DomainError,
     NearPole,
-    OnBranchCut,
     OutOfValidatedRange,
     QuadratureNotConverged,
     TooCloseToPositiveIntegerPole,
@@ -187,17 +185,6 @@ def _integrand(x, s: complex):
     return np.exp((s - 1) * np.log(-x)) / (np.exp(x) - 1.0)
 
 
-def hankel_integrand(x: complex, s: complex) -> complex:
-    """(-x)^{s-1}/(e^x - 1) with the cut along the positive real axis."""
-    x = complex(x)
-    if x.imag == 0.0 and x.real > 0.0:
-        raise OnBranchCut(f"x = {x} lies on the branch cut")
-    k = round(x.imag / (2 * math.pi))
-    if abs(x - 2j * math.pi * k) < 1e-12:
-        raise AtPole(f"x = {x} is at a pole of 1/(e^x - 1)")
-    return complex(_integrand(x, complex(s)))
-
-
 def _panel_nodes(a: float, b: float, panels: int):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
     edges = np.linspace(a, b, panels + 1)
@@ -226,13 +213,6 @@ def _weighted_terms(s: complex, spec: ContourSpec, panels_ray: int):
     # in place, which rounds the product differently on large arrays.
     f = _integrand(x, s)
     return w * f
-
-
-def _hankel_integral(
-    s: complex, spec: ContourSpec, panels_ray: int = _PANELS_RAY
-) -> complex:
-    """The loop integral with `panels_ray` panels per ray, half on the arc."""
-    return complex(np.sum(_weighted_terms(s, spec, panels_ray)))
 
 
 @finite_or_out_of_range

@@ -15,8 +15,6 @@ from fractions import Fraction
 from .errors import OutOfTrustedRange, ZeroSeries
 from .exact import BigRational, CommonDenominator
 
-DEFAULT_ORDER = 40
-
 
 @dataclass(frozen=True)
 class LaurentSeries:
@@ -49,20 +47,6 @@ class LaurentSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_coeffs(
-        cls, valuation: int, coeffs, order: int | None = None
-    ) -> "LaurentSeries":
-        """Series from explicit coefficients; an order beyond the last given
-        coefficient pads with exact zeros (the input is a polynomial)."""
-        coeffs = tuple(coeffs)
-        if order is None:
-            order = valuation + len(coeffs) - 1
-        pad = order - (valuation + len(coeffs) - 1)
-        if pad < 0:
-            raise ValueError("order cannot truncate the given coefficients")
-        return cls(valuation, coeffs + (Fraction(0),) * pad, order)
-
-    @classmethod
     def monomial(cls, coeff, power: int, order: int | None = None) -> "LaurentSeries":
         """c * z^power, trusted through `order` (default: exactly the monomial)."""
         if order is None:
@@ -73,12 +57,8 @@ class LaurentSeries:
         return cls(power, coeffs, order)
 
     @classmethod
-    def constant(cls, value, order: int = DEFAULT_ORDER) -> "LaurentSeries":
+    def constant(cls, value, order: int) -> "LaurentSeries":
         return cls.monomial(value, 0, order)
-
-    @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "LaurentSeries":
-        return cls(order, (Fraction(0),), order)
 
     # -- inspection --------------------------------------------------------
 
@@ -124,7 +104,7 @@ class LaurentSeries:
             self.order + other.valuation, other.order + self.valuation
         )
         if self.is_zero() or other.is_zero():
-            return LaurentSeries.zero(order)
+            return LaurentSeries(order, (Fraction(0),), order)
         size = order - val + 1
         coeffs = [Fraction(0)] * size
         for i, a in enumerate(self.coeffs):
@@ -137,12 +117,6 @@ class LaurentSeries:
                 if b != 0:
                     coeffs[k] += a * b
         return LaurentSeries(val, tuple(coeffs), order)
-
-    def scale(self, q) -> "LaurentSeries":
-        q = Fraction(q)
-        return LaurentSeries(
-            self.valuation, tuple(q * c for c in self.coeffs), self.order
-        )
 
     def shifted(self, k: int) -> "LaurentSeries":
         """Multiply by z^k (exact; shifts the trust window with it)."""
@@ -170,30 +144,6 @@ class LaurentSeries:
             b.append(bk)
         val = -self.valuation
         return LaurentSeries(val, tuple(b), val + len(b) - 1)
-
-    def differentiate(self) -> "LaurentSeries":
-        """Termwise d/dz; the trust horizon drops by one."""
-        coeffs = tuple(
-            (self.valuation + i) * c for i, c in enumerate(self.coeffs)
-        )
-        return LaurentSeries(self.valuation - 1, coeffs, self.order - 1)
-
-    # -- rendering ---------------------------------------------------------
-
-    def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            m = self.valuation + i
-            if m == 0:
-                terms.append(f"{c}")
-            elif m == 1:
-                terms.append(f"{c} z")
-            else:
-                terms.append(f"{c} z^{m}")
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} (trusted to {self.order})"
 
 
 def exp_series(a, order: int) -> LaurentSeries:

@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import abel
-from .bernoulli import bernoulli_via_series
+from .bernoulli import bernoulli_generating_series, bernoulli_via_series
 from .errors import ArgumentNotEvenPositive, InternalInconsistency, PoleArgument
 from .exact import PiValue, factorial
 from .series import LaurentSeries, exp_series
@@ -82,8 +82,7 @@ def zeta_neg_via_residue(n: int) -> ClassicalValue:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    gen = exp_series(1, n + 2) - LaurentSeries.constant(1, n + 2)
-    c = gen.shifted(-1).invert().coeff_or_zero(n + 1)
+    c = bernoulli_generating_series(n + 1).coeff_or_zero(n + 1)
     branch = -1 if (n - 1) % 2 else 1  # (-1)^{n-1}
     # Loop integral = 2 pi i * branch * c; it equals -2i * (pi/n!) * zeta(-n).
     # Both sides carry one power of pi and one of i, so the quotient of the

@@ -141,10 +141,6 @@ class TestNumericEstimate:
         with pytest.raises(ValueError):
             abel_numeric_estimate(9)
 
-    def test_steps_must_be_positive(self):
-        with pytest.raises(ValueError):
-            abel_numeric_estimate(1, steps=0)
-
 
 class TestAlternatingEulerMaclaurin:
     def test_listed_values(self):

@@ -49,7 +49,7 @@ def _report(num: int, text: str) -> None:
 def test_criterion_01_bernoulli_cross_method():
     a = bernoulli_via_series(32)
     b = bernoulli_via_recurrence(32)
-    assert a.values == b.values
+    assert a == b
     assert a[1] == F(-1, 2)
     for n in range(3, 33, 2):
         assert a[n] == 0

@@ -6,7 +6,6 @@ from hypothesis import given
 
 from zetaroutes import bernoulli
 from zetaroutes.bernoulli import (
-    BernoulliTable,
     bernoulli_via_recurrence,
     bernoulli_via_series,
     even_part_check,
@@ -59,8 +58,8 @@ class TestRecurrenceMethod:
 
 def test_methods_agree_through_200():
     oracle = tuple(recurrence_oracle(200))
-    assert bernoulli_via_series(200).values == oracle
-    assert bernoulli_via_recurrence(200).values == oracle
+    assert bernoulli_via_series(200) == oracle
+    assert bernoulli_via_recurrence(200) == oracle
 
 
 # Each method with the state of a table that holds nothing it computed.
@@ -85,8 +84,7 @@ def test_growing_table_in_any_request_order(monkeypatch, sizes, method, prefix, 
     oracle = recurrence_oracle(max(sizes))
     for n in sizes:
         table = method(n)
-        assert table.max_index == n
-        assert table.values == tuple(oracle[: n + 1])
+        assert table == tuple(oracle[: n + 1])
 
 
 @FRESH_TABLE
@@ -98,7 +96,7 @@ def test_concurrent_growth_stores_each_entry_once(
     oracle = recurrence_oracle(max(sizes))
     tables = concurrently(method, sizes)
     for n, table in zip(sizes, tables):
-        assert table.values == tuple(oracle[: n + 1])
+        assert table == tuple(oracle[: n + 1])
 
 
 def primes_through(n):
@@ -170,7 +168,3 @@ class TestFaulhaber:
     def test_matches_brute_force(self, m, n):
         assert faulhaber_sum(m, n) == sum(F(k) ** m for k in range(1, n + 1))
 
-
-def test_table_validates_length():
-    with pytest.raises(ValueError):
-        BernoulliTable((F(1),), 3)

@@ -17,7 +17,6 @@ from zetaroutes.cli import (
     bool_record,
     pi_record,
     rational_record,
-    records_from_dicts,
     render,
     run,
 )
@@ -243,7 +242,15 @@ class TestTable:
         code, out, _ = invoke(capsys, "table", "classical", "--max", "10")
         assert code == 0
         text = out.rstrip("\n")
-        parsed = records_from_dicts(json.loads(text))
+        decode = {
+            "exact_rational": F,
+            "exact_pi_monomial": lambda p: PiValue(F(p["coeff"]), p["pi_exp"]),
+        }
+        parsed = [
+            OutputRecord(d["kind"], decode[d["kind"]](d["payload"]), d["route"], d["argument"])
+            for d in json.loads(text)
+        ]
+        assert {r.kind for r in parsed} == set(decode)
         assert render(parsed, "json") == text
 
     def test_csv_and_md(self, capsys):
@@ -311,6 +318,15 @@ def test_usage_error_exit_code(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+    # A malformed --grid number once surfaced as int()'s or float()'s message.
+    for grid in ("0.1:0.9:0:1:2.5", "a:0.9:0:1:2"):
+        code, out, err = invoke(capsys, "verify", "funceq", "--exact-max", "2", f"--grid={grid}")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: --grid RE0:RE1:IM0:IM1:STEPS takes four numbers and an integer, "
+            f"got {grid!r}\n"
+        )
 
 
 # -- the exit contract ----------------------------------------------------------

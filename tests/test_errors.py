@@ -8,7 +8,6 @@ from zetaroutes.errors import DomainError, InternalInconsistency
 # Each class the package exported before errors.py held the taxonomy: the
 # module that defined it and the builtin base it had then.
 FORMER_HOMES = {
-    "MixedPiPowers": ("exact", ValueError),
     "ZeroSeries": ("series", ZeroDivisionError),
     "OutOfTrustedRange": ("series", IndexError),
     "InternalInconsistency": ("abel", ArithmeticError),
@@ -17,8 +16,6 @@ FORMER_HOMES = {
     "PoleAtNonpositiveInteger": ("gammafn", ArithmeticError),
     "NearPole": ("numeric", ArithmeticError),
     "OutOfValidatedRange": ("numeric", ValueError),
-    "OnBranchCut": ("numeric", ValueError),
-    "AtPole": ("numeric", ArithmeticError),
     "TooCloseToPositiveIntegerPole": ("numeric", ArithmeticError),
     "QuadratureNotConverged": ("numeric", ArithmeticError),
 }
@@ -47,3 +44,10 @@ def test_keeps_builtin_base_and_former_import_path(name):
     cls = getattr(zetaroutes, name)
     assert issubclass(cls, builtin)
     assert getattr(importlib.import_module(f"zetaroutes.{module}"), name) is cls
+
+
+def test_star_import_binds_every_export_once():
+    namespace = {}
+    exec("from zetaroutes import *", namespace)
+    assert all(name in namespace for name in zetaroutes.__all__)
+    assert len(set(zetaroutes.__all__)) == len(zetaroutes.__all__)

@@ -2,24 +2,24 @@ import cmath
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from zetaroutes import numeric as numeric_module
 from zetaroutes.gammafn import gamma_complex
 from zetaroutes.numeric import (
-    AtPole,
     ContourSpec,
     NearPole,
-    OnBranchCut,
     OutOfValidatedRange,
     QuadratureNotConverged,
     TooCloseToPositiveIntegerPole,
-    _hankel_integral,
+    _contour_nodes,
+    _integrand,
+    _weighted_terms,
     cotangent_check,
     cotangent_tail_bound,
     default_contour,
     funceq_residual,
-    hankel_integrand,
     inverted_contour_bound,
     inverted_contour_check,
     zeta_em,
@@ -79,23 +79,29 @@ class TestZetaEm:
 class TestHankelIntegrand:
     def test_branch_at_minus_one(self):
         # (-x)^{s-1} = 1 at x = -1 for s = 2: log(1) = 0 on the principal branch
-        got = hankel_integrand(-1, 2)
+        got = complex(_integrand(-1 + 0j, 2))
         expected = 1 / (math.exp(-1) - 1)
         assert got == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(-1.5819767068693265)
 
     def test_exponent_zero_is_branch_free(self):
-        assert hankel_integrand(-1, 1) == pytest.approx(-1.5819767068693265)
+        assert complex(_integrand(-1 + 0j, 1)) == pytest.approx(-1.5819767068693265)
 
     def test_branch_cut_rejected(self):
-        with pytest.raises(OnBranchCut):
-            hankel_integrand(2.0, 0.5)
+        # At radius 0 the rays would run along the cut; no node ever lies on it.
+        with pytest.raises(ValueError):
+            ContourSpec(radius=0.0)
+        x, _ = _contour_nodes(ContourSpec(), 16)
+        assert not np.any((x.imag == 0) & (x.real > 0))
 
     def test_poles_rejected(self):
-        with pytest.raises(AtPole):
-            hankel_integrand(0.0 + 0.0j, 0.5)
-        with pytest.raises(AtPole):
-            hankel_integrand(2j * math.pi, 0.5)
+        # At radius 2 pi the rays would start on the poles at +-2 pi i; the
+        # default radius pi keeps every node pi away from 0 and +-2 pi i.
+        with pytest.raises(ValueError):
+            ContourSpec(radius=2 * math.pi)
+        x, _ = _contour_nodes(ContourSpec(), 16)
+        poles = 2j * math.pi * np.arange(-1, 2)
+        assert np.min(np.abs(x[:, None] - poles[None, :])) >= math.pi - 1e-9
 
 
 class TestZetaHankel:
@@ -122,7 +128,7 @@ class TestZetaHankel:
         # over (0, inf), i.e. -2i sin(pi s) Gamma(s) zeta(s); the sign pins
         # the traversal direction.
         s = 2.5
-        loop = _hankel_integral(s, default_contour(s))
+        loop = complex(np.sum(_weighted_terms(s, default_contour(s), 16)))
         reference = -2j * cmath.sin(math.pi * s) * gamma_complex(s) * zeta_em(s)
         assert abs(loop - reference) <= 1e-10 * abs(reference)
         assert abs(loop + reference) > abs(reference)  # flipped sign would fail
@@ -140,7 +146,7 @@ class TestZetaHankel:
         spec = ContourSpec()
         converged = zeta_hankel(s, spec)
         prefactor = -gamma_complex(1 - s) / (2j * math.pi)
-        fine = prefactor * _hankel_integral(s, spec, 256)
+        fine = prefactor * complex(np.sum(_weighted_terms(s, spec, 256)))
         assert abs(converged - fine) <= 1e-10
 
     def test_unreachable_tolerance_raises(self):

@@ -18,7 +18,7 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 def laurent(draw, max_len=6):
     val = draw(st.integers(-3, 3))
     coeffs = draw(st.lists(rationals, min_size=1, max_size=max_len))
-    return LaurentSeries.from_coeffs(val, coeffs)
+    return LaurentSeries(val, tuple(coeffs), val + len(coeffs) - 1)
 
 
 @st.composite
@@ -27,7 +27,7 @@ def laurent_unit(draw, max_len=6):
     val = draw(st.integers(-3, 3))
     lead = draw(rationals.filter(lambda q: q != 0))
     rest = draw(st.lists(rationals, min_size=0, max_size=max_len - 1))
-    return LaurentSeries.from_coeffs(val, [lead] + rest)
+    return LaurentSeries(val, (lead, *rest), val + len(rest))
 
 
 def agrees_through(a: LaurentSeries, b: LaurentSeries) -> bool:
@@ -96,8 +96,8 @@ class TestAdd:
         assert (a + b).is_zero()
 
     def test_constants(self):
-        a = LaurentSeries.from_coeffs(0, [1, 1])
-        b = LaurentSeries.from_coeffs(0, [1, -1])
+        a = LaurentSeries(0, (1, 1), 1)
+        b = LaurentSeries(0, (1, -1), 1)
         s = a + b
         assert s.coeff(0) == 2 and s.coeff_or_zero(1) == 0
 
@@ -114,8 +114,8 @@ class TestAdd:
 
 class TestMul:
     def test_difference_of_squares(self):
-        a = LaurentSeries.from_coeffs(0, [1, 1], 3)
-        b = LaurentSeries.from_coeffs(0, [1, -1], 3)
+        a = LaurentSeries(0, (1, 1, 0, 0), 3)
+        b = LaurentSeries(0, (1, -1, 0, 0), 3)
         p = a * b
         assert p.coeff(0) == 1 and p.coeff(1) == 0 and p.coeff(2) == -1
 
@@ -133,7 +133,7 @@ class TestMul:
 
 class TestInvert:
     def test_geometric(self):
-        inv = LaurentSeries.from_coeffs(0, [1, -1], 5).invert()
+        inv = LaurentSeries(0, (1, -1, 0, 0, 0, 0), 5).invert()
         assert all(inv.coeff(m) == 1 for m in range(6))
 
     def test_bernoulli_generating_function(self):
@@ -155,14 +155,14 @@ class TestInvert:
 
     def test_zero_series_rejected(self):
         with pytest.raises(ZeroSeries):
-            LaurentSeries.zero(5).invert()
+            LaurentSeries(0, (0,) * 6, 5).invert()
 
     @pytest.mark.parametrize(
         "series",
         [
             # non-integer lead, negative valuation, zero interior coefficients
-            LaurentSeries.from_coeffs(
-                -3, [F(-7, 6), 0, 0, F(5, 4), 0, F(-2, 9), 0, 0, F(11, 35), 3], 12
+            LaurentSeries(
+                -3, (F(-7, 6), 0, 0, F(5, 4), 0, F(-2, 9), 0, 0, F(11, 35), 3) + (0,) * 6, 12
             ),
             (exp_series(1, 61) - LaurentSeries.constant(1, 61)).shifted(-1),
             LaurentSeries.constant(1, 40) + exp_series(F(-3, 5), 40),
@@ -191,28 +191,9 @@ class TestInvert:
         )
 
 
-class TestDifferentiate:
-    def test_polynomial(self):
-        d = LaurentSeries.from_coeffs(0, [1, 1, 1]).differentiate()
-        assert d.coeff(0) == 1 and d.coeff(1) == 2
-
-    def test_inverse_power(self):
-        d = LaurentSeries.monomial(1, -1).differentiate()
-        assert d.valuation == -2 and d.coeff(-2) == -1
-
-    def test_constant(self):
-        assert LaurentSeries.constant(7, 5).differentiate().is_zero()
-
-    @given(laurent(), laurent())
-    def test_product_rule(self, a, b):
-        lhs = (a * b).differentiate()
-        rhs = a.differentiate() * b + a * b.differentiate()
-        assert agrees_through(lhs, rhs)
-
-
 class TestCoeff:
     def test_simple(self):
-        assert LaurentSeries.from_coeffs(0, [1, 3]).coeff(1) == 3
+        assert LaurentSeries(0, (1, 3), 1).coeff(1) == 3
 
     def test_pole_coefficient(self):
         # 1/(e^{-z}-1) begins -1/z - 1/2 - z/12 + z^3/720
@@ -225,7 +206,7 @@ class TestCoeff:
         assert gen.coeff(3) == F(1, 720)
 
     def test_beyond_order_rejected(self):
-        s = LaurentSeries.from_coeffs(0, [1, 2], 1)
+        s = LaurentSeries(0, (1, 2), 1)
         with pytest.raises(OutOfTrustedRange):
             s.coeff(5)
         with pytest.raises(OutOfTrustedRange):
@@ -251,8 +232,8 @@ class TestRingAxioms:
 
 
 def test_trust_tightening_never_loosens():
-    a = LaurentSeries.from_coeffs(0, [1, 1], 6)
-    b = LaurentSeries.from_coeffs(0, [1, 1], 3)
+    a = LaurentSeries(0, (1, 1, 0, 0, 0, 0, 0), 6)
+    b = LaurentSeries(0, (1, 1, 0, 0), 3)
     assert (a + b).order == 3
     assert (a * b).order == 3
 
@@ -271,7 +252,3 @@ def test_generating_identity_matches_alternating_bernoulli_form():
         sign = -1 if m % 2 else 1
         assert gen.coeff_or_zero(m) == sign * oracle[m + 1] / (m + 1) / fact
 
-
-def test_debug_rendering():
-    s = LaurentSeries.from_coeffs(-1, [F(1), F(0), F(1, 2)])
-    assert str(s) == "1 z^-1 + 1/2 z (trusted to 1)"
