@@ -3,9 +3,8 @@
 route, with the translation to zeta(-m).
 
 The operator route evaluates (x d/dx)^m 1/(1+x) at x = 1; the closed form is
-(-1)^m (1 - 2^{m+1}) B_{m+1}/(m+1); the alternating Euler-Maclaurin route
-expands with coefficients (2^{n+1}-1) B_{n+1}/(n+1)!. The numeric column is
-the Richardson-extrapolated Abel limit (only computed for m <= 8).
+(-1)^m (1 - 2^{m+1}) B_{m+1}/(m+1). The numeric column is the
+Richardson-extrapolated Abel limit (only computed for m <= 8).
 """
 
 import argparse
@@ -14,7 +13,6 @@ from zetaroutes.abel import (
     abel_closed_form,
     abel_numeric_estimate,
     abel_sum_exact,
-    em_alternating_value,
     zeta_neg_via_abel,
 )
 
@@ -24,22 +22,20 @@ def main() -> None:
     parser.add_argument("--max", type=int, default=12, help="largest m (default 12)")
     args = parser.parse_args()
 
-    header = f"{'m':>3} {'operator':>12} {'closed':>12} {'alt-EM':>12} {'numeric':>14} {'zeta(-m)':>14}"
+    header = f"{'m':>3} {'operator':>12} {'closed':>12} {'numeric':>14} {'zeta(-m)':>14}"
     print(header)
     print("-" * len(header))
     for m in range(args.max + 1):
         exact = abel_sum_exact(m)
-        em = em_alternating_value(m)
         numeric = f"{abel_numeric_estimate(m):+.9f}" if m <= 8 else "-"
         print(
             f"{m:>3} {str(exact):>12} {str(abel_closed_form(m)):>12} "
-            f"{str(em):>12} {numeric:>14} {str(zeta_neg_via_abel(m)):>14}"
+            f"{numeric:>14} {str(zeta_neg_via_abel(m)):>14}"
         )
     print()
-    print("note: A_3 = -1/8 on every route (the value +1/8 seen in some")
-    print("quoted tables is not reproducible by any of them); at m = 0 the")
-    print("alternating Euler-Maclaurin column legitimately differs, because")
-    print("the x^0 term at x = 0 joins the expansion there.")
+    print("note: A_3 = -1/8 from the two exact routes (the operator chain and")
+    print("the Bernoulli closed form) and from the numeric Abel limit; the value")
+    print("+1/8 seen in some quoted tables is not reproducible by any of them.")
 
 
 if __name__ == "__main__":

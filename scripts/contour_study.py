@@ -8,7 +8,7 @@ of the Gauss-Legendre panels and independence of the contour geometry
 
 zeta_hankel uses a fixed rule: 16-point Gauss-Legendre panels, 16 per ray
 and 8 on the arc to start, doubled up to six times until two successive
-results agree to tol. The panel sweep evaluates single rungs of that ladder
+results agree to _TOL = 1e-12. The panel sweep evaluates single rungs of that ladder
 (half as many arc panels as ray panels); the radius sweep calls zeta_hankel
 itself.
 """

@@ -12,7 +12,7 @@ partial-fraction cotangent identity.
 """
 
 from .errors import DomainError, InternalInconsistency
-from .exact import BigRational, PiValue, binomial, factorial
+from .exact import PiValue
 from .series import LaurentSeries, OutOfTrustedRange, ZeroSeries, exp_series
 from .bernoulli import (
     bernoulli_via_recurrence,
@@ -23,7 +23,6 @@ from .bernoulli import (
 from .abel import (
     abel_numeric_estimate,
     abel_sum_exact,
-    em_alternating_value,
     operator_genfun_check,
     zeta_neg_via_abel,
 )
@@ -62,10 +61,7 @@ from .numeric import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "PiValue",
-    "binomial",
-    "factorial",
     "LaurentSeries",
     "exp_series",
     "ZeroSeries",
@@ -76,7 +72,6 @@ __all__ = [
     "faulhaber_sum",
     "abel_sum_exact",
     "abel_numeric_estimate",
-    "em_alternating_value",
     "operator_genfun_check",
     "zeta_neg_via_abel",
     "DomainError",

@@ -12,8 +12,8 @@ The alternating sums pin down zeta at nonpositive integers through
 zeta(-m) = A_m / (1 - 2^{1+m}).
 
 Sign note: A_3 = 1^3 - 2^3 + 3^3 - ... is occasionally quoted as +1/8;
-the operator route, the closed form, the alternating Euler-Maclaurin
-expansion and the numeric Abel limit all agree on -1/8.
+the two exact routes (the operator chain and the Bernoulli closed form) and
+the numeric Abel limit all give -1/8.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from .bernoulli import bernoulli_via_recurrence
 from .errors import InternalInconsistency
-from .exact import BigRational, factorial
 from .series import LaurentSeries, exp_series
 
 
@@ -47,14 +46,14 @@ def _theta_numerator(m: int) -> list[int]:
 # -- the Abel sums -----------------------------------------------------------
 
 
-def abel_closed_form(m: int) -> BigRational:
+def abel_closed_form(m: int) -> Fraction:
     """(-1)^m (1 - 2^{m+1}) B_{m+1} / (m+1)."""
     b = bernoulli_via_recurrence(m + 1)[m + 1]
     sign = -1 if m % 2 else 1
     return sign * (1 - Fraction(2) ** (m + 1)) * b / (m + 1)
 
 
-def abel_sum_exact(m: int) -> BigRational:
+def abel_sum_exact(m: int) -> Fraction:
     """Abel sum A_m of 1^m - 2^m + 3^m - ..., by the operator route.
 
     theta^m 1/(1+x) = sum_{k>=0} (-1)^k k^m x^k = P_m(x)/(1+x)^{m+1}, so
@@ -74,23 +73,7 @@ def abel_sum_exact(m: int) -> BigRational:
     return value
 
 
-def em_alternating_value(m: int) -> BigRational:
-    """Alternating Euler-Maclaurin route for A_m.
-
-    Subtracting twice the even part of the summatory expansion leaves
-    sum_n (2^{n+1}-1) B_{n+1} / (n+1)! * f^{(n)}(0) for f(x) = x^m; only the
-    n = m derivative survives, f^{(m)}(0) = m!, so the sum is that one term.
-    Normalized so the series summed is 1^m - 2^m + 3^m - ..., this equals
-    abel_sum_exact(m) for every m >= 1.
-    (At m = 0 the x^0 term at x = 0 joins the sum and the routes differ.)
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    b = bernoulli_via_recurrence(m + 1)[m + 1]
-    return (2 ** (m + 1) - 1) * b / factorial(m + 1) * factorial(m)
-
-
-def zeta_neg_via_abel(m: int) -> BigRational:
+def zeta_neg_via_abel(m: int) -> Fraction:
     """zeta(-m) = A_m / (1 - 2^{1+m})."""
     return abel_sum_exact(m) / (1 - Fraction(2) ** (1 + m))
 
@@ -107,7 +90,7 @@ def operator_genfun_check(order: int = 20) -> bool:
         raise ValueError("order must be >= 1")
     rhs = (LaurentSeries.constant(1, order) + exp_series(1, order)).invert().shifted(1)
     for m in range(order):
-        lhs_coeff = Fraction(sum(_theta_numerator(m)), 2 ** (m + 1) * factorial(m))
+        lhs_coeff = Fraction(sum(_theta_numerator(m)), 2 ** (m + 1) * math.factorial(m))
         if lhs_coeff != rhs.coeff_or_zero(m + 1):
             return False
     return True

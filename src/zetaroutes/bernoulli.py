@@ -13,10 +13,11 @@ arXiv:1108.0286); it is not implemented here.
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 
-from .exact import BigRational, CommonDenominator, binomial, factorial
+from .exact import CommonDenominator
 from .series import LaurentSeries, exp_series
 
 
@@ -28,12 +29,12 @@ def bernoulli_generating_series(order: int) -> LaurentSeries:
 
 # One growing prefix B_0, B_1, ... per method, grown under the lock. The series
 # prefix is rebuilt at twice its length or more: O(log n) inversions in a sweep.
-_SERIES_PREFIX: list[BigRational] = []
-_RECURRENCE_PREFIX: list[BigRational] = [Fraction(1)]
+_SERIES_PREFIX: list[Fraction] = []
+_RECURRENCE_PREFIX: list[Fraction] = [Fraction(1)]
 _LOCK = threading.Lock()
 
 
-def bernoulli_via_series(max_index: int) -> tuple[BigRational, ...]:
+def bernoulli_via_series(max_index: int) -> tuple[Fraction, ...]:
     """B_0 .. B_max_index, with B_n = n! * [z^n] (z/(e^z - 1))."""
     if max_index < 0:
         raise ValueError("max_index must be nonnegative")
@@ -42,11 +43,13 @@ def bernoulli_via_series(max_index: int) -> tuple[BigRational, ...]:
         if len(prefix) <= max_index:
             order = max(max_index, 2 * len(prefix))
             gen = bernoulli_generating_series(order)
-            prefix[:] = [factorial(n) * gen.coeff_or_zero(n) for n in range(order + 1)]
+            prefix[:] = [
+                math.factorial(n) * gen.coeff_or_zero(n) for n in range(order + 1)
+            ]
     return tuple(prefix[: max_index + 1])
 
 
-def bernoulli_via_recurrence(max_index: int) -> tuple[BigRational, ...]:
+def bernoulli_via_recurrence(max_index: int) -> tuple[Fraction, ...]:
     """B_0 .. B_max_index by the second method: sum_{k=0}^{n} C(n+1, k) B_k = 0
     with B_0 = 1."""
     if max_index < 0:
@@ -82,7 +85,7 @@ def even_part_check(order: int) -> bool:
     return all(even.coeff_or_zero(m) == 0 for m in range(1, order + 1, 2))
 
 
-def faulhaber_sum(m: int, n: int) -> BigRational:
+def faulhaber_sum(m: int, n: int) -> Fraction:
     """S_m(n) = 1^m + 2^m + ... + n^m, exactly, via the Bernoulli expansion.
 
     For f = x^m the Euler-Maclaurin expansion terminates, so the polynomial
@@ -96,5 +99,5 @@ def faulhaber_sum(m: int, n: int) -> BigRational:
     acc = Fraction(0)
     for j in range(m + 1):
         sign = -1 if j % 2 else 1
-        acc += sign * binomial(m + 1, j) * table[j] * Fraction(n) ** (m + 1 - j)
+        acc += sign * math.comb(m + 1, j) * table[j] * Fraction(n) ** (m + 1 - j)
     return acc / (m + 1)

@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import abel
 from .errors import DomainError, InternalInconsistency, OutOfValidatedRange
@@ -39,45 +40,33 @@ from .zeta_exact import (
     zeta_classical,
 )
 
-KINDS = ("exact_rational", "exact_pi_monomial", "numeric_complex", "boolean_check", "residual")
+# A record's kind by the type of its payload; a PiValue at pi^0 is rational.
+_KIND_BY_TYPE = {
+    Fraction: "exact_rational",
+    PiValue: "exact_pi_monomial",
+    complex: "numeric_complex",
+    bool: "boolean_check",
+    float: "residual",
+}
 
 
 @dataclass(frozen=True)
 class OutputRecord:
-    kind: str
     payload: object
     route: str
     argument: str
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown record kind {self.kind!r}")
-        if self.kind.startswith("exact") and isinstance(self.payload, float):
-            raise ValueError("exact records never carry floating payloads")
-        if self.kind in ("numeric_complex", "residual") and isinstance(
-            self.payload, (Fraction, PiValue)
-        ):
-            raise ValueError("numeric records never carry exact payloads")
+        self.kind  # computed now, so an unsupported payload is refused here
 
-
-def rational_record(value: Fraction, route: str, argument) -> OutputRecord:
-    return OutputRecord("exact_rational", value, route, str(argument))
-
-
-def pi_record(value: PiValue, route: str, argument) -> OutputRecord:
-    return OutputRecord("exact_pi_monomial", value, route, str(argument))
-
-
-def complex_record(value: complex, route: str, argument) -> OutputRecord:
-    return OutputRecord("numeric_complex", complex(value), route, str(argument))
-
-
-def bool_record(value: bool, route: str, argument) -> OutputRecord:
-    return OutputRecord("boolean_check", bool(value), route, str(argument))
-
-
-def residual_record(value: float, route: str, argument) -> OutputRecord:
-    return OutputRecord("residual", float(value), route, str(argument))
+    @cached_property
+    def kind(self) -> str:
+        kind = _KIND_BY_TYPE.get(type(self.payload))
+        if kind is None:
+            raise ValueError(f"no record kind for a {type(self.payload).__name__} payload")
+        if kind == "exact_pi_monomial" and self.payload.pi_exp == 0:
+            return "exact_rational"
+        return kind
 
 
 # -- rendering ---------------------------------------------------------------
@@ -156,16 +145,16 @@ def _floated(records) -> list[OutputRecord]:
     """
     out = []
     for r in records:
-        if r.kind not in ("exact_rational", "exact_pi_monomial"):
-            out.append(r)
-            continue
-        try:
-            value = float(r.payload) if r.kind == "exact_rational" else r.payload.to_float()
-        except OverflowError:
-            raise OutOfValidatedRange(
-                f"{r.argument} ({r.route} route) exceeds double precision for --as-float"
-            ) from None
-        out.append(complex_record(complex(value), r.route, r.argument))
+        p = r.payload
+        if isinstance(p, (Fraction, PiValue)):
+            try:
+                value = p.to_float() if isinstance(p, PiValue) else float(p)
+            except OverflowError:
+                raise OutOfValidatedRange(
+                    f"{r.argument} ({r.route} route) exceeds double precision for --as-float"
+                ) from None
+            r = OutputRecord(complex(value), r.route, r.argument)
+        out.append(r)
     return out
 
 
@@ -191,7 +180,7 @@ def _cmd_bernoulli(args) -> int:
     for name, fn in methods:
         table = fn(args.max)
         records.extend(
-            rational_record(table[n], name, f"B_{n}") for n in range(args.max + 1)
+            OutputRecord(table[n], name, f"B_{n}") for n in range(args.max + 1)
         )
     _emit(args, records)
     return 0
@@ -200,13 +189,7 @@ def _cmd_bernoulli(args) -> int:
 def _cmd_zeta_exact(args) -> int:
     k = args.argument
     routes = routes_for_argument(k) if args.route == "all" else (Route(args.route),)
-    records = []
-    for route in routes:
-        cv = zeta_classical(k, route)
-        if cv.value.pi_exp == 0:
-            records.append(rational_record(cv.value.coeff, route.value, k))
-        else:
-            records.append(pi_record(cv.value, route.value, k))
+    records = [OutputRecord(zeta_classical(k, r).value, r.value, str(k)) for r in routes]
     _emit(args, records)
     return 0
 
@@ -218,25 +201,25 @@ def _cmd_zeta_numeric(args) -> int:
     if args.method in ("hankel", "both"):
         try:
             value = zeta_hankel(s)
-            records.append(complex_record(value, "hankel", arg))
+            records.append(OutputRecord(value, "hankel", arg))
         except DomainError:
             if args.method == "hankel":
                 raise  # with "both", the em record stands alone
     if args.method in ("em", "both"):
-        records.append(complex_record(zeta_em(s), "em", arg))
+        records.append(OutputRecord(zeta_em(s), "em", arg))
     _emit(args, records)
     return 0
 
 
 def _cmd_abel(args) -> int:
     exact = abel.abel_sum_exact(args.m)
-    records = [rational_record(exact, "abel", args.m)]
+    records = [OutputRecord(exact, "abel", str(args.m))]
     status = 0
     if args.numeric_oracle:
         est = abel.abel_numeric_estimate(args.m)
         diff = abs(est - float(exact))
-        records.append(residual_record(diff, "abel-numeric", args.m))
-        records.append(bool_record(diff <= 1e-6, "abel-numeric", args.m))
+        records.append(OutputRecord(diff, "abel-numeric", str(args.m)))
+        records.append(OutputRecord(diff <= 1e-6, "abel-numeric", str(args.m)))
         if diff > 1e-6:
             status = 1
     _emit(args, records)
@@ -287,15 +270,15 @@ def _cmd_verify_funceq(args) -> int:
     for n in range(1, args.exact_max + 1):
         passed = funceq_exact_check(2 * n)
         ok &= passed
-        records.append(bool_record(passed, "funceq-exact", 2 * n))
+        records.append(OutputRecord(passed, "funceq-exact", str(2 * n)))
     for m in range(args.exact_max):
         passed = simple_funceq_check(m)
         ok &= passed
-        records.append(bool_record(passed, "funceq-simple", m))
+        records.append(OutputRecord(passed, "funceq-simple", str(m)))
     for s in grid:
         res = funceq_residual(s)
         ok &= res <= args.grid_tol
-        records.append(residual_record(res, "funceq-residual", _format_complex_arg(s)))
+        records.append(OutputRecord(res, "funceq-residual", _format_complex_arg(s)))
     _emit(args, records)
     return 0 if ok else 1
 
@@ -309,8 +292,8 @@ def _cmd_verify_cotangent(args) -> int:
     bound = cotangent_tail_bound(x, args.terms)
     passed = diff <= bound
     records = [
-        residual_record(diff, "cotangent", str(x)),
-        bool_record(passed, "cotangent", str(x)),
+        OutputRecord(diff, "cotangent", str(x)),
+        OutputRecord(passed, "cotangent", str(x)),
     ]
     _emit(args, records)
     return 0 if passed else 1
@@ -325,8 +308,8 @@ def _cmd_verify_contour_inversion(args) -> int:
     bound = inverted_contour_bound(s, args.poles)
     passed = diff <= bound
     records = [
-        residual_record(diff, "contour-inversion", _format_complex_arg(s)),
-        bool_record(passed, "contour-inversion", _format_complex_arg(s)),
+        OutputRecord(diff, "contour-inversion", _format_complex_arg(s)),
+        OutputRecord(passed, "contour-inversion", _format_complex_arg(s)),
     ]
     _emit(args, records)
     return 0 if passed else 1
@@ -335,13 +318,11 @@ def _cmd_verify_contour_inversion(args) -> int:
 def _cmd_table_classical(args) -> int:
     if args.max < 0:
         raise ValueError("--max must be nonnegative")
-    records = []
-    for k in range(-args.max, 1):
-        cv = zeta_classical(k, Route.CLOSED_FORM)
-        records.append(rational_record(cv.value.coeff, Route.CLOSED_FORM.value, k))
-    for k in range(2, args.max + 1, 2):
-        cv = zeta_classical(k, Route.CLOSED_FORM)
-        records.append(pi_record(cv.value, Route.CLOSED_FORM.value, k))
+    closed = Route.CLOSED_FORM
+    records = [
+        OutputRecord(zeta_classical(k, closed).value, closed.value, str(k))
+        for k in (*range(-args.max, 1), *range(2, args.max + 1, 2))
+    ]
     _emit(args, records)
     return 0
 

@@ -1,6 +1,6 @@
 """Exact scalars: arbitrary-precision rationals and pi-monomials q*pi^k.
 
-``BigRational`` is ``fractions.Fraction``: it already stores values in lowest
+Rationals are ``fractions.Fraction``: it already stores values in lowest
 terms with a positive denominator, which makes structural equality the same
 thing as exact mathematical equality.
 """
@@ -10,22 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-BigRational = Fraction
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k); 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    return math.comb(n, k)
-
-
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError("factorial requires a nonnegative argument")
-    return math.factorial(n)
-
 
 class CommonDenominator:
     """Rationals q_k kept as integers numerators[k] over one denominator.

@@ -38,7 +38,6 @@ from .errors import (
     finite_or_out_of_range,
     require_finite,
 )
-from .exact import factorial
 from .gammafn import gamma_complex
 
 
@@ -69,7 +68,7 @@ _EM_TERMS_J = 14  # Bernoulli correction terms in zeta_em
 # B_{2j}/(2j)! as floats, j = 1..J+1 (the first omitted term sizes the
 # cutoff), from the exact table.
 _B2J_OVER_FACT = tuple(
-    float(bernoulli_via_recurrence(2 * _EM_TERMS_J + 2)[2 * j] / factorial(2 * j))
+    float(bernoulli_via_recurrence(2 * _EM_TERMS_J + 2)[2 * j] / math.factorial(2 * j))
     for j in range(1, _EM_TERMS_J + 2)
 )
 
@@ -174,8 +173,9 @@ def zeta_em(s: complex) -> complex:
 _GAUSS_X, _GAUSS_W = leggauss(16)
 _PANELS_RAY = 16
 _REFINEMENTS = 6
+_TOL = 1e-12  # two successive levels agreeing to this much is convergence
 # Level 0 refuses when its round-off floor eps |prefactor| sum |w f| exceeds
-# this many tolerances: converging points reach 4e-12 at tol = 1e-12, so a
+# this many _TOL: converging points reach 4e-12 at _TOL = 1e-12, so a
 # factor of 1 would refuse some of them.
 _FLOOR_FACTOR = 100.0
 
@@ -216,9 +216,7 @@ def _weighted_terms(s: complex, spec: ContourSpec, panels_ray: int):
 
 
 @finite_or_out_of_range
-def zeta_hankel(
-    s: complex, contour: ContourSpec | None = None, tol: float = 1e-12
-) -> complex:
+def zeta_hankel(s: complex, contour: ContourSpec | None = None) -> complex:
     """zeta(s) = -Gamma(1-s) I(s) / (2 pi i) with I over the Hankel contour.
 
     Orientation: in above the cut from x_max, counterclockwise around the
@@ -226,10 +224,10 @@ def zeta_hankel(
     loop reproduces (e^{-pi s i} - e^{pi s i}) times the real-axis integral).
     The rule is fixed: 16-point Gauss-Legendre panels, 16 per ray and 8 on
     the arc to start, doubled up to six times until two successive results
-    agree to `tol`; otherwise QuadratureNotConverged is raised. It is raised
-    on the first level already when the sum is not finite, or when the
+    agree to _TOL = 1e-12; otherwise QuadratureNotConverged is raised. It is
+    raised on the first level already when the sum is not finite, or when the
     round-off floor eps |prefactor| sum |w f| of that level's terms is not
-    finite or exceeds 100 tol: no refinement gets below it. Within 0.1 of a
+    finite or exceeds 100 _TOL: no refinement gets below it. Within 0.1 of a
     positive integer TooCloseToPositiveIntegerPole is raised: Gamma(1-s)
     blows up against a vanishing integral.
     """
@@ -250,17 +248,17 @@ def zeta_hankel(
                 raise QuadratureNotConverged(f"contour integral at s = {s} is not finite")
             if level == 0:
                 floor = _EPS * abs(prefactor) * float(np.sum(np.abs(terms)))
-                if not floor <= _FLOOR_FACTOR * tol:  # also catches a floor of inf
+                if not floor <= _FLOOR_FACTOR * _TOL:  # also catches a floor of inf
                     raise QuadratureNotConverged(
                         f"contour integral at s = {s} has a round-off floor of "
-                        f"{floor:.1e}, above {_FLOOR_FACTOR:g} x tol = {tol}"
+                        f"{floor:.1e}, above {_FLOOR_FACTOR:g} x _TOL = {_TOL}"
                     )
-            elif abs(cur - prev) < tol:
+            elif abs(cur - prev) < _TOL:
                 return cur
             prev = cur
             del terms  # freed before the next, twice as large, level is built
     raise QuadratureNotConverged(
-        f"contour integral at s = {s} did not stabilize to {tol}"
+        f"contour integral at s = {s} did not stabilize to {_TOL}"
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OutOfTrustedRange, ZeroSeries
-from .exact import BigRational, CommonDenominator
+from .exact import CommonDenominator
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class LaurentSeries:
     """
 
     valuation: int
-    coeffs: tuple[BigRational, ...]
+    coeffs: tuple[Fraction, ...]
     order: int
 
     def __post_init__(self) -> None:
@@ -65,7 +65,7 @@ class LaurentSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def coeff(self, m: int) -> BigRational:
+    def coeff(self, m: int) -> Fraction:
         """Coefficient of z^m; error outside the trusted window."""
         if m < self.valuation or m > self.order:
             raise OutOfTrustedRange(
@@ -73,7 +73,7 @@ class LaurentSeries:
             )
         return self.coeffs[m - self.valuation]
 
-    def coeff_or_zero(self, m: int) -> BigRational:
+    def coeff_or_zero(self, m: int) -> Fraction:
         """Like coeff(), but exponents below the valuation are known zeros."""
         if m < self.valuation:
             return Fraction(0)

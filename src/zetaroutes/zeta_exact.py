@@ -15,6 +15,7 @@ computed by several independent routes that must agree exactly:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -22,7 +23,7 @@ from fractions import Fraction
 from . import abel
 from .bernoulli import bernoulli_generating_series, bernoulli_via_series
 from .errors import ArgumentNotEvenPositive, InternalInconsistency, PoleArgument
-from .exact import PiValue, factorial
+from .exact import PiValue
 from .series import LaurentSeries, exp_series
 
 
@@ -69,7 +70,7 @@ def sin_gamma_limit_exact(n: int) -> PiValue:
     Gamma recurrence n times."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return PiValue(Fraction(1, factorial(n)), 1)
+    return PiValue(Fraction(1, math.factorial(n)), 1)
 
 
 def zeta_neg_via_residue(n: int) -> ClassicalValue:
@@ -108,7 +109,7 @@ def zeta_neg_via_G(order: int) -> list[ClassicalValue]:
     return [
         ClassicalValue(
             -m,
-            PiValue(factorial(m) * gen.coeff_or_zero(m)),
+            PiValue(math.factorial(m) * gen.coeff_or_zero(m)),
             Route.GENERATING_FUNCTION,
         )
         for m in range(order)
@@ -136,7 +137,7 @@ def finite_G_check(n: int, max_m: int) -> bool:
     gen = num * den.invert()
     for m in range(max_m + 1):
         brute = sum(Fraction(k) ** m for k in range(1, n + 1))
-        if gen.coeff_or_zero(m) * factorial(m) != brute:
+        if gen.coeff_or_zero(m) * math.factorial(m) != brute:
             return False
     return True
 
@@ -159,7 +160,7 @@ def odd_genfun_check(order: int) -> bool:
             if c != 0:
                 return False
         else:
-            expected = 2 * zeta_nonpositive(m).value.coeff / factorial(m)
+            expected = 2 * zeta_nonpositive(m).value.coeff / math.factorial(m)
             if c != expected:
                 return False
     return True
@@ -174,7 +175,7 @@ def zeta_even_positive(n: int) -> ClassicalValue:
         raise ValueError("n must be positive")
     b = bernoulli_via_series(2 * n)[2 * n]
     sign = 1 if (n - 1) % 2 == 0 else -1
-    coeff = sign * Fraction(2) ** (2 * n) * b / (2 * factorial(2 * n))
+    coeff = sign * Fraction(2) ** (2 * n) * b / (2 * math.factorial(2 * n))
     return ClassicalValue(2 * n, PiValue(coeff, 2 * n), Route.CLOSED_FORM)
 
 
@@ -184,7 +185,7 @@ def zeta_even_via_funceq(n: int) -> ClassicalValue:
         raise ValueError("n must be positive")
     z_neg = zeta_nonpositive(2 * n - 1).value.coeff
     sign = 1 if n % 2 == 0 else -1  # cos(pi n) = (-1)^n
-    coeff = Fraction(2) ** (2 * n) * z_neg / (2 * sign * factorial(2 * n - 1))
+    coeff = Fraction(2) ** (2 * n) * z_neg / (2 * sign * math.factorial(2 * n - 1))
     return ClassicalValue(2 * n, PiValue(coeff, 2 * n), Route.FUNCTIONAL_EQUATION)
 
 
@@ -196,7 +197,7 @@ def simple_funceq_check(m: int) -> bool:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    lhs = 2 * zeta_nonpositive(2 * m + 1).value.coeff / factorial(2 * m + 1)
+    lhs = 2 * zeta_nonpositive(2 * m + 1).value.coeff / math.factorial(2 * m + 1)
     even = zeta_even_positive(m + 1).value
     if even.pi_exp != 2 * m + 2:
         raise InternalInconsistency(
@@ -217,7 +218,7 @@ def funceq_exact_check(s: int) -> bool:
         raise ArgumentNotEvenPositive(f"s = {s}: check requires even s >= 2")
     n = s // 2
     cos_sign = 1 if n % 2 == 0 else -1
-    lhs = zeta_even_positive(n).value.scale(2 * cos_sign * factorial(s - 1))
+    lhs = zeta_even_positive(n).value.scale(2 * cos_sign * math.factorial(s - 1))
     rhs = PiValue(Fraction(2) ** s * zeta_nonpositive(s - 1).value.coeff, s)
     return lhs == rhs
 

@@ -11,7 +11,6 @@ from zetaroutes.abel import (
     abel_closed_form,
     abel_numeric_estimate,
     abel_sum_exact,
-    em_alternating_value,
     operator_genfun_check,
     zeta_neg_via_abel,
 )
@@ -140,23 +139,6 @@ class TestNumericEstimate:
     def test_large_m_rejected(self):
         with pytest.raises(ValueError):
             abel_numeric_estimate(9)
-
-
-class TestAlternatingEulerMaclaurin:
-    def test_listed_values(self):
-        assert em_alternating_value(1) == F(1, 4)
-        assert em_alternating_value(2) == 0
-        assert em_alternating_value(3) == F(-1, 8)
-
-    def test_matches_abel_sum_for_positive_m(self):
-        for m in range(1, 31):
-            assert em_alternating_value(m) == abel_sum_exact(m)
-
-    def test_m0_anomaly(self):
-        # at m = 0 the x^0 term at x = 0 joins the expansion; the two routes
-        # legitimately differ there
-        assert em_alternating_value(0) == F(-1, 2)
-        assert abel_sum_exact(0) == F(1, 2)
 
 
 class TestZetaViaAbel:

@@ -12,14 +12,7 @@ from hypothesis import given, settings
 
 import zetaroutes
 from zetaroutes import abel
-from zetaroutes.cli import (
-    OutputRecord,
-    bool_record,
-    pi_record,
-    rational_record,
-    render,
-    run,
-)
+from zetaroutes.cli import OutputRecord, render, run
 from zetaroutes.exact import PiValue
 from zetaroutes.numeric import zeta_em
 
@@ -247,7 +240,7 @@ class TestTable:
             "exact_pi_monomial": lambda p: PiValue(F(p["coeff"]), p["pi_exp"]),
         }
         parsed = [
-            OutputRecord(d["kind"], decode[d["kind"]](d["payload"]), d["route"], d["argument"])
+            OutputRecord(decode[d["kind"]](d["payload"]), d["route"], d["argument"])
             for d in json.loads(text)
         ]
         assert {r.kind for r in parsed} == set(decode)
@@ -271,26 +264,33 @@ class TestRender:
         assert render([], "json") == "[]"
 
     def test_pi_monomial_json(self):
-        rec = pi_record(PiValue(F(1, 6), 2), "closed", 2)
+        rec = OutputRecord(PiValue(F(1, 6), 2), "closed", "2")
         data = json.loads(render([rec], "json"))
         assert data[0]["payload"] == {"coeff": "1/6", "pi_exp": 2}
         assert data[0]["kind"] == "exact_pi_monomial"
 
     def test_boolean_md_cell(self):
-        rec = bool_record(True, "check", "x")
+        rec = OutputRecord(True, "check", "x")
         assert "| pass |" in render([rec], "md")
 
-    def test_kind_discipline(self):
-        with pytest.raises(ValueError):
-            OutputRecord("exact_rational", 0.5, "r", "a")
-        with pytest.raises(ValueError):
-            OutputRecord("residual", F(1, 2), "r", "a")
-        with pytest.raises(ValueError):
-            OutputRecord("mystery", 1, "r", "a")
+    def test_kind_follows_payload(self):
+        table = [
+            (F(1, 2), "exact_rational"),
+            (PiValue(F(-1, 12)), "exact_rational"),  # pi^0
+            (PiValue(F(1, 6), 2), "exact_pi_monomial"),
+            (0.5 + 1j, "numeric_complex"),
+            (True, "boolean_check"),
+            (1e-13, "residual"),
+        ]
+        for payload, kind in table:
+            assert OutputRecord(payload, "r", "a").kind == kind
+        for payload in (1, "x"):
+            with pytest.raises(ValueError, match="no record kind"):
+                OutputRecord(payload, "r", "a")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            render([rational_record(F(1), "r", "a")], "yaml")
+            render([OutputRecord(F(1), "r", "a")], "yaml")
 
 
 def test_usage_error_exit_code(capsys):

@@ -6,17 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from zetaroutes.exact import PiValue, binomial, factorial
+from zetaroutes.exact import PiValue
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=30)
-
-
-def pascal_row(n):
-    """Oracle: row n of Pascal's triangle by repeated addition."""
-    row = [1]
-    for _ in range(n):
-        row = [a + b for a, b in zip([0] + row, row + [0])]
-    return row
 
 
 def zeta2_numeric_oracle():
@@ -25,48 +17,6 @@ def zeta2_numeric_oracle():
     partial = float(np.sum((1.0 / (n * n))[::-1]))  # ascending magnitudes
     big_n = 10**6
     return partial + 1.0 / big_n - 1.0 / (2 * big_n**2)
-
-
-class TestBinomial:
-    def test_small_case(self):
-        assert binomial(5, 2) == 10
-        assert type(binomial(5, 2)) is int
-
-    def test_identity_case(self):
-        assert binomial(7, 0) == 1
-
-    def test_k_above_n_is_zero(self):
-        assert binomial(3, 5) == 0
-
-    def test_against_pascal_oracle(self):
-        row = pascal_row(30)
-        assert row[15] == 155117520
-        assert binomial(30, 15) == F(155117520)
-        assert all(binomial(30, k) == row[k] for k in range(31))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-
-class TestFactorial:
-    def test_zero(self):
-        assert factorial(0) == 1
-
-    def test_small(self):
-        assert factorial(5) == 120
-        assert type(factorial(5)) is int
-
-    def test_against_iterated_multiplication(self):
-        acc = 1
-        for k in range(1, 21):
-            acc *= k
-        assert acc == 2432902008176640000
-        assert factorial(20) == F(acc)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            factorial(-2)
 
 
 class TestPiValue:
