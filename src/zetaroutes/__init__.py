@@ -28,7 +28,6 @@ from .abel import (
 )
 from .zeta_exact import (
     ArgumentNotEvenPositive,
-    ClassicalValue,
     PoleArgument,
     Route,
     finite_G_check,
@@ -76,7 +75,6 @@ __all__ = [
     "zeta_neg_via_abel",
     "DomainError",
     "InternalInconsistency",
-    "ClassicalValue",
     "Route",
     "zeta_nonpositive",
     "zeta_neg_via_residue",

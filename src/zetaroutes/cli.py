@@ -40,7 +40,7 @@ from .zeta_exact import (
     zeta_classical,
 )
 
-# A record's kind by the type of its payload; a PiValue at pi^0 is rational.
+# A record's kind by the type of its payload.
 _KIND_BY_TYPE = {
     Fraction: "exact_rational",
     PiValue: "exact_pi_monomial",
@@ -64,8 +64,6 @@ class OutputRecord:
         kind = _KIND_BY_TYPE.get(type(self.payload))
         if kind is None:
             raise ValueError(f"no record kind for a {type(self.payload).__name__} payload")
-        if kind == "exact_pi_monomial" and self.payload.pi_exp == 0:
-            return "exact_rational"
         return kind
 
 
@@ -189,7 +187,7 @@ def _cmd_bernoulli(args) -> int:
 def _cmd_zeta_exact(args) -> int:
     k = args.argument
     routes = routes_for_argument(k) if args.route == "all" else (Route(args.route),)
-    records = [OutputRecord(zeta_classical(k, r).value, r.value, str(k)) for r in routes]
+    records = [OutputRecord(zeta_classical(k, r), r.value, str(k)) for r in routes]
     _emit(args, records)
     return 0
 
@@ -211,17 +209,21 @@ def _cmd_zeta_numeric(args) -> int:
     return 0
 
 
+def _residual_check(residual: float, bound: float, route: str, argument: str):
+    """The residual and pass/fail records of one check, and its exit status."""
+    passed = residual <= bound
+    records = [OutputRecord(r, route, argument) for r in (residual, passed)]
+    return records, 0 if passed else 1
+
+
 def _cmd_abel(args) -> int:
     exact = abel.abel_sum_exact(args.m)
     records = [OutputRecord(exact, "abel", str(args.m))]
     status = 0
     if args.numeric_oracle:
-        est = abel.abel_numeric_estimate(args.m)
-        diff = abs(est - float(exact))
-        records.append(OutputRecord(diff, "abel-numeric", str(args.m)))
-        records.append(OutputRecord(diff <= 1e-6, "abel-numeric", str(args.m)))
-        if diff > 1e-6:
-            status = 1
+        diff = abs(abel.abel_numeric_estimate(args.m) - float(exact))
+        checked, status = _residual_check(diff, 1e-6, "abel-numeric", str(args.m))
+        records += checked
     _emit(args, records)
     return status
 
@@ -288,15 +290,14 @@ def _cmd_verify_cotangent(args) -> int:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--x must be a rational like 1/4, got {args.x!r}") from None
-    diff = cotangent_check(x, args.terms)
-    bound = cotangent_tail_bound(x, args.terms)
-    passed = diff <= bound
-    records = [
-        OutputRecord(diff, "cotangent", str(x)),
-        OutputRecord(passed, "cotangent", str(x)),
-    ]
+    records, status = _residual_check(
+        cotangent_check(x, args.terms),
+        cotangent_tail_bound(x, args.terms),
+        "cotangent",
+        str(x),
+    )
     _emit(args, records)
-    return 0 if passed else 1
+    return status
 
 
 def _cmd_verify_contour_inversion(args) -> int:
@@ -304,15 +305,14 @@ def _cmd_verify_contour_inversion(args) -> int:
         s = complex(*map(float, args.s.split(",")))  # a third field is a TypeError
     except (ValueError, TypeError):
         raise ValueError(f"--s must be RE or RE,IM, got {args.s!r}") from None
-    diff = inverted_contour_check(s, args.poles)
-    bound = inverted_contour_bound(s, args.poles)
-    passed = diff <= bound
-    records = [
-        OutputRecord(diff, "contour-inversion", _format_complex_arg(s)),
-        OutputRecord(passed, "contour-inversion", _format_complex_arg(s)),
-    ]
+    records, status = _residual_check(
+        inverted_contour_check(s, args.poles),
+        inverted_contour_bound(s, args.poles),
+        "contour-inversion",
+        _format_complex_arg(s),
+    )
     _emit(args, records)
-    return 0 if passed else 1
+    return status
 
 
 def _cmd_table_classical(args) -> int:
@@ -320,7 +320,7 @@ def _cmd_table_classical(args) -> int:
         raise ValueError("--max must be nonnegative")
     closed = Route.CLOSED_FORM
     records = [
-        OutputRecord(zeta_classical(k, closed).value, closed.value, str(k))
+        OutputRecord(zeta_classical(k, closed), closed.value, str(k))
         for k in (*range(-args.max, 1), *range(2, args.max + 1, 2))
     ]
     _emit(args, records)
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("argument", type=int, metavar="K")
     p.add_argument(
         "--route",
-        choices=("closed", "residue", "genfun", "abel", "all"),
+        choices=(*(r.value for r in Route), "all"),
         default="closed",
     )
     _add_format_options(p)

@@ -33,24 +33,29 @@ class CommonDenominator:
         self.numerators.append(q.numerator * (self.denominator // q.denominator))
 
 
+# pi to 60 significant digits. The relative error of _PI**k is about k*1e-60,
+# so one rounding of q * _PI**k gives the double nearest q*pi^k unless q*pi^k
+# lies within that distance of a rounding boundary.
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
+
+
 @dataclass(frozen=True)
 class PiValue:
-    """An exact value coeff * pi**pi_exp with rational coeff and pi_exp >= 0.
+    """An exact value coeff * pi**pi_exp with nonzero rational coeff and
+    pi_exp >= 1.
 
-    Zero is canonical: a zero coefficient forces pi_exp == 0, so dataclass
-    equality is exact value equality.
+    A rational (pi_exp 0, or zero) is a ``Fraction``, never a PiValue, so
+    dataclass equality is exact value equality.
     """
 
     coeff: Fraction
-    pi_exp: int = 0
+    pi_exp: int
 
     def __post_init__(self) -> None:
         coeff = self.coeff if isinstance(self.coeff, Fraction) else Fraction(self.coeff)
         exp = int(self.pi_exp)
-        if exp < 0:
-            raise ValueError("pi exponent must be nonnegative")
-        if coeff == 0:
-            exp = 0
+        if coeff == 0 or exp < 1:
+            raise ValueError(f"PiValue needs coeff != 0 and pi_exp >= 1, got {coeff}, {exp}")
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "pi_exp", exp)
 
@@ -58,14 +63,15 @@ class PiValue:
         return PiValue(self.coeff * q, self.pi_exp)
 
     def to_float(self) -> float:
-        """coeff * pi**pi_exp in double precision (relative error a few ulp)."""
-        return float(self.coeff) * math.pi**self.pi_exp
+        """coeff * pi**pi_exp, formed with _PI and rounded once to a double.
+
+        A value beyond double range raises OverflowError.
+        """
+        return float(self.coeff * _PI**self.pi_exp)
 
     def to_json(self) -> dict:
         return {"coeff": str(self.coeff), "pi_exp": self.pi_exp}
 
     def __str__(self) -> str:
-        if self.pi_exp == 0:
-            return str(self.coeff)
         power = "pi" if self.pi_exp == 1 else f"pi^{self.pi_exp}"
         return f"{self.coeff}*{power}"

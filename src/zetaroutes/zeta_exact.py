@@ -1,22 +1,27 @@
 """Exact classical zeta values by every route, and the functional equation.
 
-Classical points are the nonpositive integers (rational values) and the
-positive even integers (rational multiples of pi^{2n}). Every value is
-computed by several independent routes that must agree exactly:
+Classical points are the nonpositive integers, where zeta(K) is a
+``Fraction``, and the positive even integers, where it is a ``PiValue``
+q*pi^K. Each route value, the function behind it and the primitive it reads:
 
-* ClosedForm:      zeta(-n) = (-1)^n B_{n+1}/(n+1);  zeta(2n) from B_{2n}
-* ResidueSeries:   coefficient extraction from x/(e^x - 1) combined with the
-                   limit of sin(pi x)Gamma(x) at -n
-* GeneratingFunction: read zeta(-m) off 1/(e^{-z} - 1) + 1/z
-* AbelSummation:   Abel sums of the alternating series (module abel)
-* FunctionalEquation: transport zeta(1-2n) to zeta(2n) across the identity
-                   2 cos(pi s/2) Gamma(s) zeta(s) = (2pi)^s zeta(1-s)
+route    function                    primitive
+-------  --------------------------  -----------------------------------------
+closed   zeta_nonpositive (K <= 0)   the cached series-inversion table of
+         zeta_even_positive (K >= 2) (e^z - 1)/z, bernoulli_via_series
+residue  zeta_neg_via_residue        the same inversion, uncached
+genfun   zeta_neg_via_G              the inversion of (e^{-z} - 1)/z
+abel     abel.zeta_neg_via_abel      the integer theta = x d/dx chain, checked
+                                     against the Bernoulli recurrence
+funceq   zeta_even_via_funceq        the series table, through zeta(1 - 2n)
+
+At K <= 0 the four routes read three different primitives. At K >= 2 both
+routes read one Bernoulli number from the series table, so ``--route all``
+there compares that number with itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -35,34 +40,16 @@ class Route(str, Enum):
     FUNCTIONAL_EQUATION = "funceq"
 
 
-@dataclass(frozen=True)
-class ClassicalValue:
-    argument: int
-    value: PiValue
-    route: Route
-
-    def __post_init__(self) -> None:
-        if self.argument == 1:
-            raise PoleArgument("zeta(1) is a pole")
-        if self.argument <= 0 and self.value.pi_exp != 0:
-            raise ValueError("values at nonpositive integers are rational")
-        if self.argument >= 2:
-            if self.argument % 2:
-                raise ValueError("positive classical arguments must be even")
-            if self.value.pi_exp != self.argument and self.value.coeff != 0:
-                raise ValueError("zeta(2n) must carry pi^{2n}")
-
-
 # -- nonpositive integers ----------------------------------------------------
 
 
-def zeta_nonpositive(n: int) -> ClassicalValue:
+def zeta_nonpositive(n: int) -> Fraction:
     """zeta(-n) = (-1)^n B_{n+1}/(n+1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     b = bernoulli_via_series(n + 1)[n + 1]
     sign = -1 if n % 2 else 1
-    return ClassicalValue(-n, PiValue(sign * b / (n + 1)), Route.CLOSED_FORM)
+    return sign * b / (n + 1)
 
 
 def sin_gamma_limit_exact(n: int) -> PiValue:
@@ -73,7 +60,7 @@ def sin_gamma_limit_exact(n: int) -> PiValue:
     return PiValue(Fraction(1, math.factorial(n)), 1)
 
 
-def zeta_neg_via_residue(n: int) -> ClassicalValue:
+def zeta_neg_via_residue(n: int) -> Fraction:
     """zeta(-n) from the loop integral around the origin.
 
     The loop picks up 2*pi*i * (-1)^{n-1} * [x^{n+1}] x/(e^x - 1) and equals
@@ -91,11 +78,10 @@ def zeta_neg_via_residue(n: int) -> ClassicalValue:
     sg = sin_gamma_limit_exact(n)
     if sg.pi_exp != 1:
         raise InternalInconsistency(f"sin(pi x) Gamma(x) limit {sg} lacks pi^1")
-    value = 2 * branch * c / (-2 * sg.coeff)
-    return ClassicalValue(-n, PiValue(value), Route.RESIDUE_SERIES)
+    return 2 * branch * c / (-2 * sg.coeff)
 
 
-def zeta_neg_via_G(order: int) -> list[ClassicalValue]:
+def zeta_neg_via_G(order: int) -> list[Fraction]:
     """zeta(-m) for m = 0..order-1 from 1/(e^{-z} - 1) + 1/z.
 
     Discarding the pole term leaves sum_m zeta(-m) z^m / m!.
@@ -106,19 +92,7 @@ def zeta_neg_via_G(order: int) -> list[ClassicalValue]:
     em1 = exp_series(-1, work) - LaurentSeries.constant(1, work)
     gen = em1.shifted(-1).invert().shifted(-1)  # 1/(e^{-z} - 1), valuation -1
     gen = gen + LaurentSeries.monomial(1, -1, gen.order)
-    return [
-        ClassicalValue(
-            -m,
-            PiValue(math.factorial(m) * gen.coeff_or_zero(m)),
-            Route.GENERATING_FUNCTION,
-        )
-        for m in range(order)
-    ]
-
-
-def zeta_neg_via_abel_route(m: int) -> ClassicalValue:
-    """zeta(-m) through the Abel sums of the alternating series."""
-    return ClassicalValue(-m, PiValue(abel.zeta_neg_via_abel(m)), Route.ABEL_SUMMATION)
+    return [math.factorial(m) * gen.coeff_or_zero(m) for m in range(order)]
 
 
 # -- generating-function identities -------------------------------------------
@@ -160,7 +134,7 @@ def odd_genfun_check(order: int) -> bool:
             if c != 0:
                 return False
         else:
-            expected = 2 * zeta_nonpositive(m).value.coeff / math.factorial(m)
+            expected = 2 * zeta_nonpositive(m) / math.factorial(m)
             if c != expected:
                 return False
     return True
@@ -169,24 +143,24 @@ def odd_genfun_check(order: int) -> bool:
 # -- positive even integers ---------------------------------------------------
 
 
-def zeta_even_positive(n: int) -> ClassicalValue:
+def zeta_even_positive(n: int) -> PiValue:
     """zeta(2n) = (-1)^{n-1} (2 pi)^{2n} B_{2n} / (2 (2n)!)."""
     if n < 1:
         raise ValueError("n must be positive")
     b = bernoulli_via_series(2 * n)[2 * n]
     sign = 1 if (n - 1) % 2 == 0 else -1
     coeff = sign * Fraction(2) ** (2 * n) * b / (2 * math.factorial(2 * n))
-    return ClassicalValue(2 * n, PiValue(coeff, 2 * n), Route.CLOSED_FORM)
+    return PiValue(coeff, 2 * n)
 
 
-def zeta_even_via_funceq(n: int) -> ClassicalValue:
+def zeta_even_via_funceq(n: int) -> PiValue:
     """zeta(2n) transported from zeta(1-2n) across the functional equation."""
     if n < 1:
         raise ValueError("n must be positive")
-    z_neg = zeta_nonpositive(2 * n - 1).value.coeff
+    z_neg = zeta_nonpositive(2 * n - 1)
     sign = 1 if n % 2 == 0 else -1  # cos(pi n) = (-1)^n
     coeff = Fraction(2) ** (2 * n) * z_neg / (2 * sign * math.factorial(2 * n - 1))
-    return ClassicalValue(2 * n, PiValue(coeff, 2 * n), Route.FUNCTIONAL_EQUATION)
+    return PiValue(coeff, 2 * n)
 
 
 def simple_funceq_check(m: int) -> bool:
@@ -197,8 +171,8 @@ def simple_funceq_check(m: int) -> bool:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    lhs = 2 * zeta_nonpositive(2 * m + 1).value.coeff / math.factorial(2 * m + 1)
-    even = zeta_even_positive(m + 1).value
+    lhs = 2 * zeta_nonpositive(2 * m + 1) / math.factorial(2 * m + 1)
+    even = zeta_even_positive(m + 1)
     if even.pi_exp != 2 * m + 2:
         raise InternalInconsistency(
             f"zeta({2 * m + 2}) = {even} does not carry pi^{2 * m + 2}"
@@ -218,8 +192,8 @@ def funceq_exact_check(s: int) -> bool:
         raise ArgumentNotEvenPositive(f"s = {s}: check requires even s >= 2")
     n = s // 2
     cos_sign = 1 if n % 2 == 0 else -1
-    lhs = zeta_even_positive(n).value.scale(2 * cos_sign * math.factorial(s - 1))
-    rhs = PiValue(Fraction(2) ** s * zeta_nonpositive(s - 1).value.coeff, s)
+    lhs = zeta_even_positive(n).scale(2 * cos_sign * math.factorial(s - 1))
+    rhs = PiValue(Fraction(2) ** s * zeta_nonpositive(s - 1), s)
     return lhs == rhs
 
 
@@ -234,8 +208,9 @@ NEGATIVE_ROUTES = (
 POSITIVE_ROUTES = (Route.CLOSED_FORM, Route.FUNCTIONAL_EQUATION)
 
 
-def zeta_classical(argument: int, route: Route) -> ClassicalValue:
-    """One classical value by one named route."""
+def zeta_classical(argument: int, route: Route) -> Fraction | PiValue:
+    """zeta(argument) by one named route: a Fraction at argument <= 0, a
+    PiValue at even argument >= 2."""
     if argument == 1:
         raise PoleArgument("zeta(1) is a pole")
     if argument > 0 and argument % 2:
@@ -250,7 +225,7 @@ def zeta_classical(argument: int, route: Route) -> ClassicalValue:
     if route is Route.GENERATING_FUNCTION:
         return zeta_neg_via_G(m + 1)[m]
     if route is Route.ABEL_SUMMATION:
-        return zeta_neg_via_abel_route(m)
+        return abel.zeta_neg_via_abel(m)
     return zeta_even_via_funceq(n)
 
 

@@ -11,6 +11,7 @@ from zetaroutes.abel import (
     abel_numeric_estimate,
     abel_sum_exact,
     operator_genfun_check,
+    zeta_neg_via_abel,
 )
 from zetaroutes.bernoulli import (
     bernoulli_via_recurrence,
@@ -34,7 +35,6 @@ from zetaroutes.zeta_exact import (
     simple_funceq_check,
     zeta_even_positive,
     zeta_neg_via_G,
-    zeta_neg_via_abel_route,
     zeta_neg_via_residue,
     zeta_nonpositive,
 )
@@ -59,10 +59,10 @@ def test_criterion_01_bernoulli_cross_method():
 def test_criterion_02_four_route_agreement():
     via_g = zeta_neg_via_G(31)
     for m in range(31):
-        closed = zeta_nonpositive(m).value
-        assert zeta_neg_via_residue(m).value == closed
-        assert via_g[m].value == closed
-        assert zeta_neg_via_abel_route(m).value == closed
+        closed = zeta_nonpositive(m)
+        assert zeta_neg_via_residue(m) == closed
+        assert via_g[m] == closed
+        assert zeta_neg_via_abel(m) == closed
     _report(2, "closed = residue = genfun = abel for zeta(-m), m = 0..30 (exact)")
 
 
@@ -78,9 +78,9 @@ def test_criterion_03_abel_sum_table():
 
 
 def test_criterion_04_closed_form_even_values():
-    assert zeta_even_positive(1).value == PiValue(F(1, 6), 2)
-    assert zeta_even_positive(2).value == PiValue(F(1, 90), 4)
-    assert zeta_even_positive(3).value == PiValue(F(1, 945), 6)
+    assert zeta_even_positive(1) == PiValue(F(1, 6), 2)
+    assert zeta_even_positive(2) == PiValue(F(1, 90), 4)
+    assert zeta_even_positive(3) == PiValue(F(1, 945), 6)
     _report(4, "zeta(2), zeta(4), zeta(6) = pi^2/6, pi^4/90, pi^6/945 (exact)")
 
 
@@ -109,7 +109,7 @@ def test_criterion_07_numeric_continuation():
     assert worst_grid <= 1e-8
     worst_exact = 0.0
     for n in range(9):
-        exact = zeta_nonpositive(n).value.to_float()
+        exact = float(zeta_nonpositive(n))
         worst_exact = max(worst_exact, abs(zeta_hankel(-n) - exact))
     assert worst_exact <= 1e-8
     s = -0.5 + 1j

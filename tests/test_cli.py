@@ -69,6 +69,19 @@ class TestZetaExact:
         assert code == 0
         assert out.strip() == repr(PiValue(F(1, 6), 2).to_float())
 
+    def test_as_float_is_correctly_rounded(self, capsys):
+        # pi^50 through the double math.pi once printed 0.9999999999999989,
+        # and pi^622 overflowed although zeta(622) rounds to 1.0.
+        for k, expected in (("50", "1.0000000000000009"), ("622", "1.0")):
+            assert invoke(capsys, "zeta", "exact", k, "--as-float") == (0, expected + "\n", "")
+
+    def test_funceq_route(self, capsys):
+        code, out, _ = invoke(capsys, "zeta", "exact", "4", "--route", "funceq")
+        assert (code, out) == (0, "1/90*pi^4\n")
+        code, out, err = invoke(capsys, "zeta", "exact", "-3", "--route", "funceq")
+        assert (code, out) == (2, "")
+        assert err == "error: route funceq does not apply at argument -3\n"
+
     def test_route_all_pairwise_equal_over_classical_range(self, capsys):
         for k in list(range(-30, 1)) + list(range(2, 31, 2)):
             code, out, _ = invoke(capsys, "zeta", "exact", str(k), "--route", "all")
@@ -276,7 +289,6 @@ class TestRender:
     def test_kind_follows_payload(self):
         table = [
             (F(1, 2), "exact_rational"),
-            (PiValue(F(-1, 12)), "exact_rational"),  # pi^0
             (PiValue(F(1, 6), 2), "exact_pi_monomial"),
             (0.5 + 1j, "numeric_complex"),
             (True, "boolean_check"),
@@ -415,7 +427,9 @@ def _argv(draw):
         method = draw(st.sampled_from(["series", "recurrence", "both"]))
         return ["bernoulli", f"--max={draw(_SIZES)}", f"--method={method}", *opt]
     if command == "exact":
-        route = draw(st.sampled_from(["closed", "residue", "genfun", "abel", "all"]))
+        route = draw(
+            st.sampled_from(["closed", "residue", "genfun", "abel", "funceq", "all"])
+        )
         return ["zeta", "exact", f"--route={route}", *opt, "--", draw(_SIZES)]
     if command == "numeric":
         method = draw(st.sampled_from(["hankel", "em", "both"]))

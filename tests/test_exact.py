@@ -9,6 +9,7 @@ from hypothesis import given
 from zetaroutes.exact import PiValue
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=30)
+nonzero_rationals = rationals.filter(bool)
 
 
 def zeta2_numeric_oracle():
@@ -28,10 +29,16 @@ class TestPiValue:
         assert PiValue(F(1, 6), 2).scale(F(1, 6)) == PiValue(F(1, 36), 2)
         assert PiValue(F(-1, 2), 1).scale(F(4)) == PiValue(F(-2), 1)
 
-    def test_zero_is_canonical(self):
-        assert PiValue(F(0), 2).pi_exp == 0
-        assert PiValue(F(0), 2) == PiValue(F(0))
-        assert PiValue(F(1, 6), 2).scale(F(0)) == PiValue(F(0))
+    # Zero and pi^0 values are rationals, so they are Fractions, never PiValues.
+    def test_zero_coeff_rejected(self):
+        with pytest.raises(ValueError):
+            PiValue(F(0), 2)
+        with pytest.raises(ValueError):
+            PiValue(F(1, 6), 2).scale(F(0))
+
+    def test_pi_exp_zero_rejected(self):
+        with pytest.raises(ValueError):
+            PiValue(F(-1, 12), 0)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -40,23 +47,17 @@ class TestPiValue:
     def test_to_float_zeta2(self):
         value = PiValue(F(1, 6), 2).to_float()
         assert abs(value - zeta2_numeric_oracle()) < 2e-12
-        assert value == pytest.approx(1.6449340668482264, rel=1e-15)
-
-    def test_to_float_zero(self):
-        assert PiValue(F(0)).to_float() == 0.0
-
-    def test_to_float_plain_rational(self):
-        assert PiValue(F(-1, 12)).to_float() == -0.08333333333333333
+        assert value == 1.6449340668482264  # the double nearest pi^2/6
 
     def test_pi_squared_against_library_pi(self):
         value = PiValue(F(1), 2).to_float()
         assert abs(value - math.pi**2) <= 1e-14 * math.pi**2
 
-    @given(rationals, rationals, st.integers(0, 6))
+    @given(nonzero_rationals, nonzero_rationals, st.integers(1, 6))
     def test_mul_commutative(self, a, b, p):
         assert PiValue(a, p).scale(b) == PiValue(b, p).scale(a)
 
-    @given(rationals, rationals, rationals, st.integers(0, 4))
+    @given(nonzero_rationals, nonzero_rationals, nonzero_rationals, st.integers(1, 4))
     def test_mul_associative(self, a, b, c, p):
         x = PiValue(a, p)
         assert x.scale(b).scale(c) == x.scale(b * c)
@@ -79,13 +80,10 @@ class TestFieldAxioms:
 
 class TestSerialization:
     def test_format(self):
-        assert str(PiValue(F(-1, 12))) == "-1/12"
-        assert str(PiValue(F(10))) == "10"
-        assert str(PiValue(F(0), 2)) == "0"
         assert str(PiValue(F(1, 6), 2)) == "1/6*pi^2"
         assert str(PiValue(F(-3), 1)) == "-3*pi"
 
-    @given(rationals, st.integers(0, 6))
+    @given(nonzero_rationals, st.integers(1, 6))
     def test_round_trip(self, q, p):
         obj = PiValue(q, p).to_json()
         assert PiValue(F(obj["coeff"]), obj["pi_exp"]) == PiValue(q, p)

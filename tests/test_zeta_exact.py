@@ -2,10 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from zetaroutes.abel import zeta_neg_via_abel
 from zetaroutes.exact import PiValue
 from zetaroutes.zeta_exact import (
     ArgumentNotEvenPositive,
-    ClassicalValue,
     PoleArgument,
     Route,
     finite_G_check,
@@ -18,7 +18,6 @@ from zetaroutes.zeta_exact import (
     zeta_even_positive,
     zeta_even_via_funceq,
     zeta_neg_via_G,
-    zeta_neg_via_abel_route,
     zeta_neg_via_residue,
     zeta_nonpositive,
 )
@@ -26,27 +25,28 @@ from zetaroutes.zeta_exact import (
 
 class TestNonpositive:
     def test_zero(self):
-        assert zeta_nonpositive(0).value == PiValue(F(-1, 2))
+        assert zeta_nonpositive(0) == F(-1, 2)
 
     def test_minus_one(self):
-        assert zeta_nonpositive(1).value == PiValue(F(-1, 12))
+        assert zeta_nonpositive(1) == F(-1, 12)
 
     def test_minus_four_vanishes(self):
-        assert zeta_nonpositive(4).value == PiValue(F(0))
+        assert zeta_nonpositive(4) == 0
 
-    def test_route_tag(self):
-        assert zeta_nonpositive(1).route is Route.CLOSED_FORM
+    def test_returns_fraction(self):
+        # The CLI reads a record's kind off the exact payload type.
+        assert all(type(zeta_nonpositive(n)) is F for n in range(7))
 
 
 class TestResidueRoute:
     def test_minus_one(self):
-        assert zeta_neg_via_residue(1).value == PiValue(F(-1, 12))
+        assert zeta_neg_via_residue(1) == F(-1, 12)
 
     def test_zero(self):
-        assert zeta_neg_via_residue(0).value == PiValue(F(-1, 2))
+        assert zeta_neg_via_residue(0) == F(-1, 2)
 
     def test_minus_three(self):
-        assert zeta_neg_via_residue(3).value == PiValue(F(1, 120))
+        assert zeta_neg_via_residue(3) == F(1, 120)
 
 
 class TestSinGammaLimit:
@@ -62,13 +62,10 @@ class TestSinGammaLimit:
 
 class TestGeneratingFunctionRoute:
     def test_first_entries(self):
-        vals = zeta_neg_via_G(3)
-        assert vals[0].value == PiValue(F(-1, 2))
-        assert vals[1].value == PiValue(F(-1, 12))
-        assert vals[2].value == PiValue(F(0))
+        assert zeta_neg_via_G(3) == [F(-1, 2), F(-1, 12), 0]
 
-    def test_route_tag(self):
-        assert zeta_neg_via_G(1)[0].route is Route.GENERATING_FUNCTION
+    def test_returns_fraction(self):
+        assert all(type(v) is F for v in zeta_neg_via_G(7))
 
 
 class TestFiniteG:
@@ -88,8 +85,8 @@ class TestOddGenfun:
 
     def test_order_3(self):
         # z and z^3 terms: 2 zeta(-1)/1! = -1/6, 2 zeta(-3)/3! = 1/360
-        assert 2 * zeta_nonpositive(1).value.coeff == F(-1, 6)
-        assert 2 * zeta_nonpositive(3).value.coeff / 6 == F(1, 360)
+        assert 2 * zeta_nonpositive(1) == F(-1, 6)
+        assert 2 * zeta_nonpositive(3) / 6 == F(1, 360)
         assert odd_genfun_check(3) is True
 
     def test_order_4_even_part(self):
@@ -98,28 +95,34 @@ class TestOddGenfun:
 
 class TestEvenPositive:
     def test_zeta2(self):
-        assert zeta_even_positive(1).value == PiValue(F(1, 6), 2)
+        assert zeta_even_positive(1) == PiValue(F(1, 6), 2)
 
     def test_zeta4(self):
-        assert zeta_even_positive(2).value == PiValue(F(1, 90), 4)
+        assert zeta_even_positive(2) == PiValue(F(1, 90), 4)
 
     def test_zeta6(self):
-        assert zeta_even_positive(3).value == PiValue(F(1, 945), 6)
+        assert zeta_even_positive(3) == PiValue(F(1, 945), 6)
 
     def test_sign_pattern(self):
         for n in range(1, 16):
-            assert zeta_even_positive(n).value.coeff > 0
+            assert zeta_even_positive(n).coeff > 0
 
     def test_funceq_route_agrees(self):
         for n in range(1, 16):
-            assert zeta_even_via_funceq(n).value == zeta_even_positive(n).value
+            assert zeta_even_via_funceq(n) == zeta_even_positive(n)
+
+    def test_to_float_is_correctly_rounded(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            for n in range(1, 51):
+                assert zeta_even_positive(n).to_float() == float(mpmath.zeta(2 * n)), n
 
 
 class TestFunctionalEquation:
     def test_s2_both_sides(self):
         # LHS 2 cos(pi) 1! zeta(2) = -pi^2/3; RHS (2 pi)^2 zeta(-1) = -pi^2/3
-        lhs = zeta_even_positive(1).value.scale(-2)
-        rhs = PiValue(4 * zeta_nonpositive(1).value.coeff, 2)
+        lhs = zeta_even_positive(1).scale(-2)
+        rhs = PiValue(4 * zeta_nonpositive(1), 2)
         assert lhs == rhs == PiValue(F(-1, 3), 2)
         assert funceq_exact_check(2) is True
 
@@ -145,34 +148,16 @@ class TestFunctionalEquation:
 def test_four_route_agreement_through_30():
     via_g = zeta_neg_via_G(31)
     for m in range(31):
-        closed = zeta_nonpositive(m).value
-        assert zeta_neg_via_residue(m).value == closed
-        assert via_g[m].value == closed
-        assert zeta_neg_via_abel_route(m).value == closed
+        closed = zeta_nonpositive(m)
+        assert zeta_neg_via_residue(m) == closed
+        assert via_g[m] == closed
+        assert zeta_neg_via_abel(m) == closed
 
 
 def test_trivial_zeros_and_nonzeros():
     for k in range(1, 16):
-        assert zeta_nonpositive(2 * k).value.coeff == 0
-        assert zeta_nonpositive(2 * k - 1).value.coeff != 0
-
-
-class TestClassicalValueInvariants:
-    def test_pole_argument_rejected(self):
-        with pytest.raises(PoleArgument):
-            ClassicalValue(1, PiValue(F(1)), Route.CLOSED_FORM)
-
-    def test_nonpositive_must_be_rational(self):
-        with pytest.raises(ValueError):
-            ClassicalValue(-2, PiValue(F(1), 2), Route.CLOSED_FORM)
-
-    def test_even_positive_must_carry_matching_pi_power(self):
-        with pytest.raises(ValueError):
-            ClassicalValue(4, PiValue(F(1), 2), Route.CLOSED_FORM)
-
-    def test_odd_positive_rejected(self):
-        with pytest.raises(ValueError):
-            ClassicalValue(3, PiValue(F(1), 3), Route.CLOSED_FORM)
+        assert zeta_nonpositive(2 * k) == 0
+        assert zeta_nonpositive(2 * k - 1) != 0
 
 
 class TestDispatch:
@@ -189,6 +174,11 @@ class TestDispatch:
     def test_odd_positive(self):
         with pytest.raises(ValueError):
             zeta_classical(5, Route.CLOSED_FORM)
+
+    def test_value_type_by_argument(self):
+        for k in (-4, -3, 0, 4):  # -4 is a trivial zero
+            for route in routes_for_argument(k):
+                assert type(zeta_classical(k, route)) is (F if k <= 0 else PiValue)
 
     def test_inapplicable_route(self):
         with pytest.raises(ValueError):
