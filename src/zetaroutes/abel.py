@@ -4,7 +4,8 @@ Three independent routes live here:
 
 * the operator route: apply theta = x*d/dx repeatedly to 1/(1+x) and
   evaluate at x = 1 (exact, on the integer numerators over (1+x)^{m+1});
-* the closed form (-1)^m (1 - 2^{m+1}) B_{m+1} / (m+1);
+* the closed form (-1)^m (1 - 2^{m+1}) B_{m+1} / (m+1), on the integer
+  tangent-number table of the Bernoulli numbers;
 * a numeric Abel limit: partial sums at x = 1 - 2^-j, Richardson
   extrapolated in 1 - x.
 

@@ -1,14 +1,15 @@
-"""Bernoulli numbers by two exact methods, plus Faulhaber sums.
+"""Bernoulli numbers by two independent exact methods, plus Faulhaber sums.
 
 Convention: B_1 = -1/2, fixed by z/(e^z - 1) = sum B_n z^n / n!.
 
-The two methods are two codes, not two mathematics: with B_k = k! b_k, one
-step of inverting (e^z - 1)/z for the b_k is algebraically the recurrence
-step B_k = -(1/(k+1)) sum_{j<k} C(k+1, j) B_j. Their agreement checks the
-series engine and the table code, not the identity. A genuinely different
-algorithm is the integer tangent-number route of Brent and Harvey, "Fast
-computation of Bernoulli, Tangent and Secant numbers" (2011,
-arXiv:1108.0286); it is not implemented here.
+The series method inverts (e^z - 1)/z in exact rationals. The other method
+is Algorithm TangentNumbers of Brent and Harvey, "Fast computation of
+Bernoulli, Tangent and Secant numbers" (2011, arXiv:1108.0286): the tangent
+numbers T_k of tan z = sum T_k z^{2k-1}/(2k-1)! come from an in-place
+recurrence on plain integers, and B_2k = (-1)^{k-1} 2k T_k / (4^k (4^k - 1)).
+The two share no code, so their agreement checks the values themselves.
+The tangent method keeps the name ``bernoulli_via_recurrence`` and the CLI
+label ``recurrence``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 import threading
 from fractions import Fraction
 
-from .exact import CommonDenominator
 from .series import LaurentSeries, exp_series
 
 
@@ -27,48 +27,52 @@ def bernoulli_generating_series(order: int) -> LaurentSeries:
     return expm1.shifted(-1).invert()
 
 
-# One growing prefix B_0, B_1, ... per method, grown under the lock. The series
-# prefix is rebuilt at twice its length or more: O(log n) inversions in a sweep.
+def _series_table(order: int) -> list[Fraction]:
+    gen = bernoulli_generating_series(order)
+    return [math.factorial(n) * gen.coeff_or_zero(n) for n in range(order + 1)]
+
+
+def _tangent_table(order: int) -> list[Fraction]:
+    half = order // 2
+    t = [math.factorial(k) for k in range(half)]  # t[k] = T_{k+1}, from T_k = (k-1)!
+    for k in range(1, half):
+        for j in range(k, half):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    table = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (order - 1)
+    for k in range(1, half + 1):
+        four_k = 4**k
+        sign = 1 if k % 2 else -1
+        table[2 * k] = Fraction(sign * 2 * k * t[k - 1], four_k * (four_k - 1))
+    return table[: order + 1]
+
+
+# One prefix B_0, B_1, ... per method. Each is rebuilt under the lock at twice
+# its length or more, O(log n) builds in a sweep, and swapped in whole: callers
+# slice it outside the lock.
 _SERIES_PREFIX: list[Fraction] = []
-_RECURRENCE_PREFIX: list[Fraction] = [Fraction(1)]
+_TANGENT_PREFIX: list[Fraction] = []
 _LOCK = threading.Lock()
+
+
+def _read_prefix(prefix: list[Fraction], build, max_index: int) -> tuple[Fraction, ...]:
+    if max_index < 0:
+        raise ValueError("max_index must be nonnegative")
+    with _LOCK:
+        if len(prefix) <= max_index:
+            prefix[:] = build(max(max_index, 2 * len(prefix)))
+    return tuple(prefix[: max_index + 1])
 
 
 def bernoulli_via_series(max_index: int) -> tuple[Fraction, ...]:
     """B_0 .. B_max_index, with B_n = n! * [z^n] (z/(e^z - 1))."""
-    if max_index < 0:
-        raise ValueError("max_index must be nonnegative")
-    prefix = _SERIES_PREFIX
-    with _LOCK:
-        if len(prefix) <= max_index:
-            order = max(max_index, 2 * len(prefix))
-            gen = bernoulli_generating_series(order)
-            prefix[:] = [
-                math.factorial(n) * gen.coeff_or_zero(n) for n in range(order + 1)
-            ]
-    return tuple(prefix[: max_index + 1])
+    return _read_prefix(_SERIES_PREFIX, _series_table, max_index)
 
 
 def bernoulli_via_recurrence(max_index: int) -> tuple[Fraction, ...]:
-    """B_0 .. B_max_index by the second method: sum_{k=0}^{n} C(n+1, k) B_k = 0
-    with B_0 = 1."""
-    if max_index < 0:
-        raise ValueError("max_index must be nonnegative")
-    values = _RECURRENCE_PREFIX
-    with _LOCK:
-        if len(values) <= max_index:
-            # Rebuilt from the prefix on each growing call, so the prefix
-            # stays the one piece of shared state.
-            scaled = CommonDenominator(values)
-            for n in range(len(values), max_index + 1):
-                acc, c = 0, 1
-                for k, num in enumerate(scaled.numerators):
-                    acc += c * num
-                    c = c * (n + 1 - k) // (k + 1)  # C(n+1, k+1)
-                b = Fraction(-acc, scaled.denominator * (n + 1))
-                scaled.append(b)
-                values.append(b)
-    return tuple(values[: max_index + 1])
+    """B_0 .. B_max_index from Brent-Harvey's integer tangent-number
+    recurrence: T_k = (k-1)! to start, then for k = 2 .. n and j = k .. n,
+    T_j <- (j-k) T_{j-1} + (j-k+2) T_j."""
+    return _read_prefix(_TANGENT_PREFIX, _tangent_table, max_index)
 
 
 def even_part_check(order: int) -> bool:

@@ -246,6 +246,10 @@ def _parse_grid(spec: str):
         raise ValueError("grid STEPS must be positive")
     if steps > _MAX_GRID_STEPS:
         raise OutOfValidatedRange(f"grid STEPS = {steps} gives more than 10^6 points")
+    if not all(map(math.isfinite, (re0, re1, im0, im1, re1 - re0, im1 - im0))):
+        raise OutOfValidatedRange(
+            f"--grid needs finite bounds, RE1-RE0 and IM1-IM0, got {spec!r}"
+        )
     points = []
     for i in range(steps):
         fr = i / (steps - 1) if steps > 1 else 0.0

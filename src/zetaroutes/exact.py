@@ -7,31 +7,8 @@ thing as exact mathematical equality.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-class CommonDenominator:
-    """Rationals q_k kept as integers numerators[k] over one denominator.
-
-    Sums of products of such values are integer dot products that need a
-    single reduction at the end, instead of a gcd at every addition.
-    """
-
-    def __init__(self, values) -> None:
-        self.denominator = math.lcm(*(q.denominator for q in values))
-        self.numerators = [
-            q.numerator * (self.denominator // q.denominator) for q in values
-        ]
-
-    def append(self, q: Fraction) -> None:
-        """Add q, first growing the denominator to a multiple of q's."""
-        grow = q.denominator // math.gcd(self.denominator, q.denominator)
-        if grow > 1:
-            self.denominator *= grow
-            self.numerators = [num * grow for num in self.numerators]
-        self.numerators.append(q.numerator * (self.denominator // q.denominator))
-
 
 # pi to 60 significant digits. The relative error of _PI**k is about k*1e-60,
 # so one rounding of q * _PI**k gives the double nearest q*pi^k unless q*pi^k

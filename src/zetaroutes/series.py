@@ -8,12 +8,12 @@ computed.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OutOfTrustedRange, ZeroSeries
-from .exact import CommonDenominator
 
 
 @dataclass(frozen=True)
@@ -134,13 +134,17 @@ class LaurentSeries:
         """
         if self.is_zero():
             raise ZeroSeries("cannot invert the zero series")
-        a = CommonDenominator(self.coeffs).numerators
+        lcm = math.lcm(*(c.denominator for c in self.coeffs))
+        a = [c.numerator * (lcm // c.denominator) for c in self.coeffs]
         b = [1 / self.coeffs[0]]
-        scaled = CommonDenominator(b)
+        den, nums = b[0].denominator, [b[0].numerator]  # b_k = nums[k] / den
         for k in range(1, len(a)):
-            acc = sum(map(operator.mul, a[k:0:-1], scaled.numerators))
-            bk = Fraction(-acc, scaled.denominator * a[0])
-            scaled.append(bk)
+            bk = Fraction(-sum(map(operator.mul, a[k:0:-1], nums)), den * a[0])
+            grow = bk.denominator // math.gcd(den, bk.denominator)
+            if grow > 1:
+                den *= grow
+                nums = [num * grow for num in nums]
+            nums.append(bk.numerator * (den // bk.denominator))
             b.append(bk)
         val = -self.valuation
         return LaurentSeries(val, tuple(b), val + len(b) - 1)

@@ -6,17 +6,19 @@ q*pi^K. Each route value, the function behind it and the primitive it reads:
 
 route    function                    primitive
 -------  --------------------------  -----------------------------------------
-closed   zeta_nonpositive (K <= 0)   the cached series-inversion table of
-         zeta_even_positive (K >= 2) (e^z - 1)/z, bernoulli_via_series
-residue  zeta_neg_via_residue        the same inversion, uncached
+closed   zeta_nonpositive (K <= 0)   the cached integer tangent-number table,
+         zeta_even_positive (K >= 2) bernoulli_via_recurrence
+residue  zeta_neg_via_residue        the inversion of (e^z - 1)/z, uncached
 genfun   zeta_neg_via_G              the inversion of (e^{-z} - 1)/z
 abel     abel.zeta_neg_via_abel      the integer theta = x d/dx chain, checked
-                                     against the Bernoulli recurrence
-funceq   zeta_even_via_funceq        the series table, through zeta(1 - 2n)
+                                     against the tangent-number table
+funceq   zeta_even_via_funceq        the cached series-inversion table of
+                                     (e^z - 1)/z, bernoulli_via_series,
+                                     through zeta(1 - 2n)
 
-At K <= 0 the four routes read three different primitives. At K >= 2 both
-routes read one Bernoulli number from the series table, so ``--route all``
-there compares that number with itself.
+At K <= 0 the four routes read three different primitives, and at K >= 2
+the two routes read two. The exact checks of ``verify funceq`` likewise set
+the tangent table against the series table.
 """
 
 from __future__ import annotations
@@ -26,8 +28,12 @@ from enum import Enum
 from fractions import Fraction
 
 from . import abel
-from .bernoulli import bernoulli_generating_series, bernoulli_via_series
-from .errors import ArgumentNotEvenPositive, InternalInconsistency, PoleArgument
+from .bernoulli import (
+    bernoulli_generating_series,
+    bernoulli_via_recurrence,
+    bernoulli_via_series,
+)
+from .errors import ArgumentNotEvenPositive, PoleArgument
 from .exact import PiValue
 from .series import LaurentSeries, exp_series
 
@@ -47,7 +53,7 @@ def zeta_nonpositive(n: int) -> Fraction:
     """zeta(-n) = (-1)^n B_{n+1}/(n+1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    b = bernoulli_via_series(n + 1)[n + 1]
+    b = bernoulli_via_recurrence(n + 1)[n + 1]
     sign = -1 if n % 2 else 1
     return sign * b / (n + 1)
 
@@ -75,10 +81,7 @@ def zeta_neg_via_residue(n: int) -> Fraction:
     # Loop integral = 2 pi i * branch * c; it equals -2i * (pi/n!) * zeta(-n).
     # Both sides carry one power of pi and one of i, so the quotient of the
     # rational parts is zeta(-n) itself.
-    sg = sin_gamma_limit_exact(n)
-    if sg.pi_exp != 1:
-        raise InternalInconsistency(f"sin(pi x) Gamma(x) limit {sg} lacks pi^1")
-    return 2 * branch * c / (-2 * sg.coeff)
+    return 2 * branch * c / (-2 * sin_gamma_limit_exact(n).coeff)
 
 
 def zeta_neg_via_G(order: int) -> list[Fraction]:
@@ -147,17 +150,22 @@ def zeta_even_positive(n: int) -> PiValue:
     """zeta(2n) = (-1)^{n-1} (2 pi)^{2n} B_{2n} / (2 (2n)!)."""
     if n < 1:
         raise ValueError("n must be positive")
-    b = bernoulli_via_series(2 * n)[2 * n]
+    b = bernoulli_via_recurrence(2 * n)[2 * n]
     sign = 1 if (n - 1) % 2 == 0 else -1
     coeff = sign * Fraction(2) ** (2 * n) * b / (2 * math.factorial(2 * n))
     return PiValue(coeff, 2 * n)
+
+
+def _zeta_one_minus_even(n: int) -> Fraction:
+    """zeta(1 - 2n) = -B_2n / (2n), read off the series table."""
+    return -bernoulli_via_series(2 * n)[2 * n] / (2 * n)
 
 
 def zeta_even_via_funceq(n: int) -> PiValue:
     """zeta(2n) transported from zeta(1-2n) across the functional equation."""
     if n < 1:
         raise ValueError("n must be positive")
-    z_neg = zeta_nonpositive(2 * n - 1)
+    z_neg = _zeta_one_minus_even(n)
     sign = 1 if n % 2 == 0 else -1  # cos(pi n) = (-1)^n
     coeff = Fraction(2) ** (2 * n) * z_neg / (2 * sign * math.factorial(2 * n - 1))
     return PiValue(coeff, 2 * n)
@@ -167,18 +175,14 @@ def simple_funceq_check(m: int) -> bool:
     """Check 2 zeta(-2m-1)/(2m+1)! = (-1)^{m+1} zeta(2m+2) / (2^{2m} pi^{2m+2}).
 
     zeta(2m+2) carries pi^{2m+2} exactly, so the powers of pi cancel and the
-    identity is between rationals.
+    identity is between rationals. zeta(2m+2) comes from the tangent table and
+    zeta(-2m-1) from the series table.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    lhs = 2 * zeta_nonpositive(2 * m + 1) / math.factorial(2 * m + 1)
-    even = zeta_even_positive(m + 1)
-    if even.pi_exp != 2 * m + 2:
-        raise InternalInconsistency(
-            f"zeta({2 * m + 2}) = {even} does not carry pi^{2 * m + 2}"
-        )
+    lhs = 2 * _zeta_one_minus_even(m + 1) / math.factorial(2 * m + 1)
     sign = -1 if m % 2 == 0 else 1  # (-1)^{m+1}
-    rhs = sign * even.coeff / Fraction(2) ** (2 * m)
+    rhs = sign * zeta_even_positive(m + 1).coeff / Fraction(2) ** (2 * m)
     return lhs == rhs
 
 
@@ -186,14 +190,15 @@ def funceq_exact_check(s: int) -> bool:
     """Check 2 cos(pi s/2) Gamma(s) zeta(s) = (2 pi)^s zeta(1-s) at even s >= 2.
 
     cos(pi n) = (-1)^n and Gamma(2n) = (2n-1)! keep everything exact; both
-    sides are pi-monomials with exponent s.
+    sides are pi-monomials with exponent s. zeta(s) comes from the tangent
+    table and zeta(1-s) from the series table.
     """
     if s < 2 or s % 2:
         raise ArgumentNotEvenPositive(f"s = {s}: check requires even s >= 2")
     n = s // 2
     cos_sign = 1 if n % 2 == 0 else -1
     lhs = zeta_even_positive(n).scale(2 * cos_sign * math.factorial(s - 1))
-    rhs = PiValue(Fraction(2) ** s * zeta_nonpositive(s - 1), s)
+    rhs = PiValue(Fraction(2) ** s * _zeta_one_minus_even(n), s)
     return lhs == rhs
 
 

@@ -62,12 +62,27 @@ def test_methods_agree_through_200():
     assert bernoulli_via_recurrence(200) == oracle
 
 
+def test_independent_methods_agree_through_400():
+    assert bernoulli_via_series(400) == bernoulli_via_recurrence(400)
+
+
+def test_tangent_numbers():
+    # T_k of tan z = sum T_k z^{2k-1}/(2k-1)!, recovered from
+    # B_2k = (-1)^{k-1} 2k T_k / (4^k (4^k - 1)); the values are the Taylor
+    # coefficients of tan, independent of both methods.
+    table = bernoulli_via_recurrence(12)
+    tangent = [
+        (-1) ** (k - 1) * table[2 * k] * 4**k * (4**k - 1) / (2 * k) for k in range(1, 7)
+    ]
+    assert tangent == [1, 2, 16, 272, 7936, 353792]
+
+
 # Each method with the state of a table that holds nothing it computed.
 FRESH_TABLE = pytest.mark.parametrize(
     "method, prefix, fresh",
     [
         (bernoulli_via_series, "_SERIES_PREFIX", []),
-        (bernoulli_via_recurrence, "_RECURRENCE_PREFIX", [F(1)]),
+        (bernoulli_via_recurrence, "_TANGENT_PREFIX", []),
     ],
     ids=["series", "recurrence"],
 )

@@ -377,6 +377,10 @@ def test_usage_error_exit_code(capsys):
          "-299 (closed route) exceeds double precision for --as-float"),
         (("verify", "funceq", "--exact-max", "0", "--grid=0:1:0:1:1000000"),
          "grid STEPS = 1000000 gives more than 10^6 points"),
+        (("verify", "funceq", "--exact-max", "0", "--grid=inf:1:0:1:2"),
+         "--grid needs finite bounds, RE1-RE0 and IM1-IM0, got 'inf:1:0:1:2'"),
+        (("verify", "funceq", "--exact-max", "0", "--grid=-1e308:1e308:0:0:3"),
+         "--grid needs finite bounds, RE1-RE0 and IM1-IM0, got '-1e308:1e308:0:0:3'"),
     ],
 )
 def test_domain_error_exits_2(capsys, argv, reason):

@@ -2,8 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from zetaroutes import abel, bernoulli
 from zetaroutes.abel import zeta_neg_via_abel
+from zetaroutes.errors import InternalInconsistency
 from zetaroutes.exact import PiValue
+from zetaroutes.series import LaurentSeries
 from zetaroutes.zeta_exact import (
     ArgumentNotEvenPositive,
     PoleArgument,
@@ -144,6 +147,25 @@ class TestFunctionalEquation:
         for m in range(15):
             assert simple_funceq_check(m) is True
 
+    @pytest.mark.parametrize(
+        "method, prefix",
+        [
+            (bernoulli.bernoulli_via_recurrence, "_TANGENT_PREFIX"),
+            (bernoulli.bernoulli_via_series, "_SERIES_PREFIX"),
+        ],
+        ids=["tangent", "series"],
+    )
+    def test_corrupt_b4_in_either_table_fails_both_checks(
+        self, monkeypatch, method, prefix
+    ):
+        # zeta(4) and zeta(-3) both come from B_4: the checks hold only while
+        # the two tables they read agree on it.
+        table = list(method(8))
+        table[4] *= 3
+        monkeypatch.setattr(bernoulli, prefix, table)
+        assert funceq_exact_check(4) is False
+        assert simple_funceq_check(1) is False
+
 
 def test_four_route_agreement_through_30():
     via_g = zeta_neg_via_G(31)
@@ -185,3 +207,56 @@ class TestDispatch:
             zeta_classical(4, Route.ABEL_SUMMATION)
         with pytest.raises(ValueError):
             zeta_classical(-4, Route.FUNCTIONAL_EQUATION)
+
+
+# -- route -> primitive ---------------------------------------------------------
+
+
+def _tripled_past_one(values):
+    return [v * 3 if i > 1 else v for i, v in enumerate(values)]
+
+
+def _corrupt_tangent(monkeypatch):
+    table = _tripled_past_one(bernoulli.bernoulli_via_recurrence(64))
+    monkeypatch.setattr(bernoulli, "_TANGENT_PREFIX", table)
+
+
+def _corrupt_series(monkeypatch):
+    table = _tripled_past_one(bernoulli.bernoulli_via_series(64))
+    monkeypatch.setattr(bernoulli, "_SERIES_PREFIX", table)
+
+
+def _corrupt_invert(monkeypatch):
+    invert = LaurentSeries.invert
+
+    def wrong(self):
+        inv = invert(self)
+        return LaurentSeries(inv.valuation, _tripled_past_one(inv.coeffs), inv.order)
+
+    monkeypatch.setattr(LaurentSeries, "invert", wrong)
+    # an empty series table, so that it is rebuilt on the corrupt inversion
+    monkeypatch.setattr(bernoulli, "_SERIES_PREFIX", [])
+
+
+def _corrupt_theta(monkeypatch):
+    chain = [[3 * c for c in abel._theta_numerator(m)] for m in range(64)]
+    monkeypatch.setattr(abel, "_THETA_NUMERATORS", [[1]] + chain[1:])
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_corrupt_tangent, _corrupt_series, _corrupt_invert, _corrupt_theta],
+    ids=["tangent", "series", "invert", "theta"],
+)
+@pytest.mark.parametrize("k", [-5, -1, 4, 40])
+def test_no_corrupt_primitive_passes_route_all(monkeypatch, k, corrupt):
+    # Routes that --route all compares must not share a primitive: with any
+    # one of them corrupted, the routes either raise, disagree, or all stay
+    # right because none of them reads it.
+    routes = routes_for_argument(k)
+    truth = zeta_classical(k, Route.CLOSED_FORM)
+    corrupt(monkeypatch)
+    try:
+        values = [zeta_classical(k, route) for route in routes]
+    except InternalInconsistency:
+        return
+    assert len(set(values)) >= 2 or set(values) == {truth}
