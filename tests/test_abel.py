@@ -1,10 +1,11 @@
+import math
 import sys
 from fractions import Fraction as F
 from math import comb
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from zetaroutes import abel
 from zetaroutes.abel import (
@@ -127,11 +128,92 @@ class TestAbelSumExact:
             assert abel_sum_exact(m) == abel_closed_form(m)
 
 
+def term_by_term(m, j):
+    """The partial sum at x = 1 - 2^-j as a loop over every term, in the same
+    truncating 2^256 fixed point as the blocked sum."""
+    lam = -math.log1p(-(2.0**-j))
+    p = (1 << j) - 1
+    t = p << (256 - j)  # x^1
+    acc = 0
+    for k in range(1, abel._partial_sum_terms(m, lam) + 1):
+        term = k**m * t
+        acc += term if k & 1 else -term
+        t = (t * p) >> j
+    return acc / (1 << 256)
+
+
+# The parent's doubles, bit for bit; the golden `abel 8 --numeric-oracle`
+# residual is the last one.
+PINNED_ESTIMATES = [
+    0.5,
+    0.25,
+    -2.7124329017426803e-17,
+    -0.125,
+    1.7754619423656523e-16,
+    0.2500000000000002,
+    -1.1832603900172052e-15,
+    -1.0625000000000036,
+    1.0878456424951104e-14,
+]
+
+# terms K of the blocked sum: any K, and the squares and one past them,
+# where the block length isqrt(K) steps
+block_terms = st.one_of(
+    st.integers(1, 3000),
+    st.integers(1, 54).map(lambda b: b * b),
+    st.integers(1, 54).map(lambda b: b * b + 1),
+)
+
+
 class TestNumericEstimate:
     @pytest.mark.parametrize("m", range(9))
     def test_matches_exact_to_1e6(self, m):
         est = abel_numeric_estimate(m)
         assert abs(est - float(abel_sum_exact(m))) <= 1e-6
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_bits_are_pinned(self, m):
+        assert abel_numeric_estimate(m) == PINNED_ESTIMATES[m]
+
+    @pytest.mark.parametrize("j", [8, 9])
+    @pytest.mark.parametrize("m", range(9))
+    def test_blocks_match_term_by_term_loop(self, m, j):
+        assert abel._alternating_power_sum(m, j) == term_by_term(m, j)
+
+    @given(st.integers(0, 8), st.integers(1, 12), block_terms)
+    @example(8, 12, 1)
+    @example(8, 12, 2)
+    @example(8, 12, 2916)
+    @example(8, 12, 2917)
+    def test_blocked_sum_is_within_its_bound(self, m, j, terms):
+        # the exact sum is num / 2^{j K}, with x^k = p^k / 2^{j k}
+        p = (1 << j) - 1
+        num, p_k = 0, 1
+        for k in range(1, terms + 1):
+            p_k *= p
+            term = k**m * p_k << j * (terms - k)
+            num += term if k & 1 else -term
+        fixed = abel._blocked_power_sum(m, j, terms)
+        # |fixed / 2^256 - num / 2^{jK}| <= K^{m+2} 2^{j-256}
+        assert abs((fixed << j * terms) - (num << 256)) <= terms ** (m + 2) << j * (terms + 1)
+
+    def test_independent_of_the_exact_routes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the numeric oracle called an exact route")
+
+        for name in ("_theta_numerator", "bernoulli_via_recurrence", "abel_closed_form"):
+            monkeypatch.setattr(abel, name, refuse)
+        assert abel_numeric_estimate(8) == PINNED_ESTIMATES[8]
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_truncated_tail_is_below_1e14(self, m):
+        # the first omitted term lies past the peak k = m/lam of k^m x^k, so
+        # the terms fall from there on
+        for j in abel._ABEL_NODES:
+            lam = -math.log1p(-(2.0**-j))
+            k = abel._partial_sum_terms(m, lam) + 1
+            assert k > m / lam
+            assert math.exp(m * math.log(k) - k * lam) < 1e-14
 
     def test_m3_sign(self):
         assert abs(abel_numeric_estimate(3) - (-0.125)) <= 1e-6
