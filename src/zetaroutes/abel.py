@@ -50,9 +50,11 @@ def _theta_numerator(m: int) -> list[int]:
 
 def abel_closed_form(m: int) -> Fraction:
     """(-1)^m (1 - 2^{m+1}) B_{m+1} / (m+1)."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     b = bernoulli_via_recurrence(m + 1)[m + 1]
     sign = -1 if m % 2 else 1
-    return sign * (1 - Fraction(2) ** (m + 1)) * b / (m + 1)
+    return sign * (1 - 2 ** (m + 1)) * b / (m + 1)
 
 
 def abel_sum_exact(m: int) -> Fraction:
@@ -77,7 +79,7 @@ def abel_sum_exact(m: int) -> Fraction:
 
 def zeta_neg_via_abel(m: int) -> Fraction:
     """zeta(-m) = A_m / (1 - 2^{1+m})."""
-    return abel_sum_exact(m) / (1 - Fraction(2) ** (1 + m))
+    return abel_sum_exact(m) / (1 - 2 ** (1 + m))
 
 
 def operator_genfun_check(order: int = 20) -> bool:

@@ -103,5 +103,5 @@ def faulhaber_sum(m: int, n: int) -> Fraction:
     acc = Fraction(0)
     for j in range(m + 1):
         sign = -1 if j % 2 else 1
-        acc += sign * math.comb(m + 1, j) * table[j] * Fraction(n) ** (m + 1 - j)
+        acc += sign * math.comb(m + 1, j) * table[j] * n ** (m + 1 - j)
     return acc / (m + 1)

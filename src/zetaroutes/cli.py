@@ -1,7 +1,8 @@
 """Command-line front end: every route, cross-check and table.
 
-Output is a list of records rendered as plain text (default), JSON, CSV or
-Markdown. Exact values stay exact unless --as-float is passed. Exit status:
+Each subcommand handler returns its records and its exit status; ``run``
+renders the records as plain text (default), JSON, CSV or Markdown and
+prints them. Exact values stay exact unless --as-float is passed. Exit status:
 0 success and all checks passing; 1 a verification failed or an
 InternalInconsistency; 2 a usage error or a DomainError, raised by the library
 function that owns the domain (such as the pole at argument 1).
@@ -95,23 +96,15 @@ def _payload_text(record: OutputRecord) -> str:
     return repr(p)
 
 
-def records_to_dicts(records) -> list[dict]:
-    return [
-        {
-            "kind": r.kind,
-            "payload": _payload_json(r),
-            "route": r.route,
-            "argument": r.argument,
-        }
-        for r in records
-    ]
-
-
 def render(records, fmt: str = "plain") -> str:
     """Render records; JSON/CSV/Markdown are byte-stable for fixed inputs."""
     records = list(records)
     if fmt == "json":
-        return json.dumps(records_to_dicts(records), indent=2)
+        rows = [
+            {"kind": r.kind, "payload": _payload_json(r), "route": r.route, "argument": r.argument}
+            for r in records
+        ]
+        return json.dumps(rows, indent=2)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -156,43 +149,29 @@ def _floated(records) -> list[OutputRecord]:
     return out
 
 
-# -- subcommand handlers -------------------------------------------------------
+# -- subcommand handlers: each returns (records, exit status) ------------------
 
 
-def _emit(args, records) -> None:
-    if getattr(args, "as_float", False):
-        records = _floated(records)
-    print(render(records, args.format))
-
-
-def _cmd_bernoulli(args) -> int:
-    methods = {
-        "series": (("series", bernoulli_via_series),),
-        "recurrence": (("recurrence", bernoulli_via_recurrence),),
-        "both": (
-            ("series", bernoulli_via_series),
-            ("recurrence", bernoulli_via_recurrence),
-        ),
-    }[args.method]
+def _cmd_bernoulli(args):
+    tables = {"series": bernoulli_via_series, "recurrence": bernoulli_via_recurrence}
+    names = tables if args.method == "both" else (args.method,)
     records = []
-    for name, fn in methods:
-        table = fn(args.max)
+    for name in names:
+        table = tables[name](args.max)
         records.extend(
             OutputRecord(table[n], name, f"B_{n}") for n in range(args.max + 1)
         )
-    _emit(args, records)
-    return 0
+    return records, 0
 
 
-def _cmd_zeta_exact(args) -> int:
+def _cmd_zeta_exact(args):
     k = args.argument
     routes = routes_for_argument(k) if args.route == "all" else (Route(args.route),)
     records = [OutputRecord(zeta_classical(k, r), r.value, str(k)) for r in routes]
-    _emit(args, records)
-    return 0
+    return records, 0
 
 
-def _cmd_zeta_numeric(args) -> int:
+def _cmd_zeta_numeric(args):
     s = complex(args.re, args.im)
     arg = _format_complex_arg(s)
     records = []
@@ -205,8 +184,7 @@ def _cmd_zeta_numeric(args) -> int:
                 raise  # with "both", the em record stands alone
     if args.method in ("em", "both"):
         records.append(OutputRecord(zeta_em(s), "em", arg))
-    _emit(args, records)
-    return 0
+    return records, 0
 
 
 def _residual_check(residual: float, bound: float, route: str, argument: str):
@@ -216,7 +194,7 @@ def _residual_check(residual: float, bound: float, route: str, argument: str):
     return records, 0 if passed else 1
 
 
-def _cmd_abel(args) -> int:
+def _cmd_abel(args):
     exact = abel.abel_sum_exact(args.m)
     records = [OutputRecord(exact, "abel", str(args.m))]
     status = 0
@@ -224,8 +202,7 @@ def _cmd_abel(args) -> int:
         diff = abs(abel.abel_numeric_estimate(args.m) - float(exact))
         checked, status = _residual_check(diff, 1e-6, "abel-numeric", str(args.m))
         records += checked
-    _emit(args, records)
-    return status
+    return records, status
 
 
 _MAX_GRID_STEPS = 1000  # STEPS^2 <= 10^6 points, numeric's cap on the terms of a sum
@@ -265,7 +242,7 @@ def _format_complex_arg(s: complex) -> str:
     return f"{s.real!r},{s.imag!r}"
 
 
-def _cmd_verify_funceq(args) -> int:
+def _cmd_verify_funceq(args):
     if args.exact_max < 0:
         raise ValueError("--exact-max must be nonnegative")
     if not 0 <= args.grid_tol < math.inf:
@@ -285,41 +262,36 @@ def _cmd_verify_funceq(args) -> int:
         res = funceq_residual(s)
         ok &= res <= args.grid_tol
         records.append(OutputRecord(res, "funceq-residual", _format_complex_arg(s)))
-    _emit(args, records)
-    return 0 if ok else 1
+    return records, 0 if ok else 1
 
 
-def _cmd_verify_cotangent(args) -> int:
+def _cmd_verify_cotangent(args):
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--x must be a rational like 1/4, got {args.x!r}") from None
-    records, status = _residual_check(
+    return _residual_check(
         cotangent_check(x, args.terms),
         cotangent_tail_bound(x, args.terms),
         "cotangent",
         str(x),
     )
-    _emit(args, records)
-    return status
 
 
-def _cmd_verify_contour_inversion(args) -> int:
+def _cmd_verify_contour_inversion(args):
     try:
         s = complex(*map(float, args.s.split(",")))  # a third field is a TypeError
     except (ValueError, TypeError):
         raise ValueError(f"--s must be RE or RE,IM, got {args.s!r}") from None
-    records, status = _residual_check(
+    return _residual_check(
         inverted_contour_check(s, args.poles),
         inverted_contour_bound(s, args.poles),
         "contour-inversion",
         _format_complex_arg(s),
     )
-    _emit(args, records)
-    return status
 
 
-def _cmd_table_classical(args) -> int:
+def _cmd_table_classical(args):
     if args.max < 0:
         raise ValueError("--max must be nonnegative")
     closed = Route.CLOSED_FORM
@@ -327,8 +299,7 @@ def _cmd_table_classical(args) -> int:
         OutputRecord(zeta_classical(k, closed), closed.value, str(k))
         for k in (*range(-args.max, 1), *range(2, args.max + 1, 2))
     ]
-    _emit(args, records)
-    return 0
+    return records, 0
 
 
 # -- parser --------------------------------------------------------------------
@@ -438,7 +409,11 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        records, status = args.func(args)
+        if args.as_float:
+            records = _floated(records)
+        print(render(records, args.format))
+        return status
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))

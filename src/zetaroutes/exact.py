@@ -36,9 +36,6 @@ class PiValue:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "pi_exp", exp)
 
-    def scale(self, q: Fraction) -> "PiValue":
-        return PiValue(self.coeff * q, self.pi_exp)
-
     def to_float(self) -> float:
         """coeff * pi**pi_exp, formed with _PI and rounded once to a double.
 

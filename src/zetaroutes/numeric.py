@@ -81,7 +81,7 @@ def _dirichlet_cutoff(s: complex) -> int:
     N^{1-s} continuation term costs ~ N^{1-Re s} eps; balancing that against
     the first omitted Bernoulli term picks a much smaller N. At negative
     integer s the rising product vanishes, the expansion terminates, and the
-    minimum N is exact.
+    least cutoff, N = 2, is exact.
     """
     n_pos = max(_EM_FLOOR_N, math.ceil(2 * abs(s.imag)))
     sigma = s.real
@@ -92,11 +92,16 @@ def _dirichlet_cutoff(s: complex) -> int:
     for i in range(2 * j + 1):
         rising *= abs(s + i)
     tail_coeff = abs(_B2J_OVER_FACT[j]) * rising
-    if tail_coeff == 0.0:
-        return 2
     n_star = (tail_coeff * (sigma + 2 * j + 1) / _EPS) ** (1.0 / (2 * j + 2))
     n = max(2, math.ceil(n_star), math.ceil(2 * abs(s.imag)))
     return min(n_pos, n)
+
+
+def _power_sum(w: complex, n: int) -> complex:
+    """sum_{k=1..n} k^w in double precision; an overflow is left to the caller."""
+    k = np.arange(1, n + 1, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.sum(np.exp(w * np.log(k))))
 
 
 _TAIL_DROP = 35.0  # the ray's cut sits at least e^-35 below the integrand's peak
@@ -148,13 +153,7 @@ def zeta_em(s: complex) -> complex:
     n = _dirichlet_cutoff(s)
     if n > _MAX_TERMS:
         raise OutOfValidatedRange(f"s = {s} needs a Dirichlet cutoff N > 10^6")
-    if n > 1:
-        k = np.arange(1, n, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is typed below
-            partial = complex(np.sum(np.exp(-s * np.log(k))))
-    else:
-        partial = 0.0 + 0.0j
-    value = partial + n ** (1 - s) / (s - 1) + 0.5 * n ** (-s)
+    value = _power_sum(-s, n - 1) + n ** (1 - s) / (s - 1) + 0.5 * n ** (-s)
     rising = s
     npow = n ** (-s - 1)
     for j in range(1, _EM_TERMS_J + 1):
@@ -265,6 +264,19 @@ def zeta_hankel(s: complex, contour: ContourSpec | None = None) -> complex:
 # -- identity checks ----------------------------------------------------------
 
 
+def _inverted_contour_domain(s: complex, n_poles: int) -> complex:
+    """s as a complex, once s is finite with Re s <= -1/2 and 1 <= n_poles <= 10^6."""
+    s = complex(s)
+    require_finite("s", s)
+    if s.real > -0.5:
+        raise DomainError("inverted contour requires Re(s) <= -0.5")
+    if n_poles < 1:
+        raise DomainError("n_poles must be positive")
+    if n_poles > _MAX_TERMS:
+        raise OutOfValidatedRange(f"n_poles = {n_poles} exceeds 10^6")
+    return s
+
+
 @finite_or_out_of_range
 def inverted_contour_check(s: complex, n_poles: int) -> float:
     """Inside-out contour: residues at 2 pi i n versus the loop value.
@@ -274,16 +286,8 @@ def inverted_contour_check(s: complex, n_poles: int) -> float:
     -2i sin(pi s) Gamma(s) zeta(s) with zeta from the Euler-Maclaurin route.
     Returns the absolute difference; n_poles is validated in 1..10^6.
     """
-    s = complex(s)
-    if s.real > -0.5:
-        raise DomainError("inverted contour requires Re(s) <= -0.5")
-    if n_poles < 1:
-        raise DomainError("n_poles must be positive")
-    if n_poles > _MAX_TERMS:
-        raise OutOfValidatedRange(f"n_poles = {n_poles} exceeds 10^6")
-    n = np.arange(1, n_poles + 1, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is typed below
-        partial = complex(np.sum(np.exp((s - 1) * np.log(n))))
+    s = _inverted_contour_domain(s, n_poles)
+    partial = _power_sum(s - 1, n_poles)
     rhs = -1j * (2 * math.pi) ** s * 2 * cmath.sin(math.pi * s / 2) * partial
     lhs = -2j * cmath.sin(math.pi * s) * gamma_complex(s) * zeta_em(s)
     return abs(lhs - rhs)
@@ -294,9 +298,9 @@ def inverted_contour_bound(s: complex, n_poles: int) -> float:
 
     |sum_{n>N} n^{s-1}| <= N^{Re s}/|Re s|, scaled by |(2 pi)^s 2 sin(pi s/2)|
     (the scale matters off the real axis, where sin(pi s/2) grows like
-    exp(pi |Im s| / 2)).
+    exp(pi |Im s| / 2)). The domain is inverted_contour_check's.
     """
-    s = complex(s)
+    s = _inverted_contour_domain(s, n_poles)
     prefactor = abs((2 * math.pi) ** s * 2 * cmath.sin(math.pi * s / 2))
     tail = n_poles**s.real / abs(s.real)
     return max(1e-8, prefactor * tail)
@@ -320,12 +324,8 @@ def funceq_residual(s: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
-def cotangent_check(x, n_terms: int) -> float:
-    """|pi cot(pi x) - (1/x + sum_{n<=N} (1/(x+n) + 1/(x-n)))| for rational x.
-
-    The paired terms are 2x/(x^2 - n^2); the truncation error obeys
-    cotangent_tail_bound. n_terms is validated in 1..10^6.
-    """
+def _cotangent_domain(x, n_terms: int) -> Fraction:
+    """x as a Fraction, once 0 < x < 1 and 1 <= n_terms <= 10^6."""
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError("x must be a rational strictly between 0 and 1")
@@ -333,13 +333,22 @@ def cotangent_check(x, n_terms: int) -> float:
         raise ValueError("n_terms must be positive")
     if n_terms > _MAX_TERMS:
         raise OutOfValidatedRange(f"n_terms = {n_terms} exceeds 10^6")
-    xf = float(x)
+    return x
+
+
+def cotangent_check(x, n_terms: int) -> float:
+    """|pi cot(pi x) - (1/x + sum_{n<=N} (1/(x+n) + 1/(x-n)))| for rational x.
+
+    The paired terms are 2x/(x^2 - n^2); the truncation error obeys
+    cotangent_tail_bound. n_terms is validated in 1..10^6.
+    """
+    xf = float(_cotangent_domain(x, n_terms))
     n = np.arange(1.0, n_terms + 1)
     series = 1.0 / xf + float(np.sum(2.0 * xf / (xf * xf - n * n)))
     return abs(math.pi / math.tan(math.pi * xf) - series)
 
 
 def cotangent_tail_bound(x, n_terms: int) -> float:
-    """2x/(N - x) + 1e-12, from integral comparison on the paired terms."""
-    xf = float(Fraction(x))
+    """2x/(N - x) + 1e-12, by integral comparison, on cotangent_check's domain."""
+    xf = float(_cotangent_domain(x, n_terms))
     return 2.0 * xf / (n_terms - xf) + 1e-12

@@ -17,8 +17,9 @@ funceq   zeta_even_via_funceq        the cached series-inversion table of
                                      through zeta(1 - 2n)
 
 At K <= 0 the four routes read three different primitives, and at K >= 2
-the two routes read two. The exact checks of ``verify funceq`` likewise set
-the tangent table against the series table.
+the two routes read two. The exact checks of ``verify funceq`` restate the
+funceq transport up to a nonzero exact factor, so both compare zeta(2n) on
+the tangent table with zeta_even_via_funceq's value from the series table.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def finite_G_check(n: int, max_m: int) -> bool:
     den = exp_series(-1, work) - LaurentSeries.constant(1, work)
     gen = num * den.invert()
     for m in range(max_m + 1):
-        brute = sum(Fraction(k) ** m for k in range(1, n + 1))
+        brute = sum(k**m for k in range(1, n + 1))
         if gen.coeff_or_zero(m) * math.factorial(m) != brute:
             return False
     return True
@@ -152,54 +153,43 @@ def zeta_even_positive(n: int) -> PiValue:
         raise ValueError("n must be positive")
     b = bernoulli_via_recurrence(2 * n)[2 * n]
     sign = 1 if (n - 1) % 2 == 0 else -1
-    coeff = sign * Fraction(2) ** (2 * n) * b / (2 * math.factorial(2 * n))
+    coeff = sign * 2 ** (2 * n) * b / (2 * math.factorial(2 * n))
     return PiValue(coeff, 2 * n)
 
 
-def _zeta_one_minus_even(n: int) -> Fraction:
-    """zeta(1 - 2n) = -B_2n / (2n), read off the series table."""
-    return -bernoulli_via_series(2 * n)[2 * n] / (2 * n)
-
-
 def zeta_even_via_funceq(n: int) -> PiValue:
-    """zeta(2n) transported from zeta(1-2n) across the functional equation."""
+    """zeta(2n) transported from zeta(1-2n) = -B_2n/(2n), read off the series
+    table, across 2 cos(pi n) Gamma(2n) zeta(2n) = (2 pi)^{2n} zeta(1-2n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    z_neg = _zeta_one_minus_even(n)
+    z_neg = -bernoulli_via_series(2 * n)[2 * n] / (2 * n)
     sign = 1 if n % 2 == 0 else -1  # cos(pi n) = (-1)^n
-    coeff = Fraction(2) ** (2 * n) * z_neg / (2 * sign * math.factorial(2 * n - 1))
+    coeff = 2 ** (2 * n) * z_neg / (2 * sign * math.factorial(2 * n - 1))
     return PiValue(coeff, 2 * n)
 
 
 def simple_funceq_check(m: int) -> bool:
     """Check 2 zeta(-2m-1)/(2m+1)! = (-1)^{m+1} zeta(2m+2) / (2^{2m} pi^{2m+2}).
 
-    zeta(2m+2) carries pi^{2m+2} exactly, so the powers of pi cancel and the
-    identity is between rationals. zeta(2m+2) comes from the tangent table and
-    zeta(-2m-1) from the series table.
+    Both sides times (-1)^{m+1} 2^{2m} pi^{2m+2} give zeta_even_via_funceq's
+    transport at n = m+1, so the check compares zeta(2m+2) on the tangent
+    table with that transport from zeta(-2m-1) on the series table.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    lhs = 2 * _zeta_one_minus_even(m + 1) / math.factorial(2 * m + 1)
-    sign = -1 if m % 2 == 0 else 1  # (-1)^{m+1}
-    rhs = sign * zeta_even_positive(m + 1).coeff / Fraction(2) ** (2 * m)
-    return lhs == rhs
+    return zeta_even_positive(m + 1) == zeta_even_via_funceq(m + 1)
 
 
 def funceq_exact_check(s: int) -> bool:
     """Check 2 cos(pi s/2) Gamma(s) zeta(s) = (2 pi)^s zeta(1-s) at even s >= 2.
 
-    cos(pi n) = (-1)^n and Gamma(2n) = (2n-1)! keep everything exact; both
-    sides are pi-monomials with exponent s. zeta(s) comes from the tangent
-    table and zeta(1-s) from the series table.
+    cos(pi n) = (-1)^n and Gamma(2n) = (2n-1)! keep it exact: both sides over
+    2 (-1)^n (2n-1)! give zeta_even_via_funceq's transport at n = s/2, so the
+    check compares zeta(s) on the tangent table with that transport.
     """
     if s < 2 or s % 2:
         raise ArgumentNotEvenPositive(f"s = {s}: check requires even s >= 2")
-    n = s // 2
-    cos_sign = 1 if n % 2 == 0 else -1
-    lhs = zeta_even_positive(n).scale(2 * cos_sign * math.factorial(s - 1))
-    rhs = PiValue(Fraction(2) ** s * _zeta_one_minus_even(n), s)
-    return lhs == rhs
+    return zeta_even_positive(s // 2) == zeta_even_via_funceq(s // 2)
 
 
 # -- route dispatch (CLI-facing) ----------------------------------------------

@@ -127,6 +127,12 @@ class TestAbelSumExact:
         for m in range(31):
             assert abel_sum_exact(m) == abel_closed_form(m)
 
+    @pytest.mark.parametrize("fn", [abel_sum_exact, abel_closed_form])
+    @pytest.mark.parametrize("m", [-1, -2])
+    def test_negative_m_rejected(self, fn, m):
+        with pytest.raises(ValueError, match="^m must be nonnegative$"):
+            fn(m)
+
 
 def term_by_term(m, j):
     """The partial sum at x = 1 - 2^-j as a loop over every term, in the same

@@ -21,20 +21,10 @@ def zeta2_numeric_oracle():
 
 
 class TestPiValue:
-    # scale is PiValue's one product: by a rational, at a fixed power of pi.
-    def test_mul_identity(self):
-        assert PiValue(F(1, 6), 2).scale(F(1)) == PiValue(F(1, 6), 2)
-
-    def test_mul_componentwise(self):
-        assert PiValue(F(1, 6), 2).scale(F(1, 6)) == PiValue(F(1, 36), 2)
-        assert PiValue(F(-1, 2), 1).scale(F(4)) == PiValue(F(-2), 1)
-
     # Zero and pi^0 values are rationals, so they are Fractions, never PiValues.
     def test_zero_coeff_rejected(self):
         with pytest.raises(ValueError):
             PiValue(F(0), 2)
-        with pytest.raises(ValueError):
-            PiValue(F(1, 6), 2).scale(F(0))
 
     def test_pi_exp_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -52,15 +42,6 @@ class TestPiValue:
     def test_pi_squared_against_library_pi(self):
         value = PiValue(F(1), 2).to_float()
         assert abs(value - math.pi**2) <= 1e-14 * math.pi**2
-
-    @given(nonzero_rationals, nonzero_rationals, st.integers(1, 6))
-    def test_mul_commutative(self, a, b, p):
-        assert PiValue(a, p).scale(b) == PiValue(b, p).scale(a)
-
-    @given(nonzero_rationals, nonzero_rationals, nonzero_rationals, st.integers(1, 4))
-    def test_mul_associative(self, a, b, c, p):
-        x = PiValue(a, p)
-        assert x.scale(b).scale(c) == x.scale(b * c)
 
 
 class TestFieldAxioms:

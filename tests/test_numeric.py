@@ -9,6 +9,7 @@ from zetaroutes import numeric as numeric_module
 from zetaroutes.gammafn import gamma_complex
 from zetaroutes.numeric import (
     ContourSpec,
+    DomainError,
     NearPole,
     OutOfValidatedRange,
     QuadratureNotConverged,
@@ -74,6 +75,23 @@ class TestZetaEm:
         # conjugate symmetry: zeta(conj s) = conj zeta(s)
         s = 0.5 + 14.134725j
         assert abs(zeta_em(s) - zeta_em(s.conjugate()).conjugate()) <= 1e-12
+
+    # Exact doubles at points the golden CLI set lacks: the N = 2 cutoff at
+    # negative integers, cancellation on the left, and the cutoff grown with
+    # Re s and with Im s.
+    @pytest.mark.parametrize(
+        "s, pinned",
+        [
+            (-3, "(0.008333333333333333+0j)"),
+            (-26, "(4.7171488404273987e-07+0j)"),
+            (-10.5, "(0.011146122571498598+0j)"),
+            (-4.01 + 34.02j, "(-1903.9750902774806+808.2601622112677j)"),
+            (30 + 5j, "(0.9999999991171805+2.966266802595231e-10j)"),
+            (0.5 + 1e4j, "(-0.33937380262188-0.03709150597970519j)"),
+        ],
+    )
+    def test_bits_are_pinned(self, s, pinned):
+        assert repr(zeta_em(s)) == pinned
 
 
 class TestHankelIntegrand:
@@ -233,6 +251,30 @@ class TestInvertedContour:
     def test_precondition(self):
         with pytest.raises(ValueError):
             inverted_contour_check(-0.2, 100)
+
+    def test_bits_are_pinned(self):
+        assert repr(inverted_contour_check(-2.5 + 1j, 1000)) == "5.707083430932033e-10"
+
+
+# Each bound refuses what its check refuses, with the same exception class.
+@pytest.mark.parametrize(
+    "check, bound, args, exc",
+    [
+        (inverted_contour_check, inverted_contour_bound, (-2.5, 0), DomainError),
+        (inverted_contour_check, inverted_contour_bound, (-2.5, -3), DomainError),
+        (inverted_contour_check, inverted_contour_bound, (0.5, 10), DomainError),
+        (inverted_contour_check, inverted_contour_bound, (-2.5, 10**6 + 1), OutOfValidatedRange),
+        (cotangent_check, cotangent_tail_bound, (0.25, 0), ValueError),
+        (cotangent_check, cotangent_tail_bound, (5, 10), ValueError),
+        (cotangent_check, cotangent_tail_bound, (F(1, 4), 10**6 + 1), OutOfValidatedRange),
+    ],
+)
+def test_bound_validates_its_check_domain(check, bound, args, exc):
+    with pytest.raises(exc) as from_check:
+        check(*args)
+    with pytest.raises(exc) as from_bound:
+        bound(*args)
+    assert type(from_bound.value) is type(from_check.value)
 
 
 class TestFuncEqResidual:

@@ -124,7 +124,7 @@ class TestEvenPositive:
 class TestFunctionalEquation:
     def test_s2_both_sides(self):
         # LHS 2 cos(pi) 1! zeta(2) = -pi^2/3; RHS (2 pi)^2 zeta(-1) = -pi^2/3
-        lhs = zeta_even_positive(1).scale(-2)
+        lhs = PiValue(-2 * zeta_even_positive(1).coeff, 2)
         rhs = PiValue(4 * zeta_nonpositive(1), 2)
         assert lhs == rhs == PiValue(F(-1, 3), 2)
         assert funceq_exact_check(2) is True
@@ -165,6 +165,21 @@ class TestFunctionalEquation:
         monkeypatch.setattr(bernoulli, prefix, table)
         assert funceq_exact_check(4) is False
         assert simple_funceq_check(1) is False
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        abel.abel_closed_form,
+        zeta_neg_via_abel,
+        lambda n: zeta_even_positive(n).coeff,
+        lambda n: zeta_even_via_funceq(n).coeff,
+        lambda n: bernoulli.faulhaber_sum(n, 7),
+    ],
+    ids=["abel_closed_form", "zeta_neg_via_abel", "zeta_even_positive", "zeta_even_via_funceq", "faulhaber_sum"],
+)
+def test_integer_powers_keep_fraction_results(value):
+    assert all(type(value(n)) is F for n in range(1, 8))
 
 
 def test_four_route_agreement_through_30():
