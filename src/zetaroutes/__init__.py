@@ -33,7 +33,6 @@ from .zeta_exact import (
     finite_G_check,
     funceq_exact_check,
     odd_genfun_check,
-    simple_funceq_check,
     sin_gamma_limit_exact,
     zeta_classical,
     zeta_even_positive,
@@ -84,7 +83,6 @@ __all__ = [
     "sin_gamma_limit_exact",
     "finite_G_check",
     "odd_genfun_check",
-    "simple_funceq_check",
     "funceq_exact_check",
     "ArgumentNotEvenPositive",
     "PoleArgument",

@@ -95,7 +95,7 @@ def operator_genfun_check(order: int = 20) -> bool:
     rhs = (LaurentSeries.constant(1, order) + exp_series(1, order)).invert().shifted(1)
     for m in range(order):
         lhs_coeff = Fraction(sum(_theta_numerator(m)), 2 ** (m + 1) * math.factorial(m))
-        if lhs_coeff != rhs.coeff_or_zero(m + 1):
+        if lhs_coeff != rhs.coeff(m + 1):
             return False
     return True
 

@@ -29,7 +29,7 @@ def bernoulli_generating_series(order: int) -> LaurentSeries:
 
 def _series_table(order: int) -> list[Fraction]:
     gen = bernoulli_generating_series(order)
-    return [math.factorial(n) * gen.coeff_or_zero(n) for n in range(order + 1)]
+    return [math.factorial(n) * gen.coeff(n) for n in range(order + 1)]
 
 
 def _tangent_table(order: int) -> list[Fraction]:
@@ -86,7 +86,7 @@ def even_part_check(order: int) -> bool:
     even = bernoulli_generating_series(order) + LaurentSeries.monomial(
         Fraction(1, 2), 1, order
     )
-    return all(even.coeff_or_zero(m) == 0 for m in range(1, order + 1, 2))
+    return all(even.coeff(m) == 0 for m in range(1, order + 1, 2))
 
 
 def faulhaber_sum(m: int, n: int) -> Fraction:

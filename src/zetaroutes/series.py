@@ -47,10 +47,8 @@ class LaurentSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def monomial(cls, coeff, power: int, order: int | None = None) -> "LaurentSeries":
-        """c * z^power, trusted through `order` (default: exactly the monomial)."""
-        if order is None:
-            order = power
+    def monomial(cls, coeff, power: int, order: int) -> "LaurentSeries":
+        """c * z^power, trusted through `order`."""
         if order < power:
             raise ValueError("monomial order must be >= its power")
         coeffs = (Fraction(coeff),) + (Fraction(0),) * (order - power)
@@ -66,18 +64,12 @@ class LaurentSeries:
         return all(c == 0 for c in self.coeffs)
 
     def coeff(self, m: int) -> Fraction:
-        """Coefficient of z^m; error outside the trusted window."""
-        if m < self.valuation or m > self.order:
-            raise OutOfTrustedRange(
-                f"z^{m} outside trusted range [{self.valuation}, {self.order}]"
-            )
-        return self.coeffs[m - self.valuation]
-
-    def coeff_or_zero(self, m: int) -> Fraction:
-        """Like coeff(), but exponents below the valuation are known zeros."""
+        """Coefficient of z^m: zero below the valuation, an error past the order."""
+        if m > self.order:
+            raise OutOfTrustedRange(f"z^{m} beyond the trusted order {self.order}")
         if m < self.valuation:
             return Fraction(0)
-        return self.coeff(m)
+        return self.coeffs[m - self.valuation]
 
     # -- arithmetic --------------------------------------------------------
 

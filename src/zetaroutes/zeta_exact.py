@@ -17,9 +17,11 @@ funceq   zeta_even_via_funceq        the cached series-inversion table of
                                      through zeta(1 - 2n)
 
 At K <= 0 the four routes read three different primitives, and at K >= 2
-the two routes read two. The exact checks of ``verify funceq`` restate the
-funceq transport up to a nonzero exact factor, so both compare zeta(2n) on
-the tangent table with zeta_even_via_funceq's value from the series table.
+the two routes read two. funceq_exact_check restates the funceq transport up
+to a nonzero exact factor: it compares zeta(2n) on the tangent table with
+zeta_even_via_funceq's value from the series table. ``verify funceq`` reports
+each comparison twice, as the functional equation at s = 2n and as Euler's
+odd-argument form at m = n - 1.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def zeta_neg_via_residue(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    c = bernoulli_generating_series(n + 1).coeff_or_zero(n + 1)
+    c = bernoulli_generating_series(n + 1).coeff(n + 1)
     branch = -1 if (n - 1) % 2 else 1  # (-1)^{n-1}
     # Loop integral = 2 pi i * branch * c; it equals -2i * (pi/n!) * zeta(-n).
     # Both sides carry one power of pi and one of i, so the quotient of the
@@ -94,9 +96,9 @@ def zeta_neg_via_G(order: int) -> list[Fraction]:
         raise ValueError("order must be >= 1")
     work = order + 2
     em1 = exp_series(-1, work) - LaurentSeries.constant(1, work)
-    gen = em1.shifted(-1).invert().shifted(-1)  # 1/(e^{-z} - 1), valuation -1
+    gen = em1.invert()  # 1/(e^{-z} - 1), valuation -1
     gen = gen + LaurentSeries.monomial(1, -1, gen.order)
-    return [math.factorial(m) * gen.coeff_or_zero(m) for m in range(order)]
+    return [math.factorial(m) * gen.coeff(m) for m in range(order)]
 
 
 # -- generating-function identities -------------------------------------------
@@ -115,7 +117,7 @@ def finite_G_check(n: int, max_m: int) -> bool:
     gen = num * den.invert()
     for m in range(max_m + 1):
         brute = sum(k**m for k in range(1, n + 1))
-        if gen.coeff_or_zero(m) * math.factorial(m) != brute:
+        if gen.coeff(m) * math.factorial(m) != brute:
             return False
     return True
 
@@ -133,7 +135,7 @@ def odd_genfun_check(order: int) -> bool:
     den = exp_series(-1, work) - LaurentSeries.constant(1, work)
     gen = num * den.invert() + LaurentSeries.monomial(2, -1, work - 2)
     for m in range(0, order + 1):
-        c = gen.coeff_or_zero(m)
+        c = gen.coeff(m)
         if m % 2 == 0:
             if c != 0:
                 return False
@@ -168,24 +170,15 @@ def zeta_even_via_funceq(n: int) -> PiValue:
     return PiValue(coeff, 2 * n)
 
 
-def simple_funceq_check(m: int) -> bool:
-    """Check 2 zeta(-2m-1)/(2m+1)! = (-1)^{m+1} zeta(2m+2) / (2^{2m} pi^{2m+2}).
-
-    Both sides times (-1)^{m+1} 2^{2m} pi^{2m+2} give zeta_even_via_funceq's
-    transport at n = m+1, so the check compares zeta(2m+2) on the tangent
-    table with that transport from zeta(-2m-1) on the series table.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return zeta_even_positive(m + 1) == zeta_even_via_funceq(m + 1)
-
-
 def funceq_exact_check(s: int) -> bool:
     """Check 2 cos(pi s/2) Gamma(s) zeta(s) = (2 pi)^s zeta(1-s) at even s >= 2.
 
     cos(pi n) = (-1)^n and Gamma(2n) = (2n-1)! keep it exact: both sides over
     2 (-1)^n (2n-1)! give zeta_even_via_funceq's transport at n = s/2, so the
-    check compares zeta(s) on the tangent table with that transport.
+    check compares zeta(s) on the tangent table with that transport. Euler's
+    odd-argument form 2 zeta(-2m-1)/(2m+1)! = (-1)^{m+1} zeta(2m+2)/(2^{2m}
+    pi^{2m+2}) differs from it at s = 2m+2 only by a nonzero exact factor, so
+    it is the same comparison.
     """
     if s < 2 or s % 2:
         raise ArgumentNotEvenPositive(f"s = {s}: check requires even s >= 2")

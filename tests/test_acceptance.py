@@ -32,7 +32,6 @@ from zetaroutes.zeta_exact import (
     finite_G_check,
     funceq_exact_check,
     odd_genfun_check,
-    simple_funceq_check,
     zeta_even_positive,
     zeta_neg_via_G,
     zeta_neg_via_residue,
@@ -87,9 +86,7 @@ def test_criterion_04_closed_form_even_values():
 def test_criterion_05_exact_functional_equation():
     for n in range(1, 16):
         assert funceq_exact_check(2 * n) is True
-    for m in range(15):
-        assert simple_funceq_check(m) is True
-    _report(5, "funceq exact at s = 2..30 and simple form for m = 0..14 (exact)")
+    _report(5, "funceq exact at s = 2..30, which is Euler's odd form at m = 0..14 (exact)")
 
 
 def test_criterion_06_generating_function_identities():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import zetaroutes
-from zetaroutes import abel
+from zetaroutes import abel, zeta_exact
 from zetaroutes.cli import OutputRecord, render, run
 from zetaroutes.exact import PiValue
 from zetaroutes.numeric import zeta_em
@@ -205,6 +206,29 @@ class TestVerify:
         assert kinds == {"boolean_check", "residual"}
         assert all(d["payload"] is True for d in data if d["kind"] == "boolean_check")
         assert all(d["payload"] <= 1e-9 for d in data if d["kind"] == "residual")
+
+    @pytest.mark.parametrize("n", [0, 1, 15])
+    def test_funceq_simple_restates_exact(self, capsys, n):
+        # Euler's odd-argument form at m is the functional equation at 2m + 2.
+        code, out, _ = invoke(capsys, "verify", "funceq", "--exact-max", str(n), "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        exact, simple = data[:n], data[n:]
+        assert [(d["route"], d["argument"]) for d in exact + simple] == [
+            *(("funceq-exact", str(2 * m + 2)) for m in range(n)),
+            *(("funceq-simple", str(m)) for m in range(n)),
+        ]
+        assert [d["payload"] for d in simple] == [d["payload"] for d in exact]
+
+    def test_funceq_compares_each_pair_once(self, capsys, monkeypatch):
+        calls = Counter()
+        for name in ("zeta_even_positive", "zeta_even_via_funceq"):
+            fn = getattr(zeta_exact, name)
+            monkeypatch.setattr(
+                zeta_exact, name, lambda n, fn=fn, name=name: calls.update([name]) or fn(n)
+            )
+        assert invoke(capsys, "verify", "funceq", "--exact-max", "50")[0] == 0
+        assert calls == {"zeta_even_positive": 50, "zeta_even_via_funceq": 50}
 
     def test_funceq_bad_grid_is_usage_error(self, capsys):
         for grid in ("1:2:3", "1:2:3:4:0"):

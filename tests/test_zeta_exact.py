@@ -1,8 +1,9 @@
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from zetaroutes import abel, bernoulli
+from zetaroutes import abel, bernoulli, cli
 from zetaroutes.abel import zeta_neg_via_abel
 from zetaroutes.errors import InternalInconsistency
 from zetaroutes.exact import PiValue
@@ -15,7 +16,6 @@ from zetaroutes.zeta_exact import (
     funceq_exact_check,
     odd_genfun_check,
     routes_for_argument,
-    simple_funceq_check,
     sin_gamma_limit_exact,
     zeta_classical,
     zeta_even_positive,
@@ -140,13 +140,6 @@ class TestFunctionalEquation:
         for n in range(1, 16):
             assert funceq_exact_check(2 * n) is True
 
-    def test_simple_version(self):
-        assert simple_funceq_check(0) is True
-        assert simple_funceq_check(1) is True
-        assert simple_funceq_check(10) is True
-        for m in range(15):
-            assert simple_funceq_check(m) is True
-
     @pytest.mark.parametrize(
         "method, prefix",
         [
@@ -156,15 +149,24 @@ class TestFunctionalEquation:
         ids=["tangent", "series"],
     )
     def test_corrupt_b4_in_either_table_fails_both_checks(
-        self, monkeypatch, method, prefix
+        self, monkeypatch, capsys, method, prefix
     ):
         # zeta(4) and zeta(-3) both come from B_4: the checks hold only while
-        # the two tables they read agree on it.
+        # the two tables they read agree on it. ``verify funceq`` reports the
+        # comparison as funceq-exact 4 and again as funceq-simple 1.
         table = list(method(8))
         table[4] *= 3
         monkeypatch.setattr(bernoulli, prefix, table)
         assert funceq_exact_check(4) is False
-        assert simple_funceq_check(1) is False
+        assert cli.run(["verify", "funceq", "--exact-max", "2", "--format", "json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        passed = {(d["route"], d["argument"]): d["payload"] for d in data}
+        assert passed == {
+            ("funceq-exact", "2"): True,
+            ("funceq-exact", "4"): False,
+            ("funceq-simple", "0"): True,
+            ("funceq-simple", "1"): False,
+        }
 
 
 @pytest.mark.parametrize(
