@@ -3,11 +3,11 @@
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR \\
         --pairs table_sweep=10 cold_cli=5 numeric_grid=5 --seconds 40 \\
-        --out BENCH_6.json
+        [--seed N] --out BENCH_6.json
 
 Each checkout is a git clone of the commit to measure. For every workload,
-pair i runs `python3 perfbench/run.py --workload W --seconds S` in both
-checkouts, the parent first in even pairs and the change first in odd ones,
+pair i runs `python3 perfbench/run.py --workload W --seed N --seconds S` in
+both checkouts, the parent first in even pairs and the change first in odd ones,
 one run at a time. The record keeps each run's last two stdout lines
 unedited: the result under the side's name and, under `<side>_info`, the info
 line before it, which holds the run's `host_factor`. It also keeps both
@@ -30,10 +30,11 @@ def commit(checkout: Path) -> str:
     ).stdout.strip()
 
 
-def run_once(checkout: Path, workload: str, seconds: float) -> tuple[str, str]:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[str, str]:
     """The run's info line and its result line."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds)],
+        [sys.executable, "perfbench/run.py", "--workload", workload]
+        + ["--seed", str(seed), "--seconds", str(seconds)],
         cwd=checkout,
         capture_output=True,
         text=True,
@@ -71,13 +72,16 @@ def main() -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
     parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {
         "commits": {side: commit(path) for side, path in checkouts.items()},
-        "command": f"python3 perfbench/run.py --workload <w> --seconds {args.seconds:g}",
+        "command": (
+            f"python3 perfbench/run.py --workload <w> --seed {args.seed} --seconds {args.seconds:g}"
+        ),
         "workloads": {},
     }
     for item in args.pairs:
@@ -87,7 +91,7 @@ def main() -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"first": order[0]}
             for side in order:
-                info, pair[side] = run_once(checkouts[side], workload, args.seconds)
+                info, pair[side] = run_once(checkouts[side], workload, args.seed, args.seconds)
                 pair[f"{side}_info"] = info
             pairs.append(pair)
             record["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}

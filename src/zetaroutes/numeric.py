@@ -24,6 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -179,9 +180,29 @@ _TOL = 1e-12  # two successive levels agreeing to this much is convergence
 _FLOOR_FACTOR = 100.0
 
 
-def _integrand(x, s: complex):
-    """(-x)^{s-1}/(e^x - 1), elementwise; the one copy of the expression."""
-    return np.exp((s - 1) * np.log(-x)) / (np.exp(x) - 1.0)
+def _s_free_factors(x):
+    """log(-x) and e^x - 1 at the nodes x: the factors that do not depend on s."""
+    return np.log(-x), np.exp(x) - 1.0
+
+
+def _integrand(s: complex, ray, arc):
+    """(-x)^{s-1}/(e^x - 1) = exp((s-1) log(-x))/(e^x - 1) at the nodes in
+    contour order (upper ray, arc, lower ray) from the ``_s_free_factors`` of
+    the upper ray and the arc; the lower ray's are the conjugates of the
+    upper ray's. The one copy of the expression.
+    """
+    (log_ray, expm1_ray), (log_arc, expm1_arc) = ray, arc
+    # s - 1 multiplies the concatenation while no name holds it: numpy then
+    # multiplies an array of 256 KiB or more in place, array first, and the
+    # terms keep their bits only if every level rounds that product so.
+    f = np.exp((s - 1) * np.concatenate([log_ray, log_arc, np.conj(log_ray)]))
+    # Dividing segment by segment gives the same quotients without a
+    # full-length copy of e^x - 1.
+    n, m = len(log_ray), len(log_arc)
+    f[:n] /= expm1_ray
+    f[n : n + m] /= expm1_arc
+    f[n + m :] /= np.conj(expm1_ray)
+    return f
 
 
 def _panel_nodes(a: float, b: float, panels: int):
@@ -194,23 +215,46 @@ def _panel_nodes(a: float, b: float, panels: int):
     return t, w
 
 
-def _contour_nodes(spec: ContourSpec, panels_ray: int):
-    """All quadrature nodes x and complex weights w with I = sum w f(x)."""
-    t, wt = _panel_nodes(0.0, spec.x_max, panels_ray)
-    theta, wth = _panel_nodes(0.5 * math.pi, 1.5 * math.pi, panels_ray // 2)
-    r = spec.radius
-    arc = r * np.exp(1j * theta)
-    nodes = np.concatenate([t + 1j * r, arc, t - 1j * r])
-    weights = np.concatenate([-wt, 1j * arc * wth, wt])
-    return nodes, weights
+def _upper_ray(spec: ContourSpec, panels: int):
+    """Nodes t + i r, 0 < t < x_max, and the real weights of the ray; the
+    rule runs it inward, and the lower ray is its conjugate run outward."""
+    t, wt = _panel_nodes(0.0, spec.x_max, panels)
+    return t + 1j * spec.radius, wt
+
+
+def _arc_nodes(radius: float, panels: int):
+    """Nodes and complex weights on the arc from i r counterclockwise to -i r."""
+    theta, wth = _panel_nodes(0.5 * math.pi, 1.5 * math.pi, panels)
+    x = radius * np.exp(1j * theta)
+    return x, 1j * x * wth
+
+
+# One contour's levels (about 0.8 MB at one radius): every s reuses them.
+@lru_cache(maxsize=_REFINEMENTS + 1)
+def _arc(radius: float, panels: int):
+    """The arc's weights and ``_s_free_factors``, read-only."""
+    x, w = _arc_nodes(radius, panels)
+    factors = _s_free_factors(x)
+    for a in (w, *factors):
+        a.flags.writeable = False
+    return w, factors
 
 
 def _weighted_terms(s: complex, spec: ContourSpec, panels_ray: int):
-    """The terms w f(x) of the rule with `panels_ray` panels per ray."""
-    x, w = _contour_nodes(spec, panels_ray)
+    """The terms w f(x) of the rule with `panels_ray` panels per ray: in along
+    the upper ray, around the arc, out along the lower ray."""
+    # Each ray array is dropped once used, so that no more than three
+    # full-length arrays are alive at a time.
+    x, wt = _upper_ray(spec, panels_ray)
+    ray = _s_free_factors(x)
+    del x
+    w_arc, arc = _arc(spec.radius, panels_ray // 2)
+    f = _integrand(s, ray, arc)
+    del ray
+    w = np.concatenate([-wt, w_arc, wt])
+    del wt
     # Keep f named: multiplying a bare temporary lets numpy reuse its buffer
     # in place, which rounds the product differently on large arrays.
-    f = _integrand(x, s)
     return w * f
 
 

@@ -14,8 +14,12 @@ from zetaroutes.numeric import (
     OutOfValidatedRange,
     QuadratureNotConverged,
     TooCloseToPositiveIntegerPole,
-    _contour_nodes,
+    _arc,
+    _arc_nodes,
     _integrand,
+    _panel_nodes,
+    _s_free_factors,
+    _upper_ray,
     _weighted_terms,
     cotangent_check,
     cotangent_tail_bound,
@@ -94,32 +98,105 @@ class TestZetaEm:
         assert repr(zeta_em(s)) == pinned
 
 
+def _integrand_at(x, s):
+    """The integrand at the nodes x (as an upper ray with no arc) through the
+    module's one expression; the conjugate nodes' values follow."""
+    no_arc = _s_free_factors(np.empty(0, dtype=complex))
+    return _integrand(s, _s_free_factors(np.asarray(x, dtype=complex)), no_arc)[: len(x)]
+
+
+def _rule_nodes(spec, panels_ray):
+    """Every node the rule evaluates: the upper ray, the arc, the lower ray."""
+    x, _ = _upper_ray(spec, panels_ray)
+    arc, _ = _arc_nodes(spec.radius, panels_ray // 2)
+    return np.concatenate([x, arc, np.conj(x)])
+
+
+LEVELS = range(numeric_module._REFINEMENTS + 1)
+
+
 class TestHankelIntegrand:
     def test_branch_at_minus_one(self):
         # (-x)^{s-1} = 1 at x = -1 for s = 2: log(1) = 0 on the principal branch
-        got = complex(_integrand(-1 + 0j, 2))
+        got = complex(_integrand_at([-1], 2)[0])
         expected = 1 / (math.exp(-1) - 1)
         assert got == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(-1.5819767068693265)
 
     def test_exponent_zero_is_branch_free(self):
-        assert complex(_integrand(-1 + 0j, 1)) == pytest.approx(-1.5819767068693265)
+        assert complex(_integrand_at([-1], 1)[0]) == pytest.approx(-1.5819767068693265)
 
-    def test_branch_cut_rejected(self):
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_cached_arc_is_the_arc_nodes(self, level):
+        # The cached factors are those of the nodes the pole and cut checks see.
+        panels = (16 << level) // 2
+        arc, w = _arc_nodes(math.pi, panels)
+        w_cached, factors = _arc(math.pi, panels)
+        cached = (w_cached, *factors)
+        fresh = (w, *_s_free_factors(arc))
+        assert [a.tobytes() for a in cached] == [a.tobytes() for a in fresh]
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_branch_cut_rejected(self, level):
         # At radius 0 the rays would run along the cut; no node ever lies on it.
         with pytest.raises(ValueError):
             ContourSpec(radius=0.0)
-        x, _ = _contour_nodes(ContourSpec(), 16)
+        x = _rule_nodes(ContourSpec(), 16 << level)
         assert not np.any((x.imag == 0) & (x.real > 0))
 
-    def test_poles_rejected(self):
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_poles_rejected(self, level):
         # At radius 2 pi the rays would start on the poles at +-2 pi i; the
         # default radius pi keeps every node pi away from 0 and +-2 pi i.
         with pytest.raises(ValueError):
             ContourSpec(radius=2 * math.pi)
-        x, _ = _contour_nodes(ContourSpec(), 16)
+        x = _rule_nodes(ContourSpec(), 16 << level)
         poles = 2j * math.pi * np.arange(-1, 2)
         assert np.min(np.abs(x[:, None] - poles[None, :])) >= math.pi - 1e-9
+
+
+def _direct_terms(s, spec, panels_ray):
+    """w f(x) from the whole node array, every factor computed at every node."""
+    t, wt = _panel_nodes(0.0, spec.x_max, panels_ray)
+    theta, wth = _panel_nodes(0.5 * math.pi, 1.5 * math.pi, panels_ray // 2)
+    r = spec.radius
+    arc = r * np.exp(1j * theta)
+    x = np.concatenate([t + 1j * r, arc, t - 1j * r])
+    w = np.concatenate([-wt, 1j * arc * wth, wt])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # f stays named: `w * (bare temporary)` lets numpy multiply in place
+        # with f first, which rounds differently from w * f at 256 KiB and up.
+        f = np.exp((s - 1) * np.log(-x)) / (np.exp(x) - 1.0)
+        return w * f
+
+
+class TestHankelTermsBitForBit:
+    @pytest.mark.parametrize(
+        "s",
+        [0.5 + 3j, -6.317462492903772 + 9.175309071832668j, 8.915923176818932 + 18.022174277744345j],
+    )
+    @pytest.mark.parametrize("default", [True, False])
+    def test_terms_match_the_direct_expression(self, s, default):
+        # The cached arc, the conjugated lower ray and the concatenated
+        # log(-x) change no bit of any term at any level.
+        spec = default_contour(s) if default else ContourSpec(radius=2.5, x_max=55.5)
+        for level in LEVELS:
+            panels = 16 << level
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _weighted_terms(s, spec, panels)
+            assert got.tobytes() == _direct_terms(s, spec, panels).tobytes(), level
+
+    def test_arc_cache_is_keyed_on_the_radius(self):
+        s = -0.5 + 1j
+        narrow, wide = (ContourSpec(radius=r, x_max=40.0) for r in (math.pi / 2, 3.0))
+        _arc.cache_clear()
+        wide_alone = zeta_hankel(s, wide)
+        first = zeta_hankel(s, narrow)
+        between = zeta_hankel(s, wide)
+        third = zeta_hankel(s, narrow)
+        assert repr(third) == repr(first)
+        assert repr(between) == repr(wide_alone)
+        assert first != between
 
 
 class TestZetaHankel:
@@ -175,13 +252,13 @@ class TestZetaHankel:
     @pytest.mark.parametrize("s", [-20 + 30j, 0.5 + 40j])
     def test_round_off_refusal_costs_one_level(self, monkeypatch, s):
         calls = []
-        integrand = numeric_module._integrand
+        weighted_terms = numeric_module._weighted_terms
 
-        def counted(x, s):
-            calls.append(s)
-            return integrand(x, s)
+        def counted(s, spec, panels_ray):
+            calls.append(panels_ray)
+            return weighted_terms(s, spec, panels_ray)
 
-        monkeypatch.setattr(numeric_module, "_integrand", counted)
+        monkeypatch.setattr(numeric_module, "_weighted_terms", counted)
         with pytest.raises(QuadratureNotConverged, match="round-off floor"):
             zeta_hankel(s)
         assert len(calls) == 1
@@ -223,6 +300,30 @@ class TestZetaHankel:
         s = 7.394732803504359 + 16.507676985871694j
         reference = 1.0027694923424797 + 0.005575622076670691j  # mpmath, 30 digits
         assert abs(zeta_hankel(s) - reference) <= 1e-10
+
+    # Exact doubles from the refinement loop's exits at levels 1, 5, 6 and 6,
+    # each within 4e-12 of mpmath. The last turns into a refusal when
+    # (s - 1) log(-x) is rounded the other way on the large levels.
+    @pytest.mark.parametrize(
+        "s, pinned",
+        [
+            (0.5 + 3j, "(0.5327366709742296-0.0788965134258343j)"),
+            (
+                -2.0162558844472898 + 11.804331877694318j,
+                "(3.6231634713187004-3.368684726714251j)",
+            ),
+            (
+                8.915923176818932 + 18.022174277744345j,
+                "(1.0021008890490677+0.00010942297000789136j)",
+            ),
+            (
+                -6.317462492903772 + 9.175309071832668j,
+                "(-18.853958142835438+12.927961319294653j)",
+            ),
+        ],
+    )
+    def test_bits_are_pinned(self, s, pinned):
+        assert repr(zeta_hankel(s)) == pinned
 
 
 class TestInvertedContour:

@@ -41,8 +41,17 @@ def test_bench_pairs_keeps_the_info_line_and_summarises(monkeypatch):
     spec.loader.exec_module(bench)
     info = json.dumps({"env": {}, "info": {"host_factor": 1.25}})
     stdout = f"{info}\n{_result(0.5)}\n"
-    monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: SimpleNamespace(stdout=stdout))
-    assert bench.run_once(ROOT, "cold_cli", 1.0) == (info, _result(0.5))
+    argvs = []
+
+    def run(argv, **kwargs):
+        argvs.append(argv)
+        return SimpleNamespace(stdout=stdout)
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    assert bench.run_once(ROOT, "cold_cli", 7, 1.0) == (info, _result(0.5))
+    assert argvs == [
+        [sys.executable, "perfbench/run.py", "--workload", "cold_cli", "--seed", "7", "--seconds", "1.0"]
+    ]
 
     pairs = [
         {"parent": _result(1.0), "parent_info": info, "change": _result(0.5)},
@@ -56,3 +65,14 @@ def test_bench_pairs_keeps_the_info_line_and_summarises(monkeypatch):
             "pairs": 2,
         }
     }
+
+
+def test_numeric_diff_finds_no_difference_between_a_tree_and_itself():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "numeric_diff.py"), str(ROOT), str(ROOT), "--seeds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "0 of 480 outcomes differ (seeds 1)\n"
