@@ -99,8 +99,8 @@ def main() -> int:
             if a != b:
                 differ += 1
                 print(f"seed {seed} {region} s = {s!r} {name}: {a} -> {b}")
-    compared = len(points) * len(ROUTES)
-    print(f"{differ} of {compared} outcomes differ (seeds {','.join(map(str, args.seeds))})")
+    seeds = ",".join(map(str, args.seeds))
+    print(f"{differ} of {len(points) * len(ROUTES)} outcomes differ (seeds {seeds})")
     return 1 if differ else 0
 
 
