@@ -4,7 +4,8 @@ analytic continuation to complex arguments that cross-validates them.
 Exact half: arbitrary-precision rationals and pi-monomials, truncated
 Laurent series, Bernoulli numbers two ways, Abel sums of the divergent
 alternating series, and the functional equation verified with zero
-tolerance at integer points.
+tolerance at integer points. Euler's generating-function identities behind
+these routes are checked by the test suite; the package does not export them.
 
 Numeric half: complex Gamma, an Euler-Maclaurin zeta oracle, Hankel-contour
 quadrature for zeta(s) at complex s, the inside-out residue sum, and the
@@ -14,25 +15,13 @@ partial-fraction cotangent identity.
 from .errors import DomainError, InternalInconsistency
 from .exact import PiValue
 from .series import LaurentSeries, OutOfTrustedRange, ZeroSeries, exp_series
-from .bernoulli import (
-    bernoulli_via_recurrence,
-    bernoulli_via_series,
-    even_part_check,
-    faulhaber_sum,
-)
-from .abel import (
-    abel_numeric_estimate,
-    abel_sum_exact,
-    operator_genfun_check,
-    zeta_neg_via_abel,
-)
+from .bernoulli import bernoulli_via_recurrence, bernoulli_via_series
+from .abel import abel_numeric_estimate, abel_sum_exact, zeta_neg_via_abel
 from .zeta_exact import (
     ArgumentNotEvenPositive,
     PoleArgument,
     Route,
-    finite_G_check,
     funceq_exact_check,
-    odd_genfun_check,
     sin_gamma_limit_exact,
     zeta_classical,
     zeta_even_positive,
@@ -66,11 +55,8 @@ __all__ = [
     "OutOfTrustedRange",
     "bernoulli_via_series",
     "bernoulli_via_recurrence",
-    "even_part_check",
-    "faulhaber_sum",
     "abel_sum_exact",
     "abel_numeric_estimate",
-    "operator_genfun_check",
     "zeta_neg_via_abel",
     "DomainError",
     "InternalInconsistency",
@@ -81,8 +67,6 @@ __all__ = [
     "zeta_even_positive",
     "zeta_classical",
     "sin_gamma_limit_exact",
-    "finite_G_check",
-    "odd_genfun_check",
     "funceq_exact_check",
     "ArgumentNotEvenPositive",
     "PoleArgument",

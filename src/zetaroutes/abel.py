@@ -25,8 +25,7 @@ import threading
 from fractions import Fraction
 
 from .bernoulli import bernoulli_via_recurrence
-from .errors import InternalInconsistency
-from .series import LaurentSeries, exp_series
+from .errors import DomainError, InternalInconsistency
 
 
 _THETA_NUMERATORS: list[list[int]] = [[1]]  # P_0, P_1, ..., grown under the lock
@@ -51,7 +50,7 @@ def _theta_numerator(m: int) -> list[int]:
 def abel_closed_form(m: int) -> Fraction:
     """(-1)^m (1 - 2^{m+1}) B_{m+1} / (m+1)."""
     if m < 0:
-        raise ValueError("m must be nonnegative")
+        raise DomainError("m must be nonnegative")
     b = bernoulli_via_recurrence(m + 1)[m + 1]
     sign = -1 if m % 2 else 1
     return sign * (1 - 2 ** (m + 1)) * b / (m + 1)
@@ -67,7 +66,7 @@ def abel_sum_exact(m: int) -> Fraction:
     closed form on every call.
     """
     if m < 0:
-        raise ValueError("m must be nonnegative")
+        raise DomainError("m must be nonnegative")
     value = (m == 0) - Fraction(sum(_theta_numerator(m)), 2 ** (m + 1))
     check = abel_closed_form(m)
     if value != check:
@@ -80,24 +79,6 @@ def abel_sum_exact(m: int) -> Fraction:
 def zeta_neg_via_abel(m: int) -> Fraction:
     """zeta(-m) = A_m / (1 - 2^{1+m})."""
     return abel_sum_exact(m) / (1 - 2 ** (1 + m))
-
-
-def operator_genfun_check(order: int = 20) -> bool:
-    """Check sum_m z^{m+1}/m! * (theta^m 1/(1+x))|_{x=1} = z/(1+e^z).
-
-    The left side packages the operator route's values at x = 1 into an
-    exponential generating function; the right side is built by the series
-    engine. Term-by-term equality ties the Abel sums to the Bernoulli
-    generating function.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    rhs = (LaurentSeries.constant(1, order) + exp_series(1, order)).invert().shifted(1)
-    for m in range(order):
-        lhs_coeff = Fraction(sum(_theta_numerator(m)), 2 ** (m + 1) * math.factorial(m))
-        if lhs_coeff != rhs.coeff(m + 1):
-            return False
-    return True
 
 
 # -- numeric Abel limit ------------------------------------------------------
@@ -189,9 +170,9 @@ def abel_numeric_estimate(m: int) -> float:
     sums' own terms, never an exact route.
     """
     if m < 0:
-        raise ValueError("m must be nonnegative")
+        raise DomainError("m must be nonnegative")
     if m > 8:
-        raise ValueError("numeric oracle validated only for m <= 8")
+        raise DomainError("numeric oracle validated only for m <= 8")
     eps = [2.0**-j for j in _ABEL_NODES]
     vals = [_alternating_power_sum(m, j) for j in _ABEL_NODES]
     return _richardson_to_zero(eps, vals)

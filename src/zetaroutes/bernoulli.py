@@ -1,4 +1,4 @@
-"""Bernoulli numbers by two independent exact methods, plus Faulhaber sums.
+"""Bernoulli numbers by two independent exact methods.
 
 Convention: B_1 = -1/2, fixed by z/(e^z - 1) = sum B_n z^n / n!.
 
@@ -18,6 +18,7 @@ import math
 import threading
 from fractions import Fraction
 
+from .errors import DomainError
 from .series import LaurentSeries, exp_series
 
 
@@ -56,7 +57,7 @@ _LOCK = threading.Lock()
 
 def _read_prefix(prefix: list[Fraction], build, max_index: int) -> tuple[Fraction, ...]:
     if max_index < 0:
-        raise ValueError("max_index must be nonnegative")
+        raise DomainError("max_index must be nonnegative")
     with _LOCK:
         if len(prefix) <= max_index:
             prefix[:] = build(max(max_index, 2 * len(prefix)))
@@ -74,34 +75,3 @@ def bernoulli_via_recurrence(max_index: int) -> tuple[Fraction, ...]:
     T_j <- (j-k) T_{j-1} + (j-k+2) T_j."""
     return _read_prefix(_TANGENT_PREFIX, _tangent_table, max_index)
 
-
-def even_part_check(order: int) -> bool:
-    """True iff z/(e^z - 1) + z/2 has no odd coefficient through z^order.
-
-    Peeling the degree-one term leaves an even function, which is why every
-    odd Bernoulli number past B_1 vanishes.
-    """
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    even = bernoulli_generating_series(order) + LaurentSeries.monomial(
-        Fraction(1, 2), 1, order
-    )
-    return all(even.coeff(m) == 0 for m in range(1, order + 1, 2))
-
-
-def faulhaber_sum(m: int, n: int) -> Fraction:
-    """S_m(n) = 1^m + 2^m + ... + n^m, exactly, via the Bernoulli expansion.
-
-    For f = x^m the Euler-Maclaurin expansion terminates, so the polynomial
-    (1/(m+1)) sum_j (-1)^j C(m+1, j) B_j n^{m+1-j} is exact.
-    """
-    if m < 0:
-        raise ValueError("power must be nonnegative")
-    if n < 1:
-        raise ValueError("upper limit must be positive")
-    table = bernoulli_via_recurrence(m)
-    acc = Fraction(0)
-    for j in range(m + 1):
-        sign = -1 if j % 2 else 1
-        acc += sign * math.comb(m + 1, j) * table[j] * n ** (m + 1 - j)
-    return acc / (m + 1)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DomainError
+
 # pi to 60 significant digits. The relative error of _PI**k is about k*1e-60,
 # so one rounding of q * _PI**k gives the double nearest q*pi^k unless q*pi^k
 # lies within that distance of a rounding boundary.
@@ -32,7 +34,7 @@ class PiValue:
         coeff = self.coeff if isinstance(self.coeff, Fraction) else Fraction(self.coeff)
         exp = int(self.pi_exp)
         if coeff == 0 or exp < 1:
-            raise ValueError(f"PiValue needs coeff != 0 and pi_exp >= 1, got {coeff}, {exp}")
+            raise DomainError(f"PiValue needs coeff != 0 and pi_exp >= 1, got {coeff}, {exp}")
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "pi_exp", exp)
 

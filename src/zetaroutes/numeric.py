@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,9 +56,9 @@ class ContourSpec:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.radius < 2 * math.pi:
-            raise ValueError("radius must lie in (0, 2 pi)")
+            raise DomainError("radius must lie in (0, 2 pi)")
         if self.x_max <= self.radius:
-            raise ValueError("x_max must exceed the radius")
+            raise DomainError("x_max must exceed the radius")
         require_finite("x_max", self.x_max)
 
 
@@ -309,11 +310,14 @@ def zeta_hankel(s: complex, contour: ContourSpec | None = None) -> complex:
 
 
 def _inverted_contour_domain(s: complex, n_poles: int) -> complex:
-    """s as a complex, once s is finite with Re s <= -1/2 and 1 <= n_poles <= 10^6."""
+    """s as a complex, once s is finite with Re s <= -1/2 and n_poles is an
+    integer in 1..10^6."""
     s = complex(s)
     require_finite("s", s)
     if s.real > -0.5:
         raise DomainError("inverted contour requires Re(s) <= -0.5")
+    if not isinstance(n_poles, numbers.Integral):
+        raise DomainError(f"n_poles must be an integer, got {n_poles!r}")
     if n_poles < 1:
         raise DomainError("n_poles must be positive")
     if n_poles > _MAX_TERMS:
@@ -369,12 +373,17 @@ def funceq_residual(s: complex) -> float:
 
 
 def _cotangent_domain(x, n_terms: int) -> Fraction:
-    """x as a Fraction, once 0 < x < 1 and 1 <= n_terms <= 10^6."""
-    x = Fraction(x)
-    if not 0 < x < 1:
-        raise ValueError("x must be a rational strictly between 0 and 1")
+    """x as a Fraction, once 0 < x < 1 and n_terms is an integer in 1..10^6."""
+    try:
+        x = Fraction(x)
+    except (OverflowError, TypeError, ValueError):  # inf, nan, a non-number
+        x = None
+    if x is None or not 0 < x < 1:
+        raise DomainError("x must be a rational strictly between 0 and 1")
+    if not isinstance(n_terms, numbers.Integral):
+        raise DomainError(f"n_terms must be an integer, got {n_terms!r}")
     if n_terms < 1:
-        raise ValueError("n_terms must be positive")
+        raise DomainError("n_terms must be positive")
     if n_terms > _MAX_TERMS:
         raise OutOfValidatedRange(f"n_terms = {n_terms} exceeds 10^6")
     return x

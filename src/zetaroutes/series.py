@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OutOfTrustedRange, ZeroSeries
+from .errors import DomainError, OutOfTrustedRange, ZeroSeries
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class LaurentSeries:
         )
         val = self.valuation
         if len(coeffs) != self.order - val + 1:
-            raise ValueError("coefficient count must match order - valuation + 1")
+            raise DomainError("coefficient count must match order - valuation + 1")
         while len(coeffs) > 1 and coeffs[0] == 0:
             coeffs = coeffs[1:]
             val += 1
@@ -50,7 +50,7 @@ class LaurentSeries:
     def monomial(cls, coeff, power: int, order: int) -> "LaurentSeries":
         """c * z^power, trusted through `order`."""
         if order < power:
-            raise ValueError("monomial order must be >= its power")
+            raise DomainError("monomial order must be >= its power")
         coeffs = (Fraction(coeff),) + (Fraction(0),) * (order - power)
         return cls(power, coeffs, order)
 
@@ -145,7 +145,7 @@ class LaurentSeries:
 def exp_series(a, order: int) -> LaurentSeries:
     """exp(a*z) truncated: sum_{n<=order} a^n z^n / n!."""
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise DomainError("order must be nonnegative")
     a = Fraction(a)
     coeffs = [Fraction(1)]
     for n in range(1, order + 1):

@@ -21,7 +21,8 @@ the two routes read two. funceq_exact_check restates the funceq transport up
 to a nonzero exact factor: it compares zeta(2n) on the tangent table with
 zeta_even_via_funceq's value from the series table. ``verify funceq`` reports
 each comparison twice, as the functional equation at s = 2n and as Euler's
-odd-argument form at m = n - 1.
+odd-argument form at m = n - 1. The generating-function identities these
+routes read from are checked in the tests, in ``genfun_identities.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .bernoulli import (
     bernoulli_via_recurrence,
     bernoulli_via_series,
 )
-from .errors import ArgumentNotEvenPositive, PoleArgument
+from .errors import ArgumentNotEvenPositive, DomainError, PoleArgument
 from .exact import PiValue
 from .series import LaurentSeries, exp_series
 
@@ -55,7 +56,7 @@ class Route(str, Enum):
 def zeta_nonpositive(n: int) -> Fraction:
     """zeta(-n) = (-1)^n B_{n+1}/(n+1)."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     b = bernoulli_via_recurrence(n + 1)[n + 1]
     sign = -1 if n % 2 else 1
     return sign * b / (n + 1)
@@ -65,7 +66,7 @@ def sin_gamma_limit_exact(n: int) -> PiValue:
     """lim_{x -> -n} sin(pi x) Gamma(x) = pi/n!, resolved by peeling the
     Gamma recurrence n times."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     return PiValue(Fraction(1, math.factorial(n)), 1)
 
 
@@ -78,7 +79,7 @@ def zeta_neg_via_residue(n: int) -> Fraction:
     with the Abel route, which has no contour to orient.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     c = bernoulli_generating_series(n + 1).coeff(n + 1)
     branch = -1 if (n - 1) % 2 else 1  # (-1)^{n-1}
     # Loop integral = 2 pi i * branch * c; it equals -2i * (pi/n!) * zeta(-n).
@@ -93,57 +94,12 @@ def zeta_neg_via_G(order: int) -> list[Fraction]:
     Discarding the pole term leaves sum_m zeta(-m) z^m / m!.
     """
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise DomainError("order must be >= 1")
     work = order + 2
     em1 = exp_series(-1, work) - LaurentSeries.constant(1, work)
     gen = em1.invert()  # 1/(e^{-z} - 1), valuation -1
     gen = gen + LaurentSeries.monomial(1, -1, gen.order)
     return [math.factorial(m) * gen.coeff(m) for m in range(order)]
-
-
-# -- generating-function identities -------------------------------------------
-
-
-def finite_G_check(n: int, max_m: int) -> bool:
-    """Check (1 - e^{nz})/(e^{-z} - 1) = sum_m S_m(n) z^m / m! through max_m,
-    with the power sums S_m(n) by brute force."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if max_m < 1:
-        raise ValueError("max_m must be >= 1")
-    work = max_m + 2
-    num = LaurentSeries.constant(1, work) - exp_series(n, work)
-    den = exp_series(-1, work) - LaurentSeries.constant(1, work)
-    gen = num * den.invert()
-    for m in range(max_m + 1):
-        brute = sum(k**m for k in range(1, n + 1))
-        if gen.coeff(m) * math.factorial(m) != brute:
-            return False
-    return True
-
-
-def odd_genfun_check(order: int) -> bool:
-    """Check the odd generating function against the zeta values it encodes.
-
-    (e^{-z} + 1)/(e^{-z} - 1) + 2/z must equal
-    2 sum_m zeta(-2m-1) z^{2m+1}/(2m+1)! with every even coefficient zero.
-    """
-    if order < 3:
-        raise ValueError("order must be >= 3")
-    work = order + 2
-    num = exp_series(-1, work) + LaurentSeries.constant(1, work)
-    den = exp_series(-1, work) - LaurentSeries.constant(1, work)
-    gen = num * den.invert() + LaurentSeries.monomial(2, -1, work - 2)
-    for m in range(0, order + 1):
-        c = gen.coeff(m)
-        if m % 2 == 0:
-            if c != 0:
-                return False
-        else:
-            expected = 2 * zeta_nonpositive(m) / math.factorial(m)
-            if c != expected:
-                return False
-    return True
 
 
 # -- positive even integers ---------------------------------------------------
@@ -152,7 +108,7 @@ def odd_genfun_check(order: int) -> bool:
 def zeta_even_positive(n: int) -> PiValue:
     """zeta(2n) = (-1)^{n-1} (2 pi)^{2n} B_{2n} / (2 (2n)!)."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     b = bernoulli_via_recurrence(2 * n)[2 * n]
     sign = 1 if (n - 1) % 2 == 0 else -1
     coeff = sign * 2 ** (2 * n) * b / (2 * math.factorial(2 * n))
@@ -163,7 +119,7 @@ def zeta_even_via_funceq(n: int) -> PiValue:
     """zeta(2n) transported from zeta(1-2n) = -B_2n/(2n), read off the series
     table, across 2 cos(pi n) Gamma(2n) zeta(2n) = (2 pi)^{2n} zeta(1-2n)."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     z_neg = -bernoulli_via_series(2 * n)[2 * n] / (2 * n)
     sign = 1 if n % 2 == 0 else -1  # cos(pi n) = (-1)^n
     coeff = 2 ** (2 * n) * z_neg / (2 * sign * math.factorial(2 * n - 1))
@@ -202,9 +158,9 @@ def zeta_classical(argument: int, route: Route) -> Fraction | PiValue:
     if argument == 1:
         raise PoleArgument("zeta(1) is a pole")
     if argument > 0 and argument % 2:
-        raise ValueError("positive classical arguments must be even")
+        raise DomainError("positive classical arguments must be even")
     if route not in routes_for_argument(argument):
-        raise ValueError(f"route {route.value} does not apply at argument {argument}")
+        raise DomainError(f"route {route.value} does not apply at argument {argument}")
     m, n = -argument, argument // 2
     if route is Route.CLOSED_FORM:
         return zeta_nonpositive(m) if argument <= 0 else zeta_even_positive(n)

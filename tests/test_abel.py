@@ -12,7 +12,6 @@ from zetaroutes.abel import (
     abel_closed_form,
     abel_numeric_estimate,
     abel_sum_exact,
-    operator_genfun_check,
     zeta_neg_via_abel,
 )
 from zetaroutes.bernoulli import bernoulli_via_recurrence
@@ -240,8 +239,3 @@ class TestZetaViaAbel:
         for m in range(31):
             sign = -1 if m % 2 else 1
             assert zeta_neg_via_abel(m) == sign * table[m + 1] / (m + 1)
-
-
-def test_operator_generating_identity_through_20():
-    assert operator_genfun_check(20) is True
-

@@ -7,17 +7,14 @@ thresholds listed next to each check.
 
 from fractions import Fraction as F
 
-from zetaroutes.abel import (
-    abel_numeric_estimate,
-    abel_sum_exact,
-    operator_genfun_check,
-    zeta_neg_via_abel,
-)
-from zetaroutes.bernoulli import (
-    bernoulli_via_recurrence,
-    bernoulli_via_series,
+from genfun_identities import (
     faulhaber_sum,
+    finite_G_check,
+    odd_genfun_check,
+    operator_genfun_check,
 )
+from zetaroutes.abel import abel_numeric_estimate, abel_sum_exact, zeta_neg_via_abel
+from zetaroutes.bernoulli import bernoulli_via_recurrence, bernoulli_via_series
 from zetaroutes.exact import PiValue
 from zetaroutes.numeric import (
     ContourSpec,
@@ -29,9 +26,7 @@ from zetaroutes.numeric import (
     zeta_hankel,
 )
 from zetaroutes.zeta_exact import (
-    finite_G_check,
     funceq_exact_check,
-    odd_genfun_check,
     zeta_even_positive,
     zeta_neg_via_G,
     zeta_neg_via_residue,

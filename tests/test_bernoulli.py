@@ -1,16 +1,10 @@
 from fractions import Fraction as F
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given
 
+from genfun_identities import even_part_check
 from zetaroutes import bernoulli
-from zetaroutes.bernoulli import (
-    bernoulli_via_recurrence,
-    bernoulli_via_series,
-    even_part_check,
-    faulhaber_sum,
-)
+from zetaroutes.bernoulli import bernoulli_via_recurrence, bernoulli_via_series
 
 # Frozen oracle values, recomputed here by the explicit recurrence.
 ORACLE = {2: F(1, 6), 3: F(0), 4: F(-1, 30), 12: F(-691, 2730)}
@@ -156,30 +150,3 @@ class TestEvenPartCheck:
 
     def test_order_2(self):
         assert even_part_check(2) is True
-
-    def test_small_order_rejected(self):
-        with pytest.raises(ValueError):
-            even_part_check(1)
-
-
-class TestFaulhaber:
-    def test_arithmetic_series(self):
-        assert faulhaber_sum(1, 100) == 5050
-
-    def test_squares(self):
-        assert faulhaber_sum(2, 4) == 30
-
-    def test_tenth_powers_against_brute_force(self):
-        assert faulhaber_sum(10, 50) == sum(k**10 for k in range(1, 51))
-
-    def test_zeroth_power(self):
-        assert faulhaber_sum(0, 17) == 17
-
-    @given(st.integers(0, 10), st.integers(2, 200))
-    def test_difference_recovers_the_power(self, m, n):
-        assert faulhaber_sum(m, n) - faulhaber_sum(m, n - 1) == F(n) ** m
-
-    @given(st.integers(0, 10), st.integers(1, 200))
-    def test_matches_brute_force(self, m, n):
-        assert faulhaber_sum(m, n) == sum(F(k) ** m for k in range(1, n + 1))
-

@@ -369,6 +369,8 @@ class TestInvertedContour:
         (cotangent_check, cotangent_tail_bound, (0.25, 0), ValueError),
         (cotangent_check, cotangent_tail_bound, (5, 10), ValueError),
         (cotangent_check, cotangent_tail_bound, (F(1, 4), 10**6 + 1), OutOfValidatedRange),
+        (inverted_contour_check, inverted_contour_bound, (-2.5, 2.5), DomainError),
+        (cotangent_check, cotangent_tail_bound, (0.25, 2.5), DomainError),
     ],
 )
 def test_bound_validates_its_check_domain(check, bound, args, exc):
