@@ -25,7 +25,7 @@ import threading
 from fractions import Fraction
 
 from .bernoulli import bernoulli_via_recurrence
-from .errors import DomainError, InternalInconsistency
+from .errors import DomainError, InternalInconsistency, require_index
 
 
 _THETA_NUMERATORS: list[list[int]] = [[1]]  # P_0, P_1, ..., grown under the lock
@@ -49,8 +49,7 @@ def _theta_numerator(m: int) -> list[int]:
 
 def abel_closed_form(m: int) -> Fraction:
     """(-1)^m (1 - 2^{m+1}) B_{m+1} / (m+1)."""
-    if m < 0:
-        raise DomainError("m must be nonnegative")
+    require_index("m", m)
     b = bernoulli_via_recurrence(m + 1)[m + 1]
     sign = -1 if m % 2 else 1
     return sign * (1 - 2 ** (m + 1)) * b / (m + 1)
@@ -65,8 +64,7 @@ def abel_sum_exact(m: int) -> Fraction:
     A_m = -P_m(1)/2^{m+1} for m >= 1. Cross-checked against the Bernoulli
     closed form on every call.
     """
-    if m < 0:
-        raise DomainError("m must be nonnegative")
+    require_index("m", m)
     value = (m == 0) - Fraction(sum(_theta_numerator(m)), 2 ** (m + 1))
     check = abel_closed_form(m)
     if value != check:
@@ -169,9 +167,7 @@ def abel_numeric_estimate(m: int) -> float:
     abel_sum_exact over m <= 8 is 1.1e-14 (at m = 8). Uses only the partial
     sums' own terms, never an exact route.
     """
-    if m < 0:
-        raise DomainError("m must be nonnegative")
-    if m > 8:
+    if require_index("m", m) > 8:
         raise DomainError("numeric oracle validated only for m <= 8")
     eps = [2.0**-j for j in _ABEL_NODES]
     vals = [_alternating_power_sum(m, j) for j in _ABEL_NODES]

@@ -18,7 +18,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import require_index
 from .series import LaurentSeries, exp_series
 
 
@@ -56,8 +56,7 @@ _LOCK = threading.Lock()
 
 
 def _read_prefix(prefix: list[Fraction], build, max_index: int) -> tuple[Fraction, ...]:
-    if max_index < 0:
-        raise DomainError("max_index must be nonnegative")
+    require_index("max_index", max_index)
     with _LOCK:
         if len(prefix) <= max_index:
             prefix[:] = build(max(max_index, 2 * len(prefix)))

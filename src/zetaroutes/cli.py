@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import abel
-from .errors import DomainError, InternalInconsistency, OutOfValidatedRange
+from .errors import DomainError, InternalInconsistency, OutOfValidatedRange, require_index
 from .exact import PiValue
 from .bernoulli import bernoulli_via_recurrence, bernoulli_via_series
 from .numeric import (
@@ -212,9 +212,7 @@ def _parse_grid(spec: str):
         raise ValueError(
             f"--grid RE0:RE1:IM0:IM1:STEPS takes four numbers and an integer, got {spec!r}"
         ) from None
-    if steps < 1:
-        raise ValueError("grid STEPS must be positive")
-    if steps > _MAX_GRID_STEPS:
+    if require_index("grid STEPS", steps, least=1) > _MAX_GRID_STEPS:
         raise OutOfValidatedRange(f"grid STEPS = {steps} gives more than 10^6 points")
     if not all(map(math.isfinite, (re0, re1, im0, im1, re1 - re0, im1 - im0))):
         raise OutOfValidatedRange(
@@ -236,8 +234,7 @@ def _format_complex_arg(s: complex) -> str:
 
 
 def _cmd_verify_funceq(args):
-    if args.exact_max < 0:
-        raise ValueError("--exact-max must be nonnegative")
+    require_index("--exact-max", args.exact_max)
     if not 0 <= args.grid_tol < math.inf:
         raise ValueError(f"--grid-tol must be finite and nonnegative, got {args.grid_tol}")
     grid = _parse_grid(args.grid) if args.grid else []
@@ -280,8 +277,7 @@ def _cmd_verify_contour_inversion(args):
 
 
 def _cmd_table_classical(args):
-    if args.max < 0:
-        raise ValueError("--max must be nonnegative")
+    require_index("--max", args.max)
     closed = Route.CLOSED_FORM
     records = [
         OutputRecord(zeta_classical(k, closed), closed.value, str(k))

@@ -1,8 +1,11 @@
 """The package's exceptions, each under DomainError (CLI exit 2) or
-InternalInconsistency (CLI exit 1), plus a builtin base it also keeps."""
+InternalInconsistency (CLI exit 1), plus a builtin base it also keeps, and
+the two argument rules every library function applies: require_index for an
+integer index, count or order, require_complex for a complex point."""
 
 import cmath
 import functools
+import numbers
 
 
 class DomainError(ValueError):
@@ -49,13 +52,36 @@ class QuadratureNotConverged(DomainError, ArithmeticError):
     """Panel refinement failed to stabilize the contour integral."""
 
 
-def require_finite(name: str, value: complex) -> None:
-    if not cmath.isfinite(value):
+def require_index(name: str, value, least: int | None = 0):
+    """value, once it is an integer (a numbers.Integral) >= least, where least
+    is 0, 1 or None for no bound; DomainError otherwise."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be {('nonnegative', 'positive')[least]}")
+    return value
+
+
+def require_complex(name: str, value) -> complex:
+    """value as a finite complex: DomainError for a non-number (a str too,
+    though complex() parses one), OutOfValidatedRange for inf, nan or a
+    number beyond double range."""
+    try:
+        if isinstance(value, str):
+            raise TypeError
+        z = complex(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise OutOfValidatedRange(f"{name} exceeds double precision") from None
+    if not cmath.isfinite(z):
         raise OutOfValidatedRange(f"{name} = {value} is not finite")
+    return z
 
 
 def finite_or_out_of_range(fn):
-    """OutOfValidatedRange for a non-finite s or an over- or underflow in fn(s).
+    """fn at s as a finite complex (``require_complex``), and
+    OutOfValidatedRange for an over- or underflow in fn(s).
 
     A DomainError passes through; a plain ValueError (cmath's "math domain
     error" on an overflowed argument) becomes OutOfValidatedRange naming s.
@@ -63,9 +89,9 @@ def finite_or_out_of_range(fn):
 
     @functools.wraps(fn)
     def wrapper(s, *args, **kwargs):
-        require_finite("s", s)
+        z = require_complex("s", s)
         try:
-            value = fn(s, *args, **kwargs)
+            value = fn(z, *args, **kwargs)
             if cmath.isfinite(value):
                 return value
         except DomainError:

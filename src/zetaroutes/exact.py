@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, require_index
 
 # pi to 60 significant digits. The relative error of _PI**k is about k*1e-60,
 # so one rounding of q * _PI**k gives the double nearest q*pi^k unless q*pi^k
@@ -32,11 +32,11 @@ class PiValue:
 
     def __post_init__(self) -> None:
         coeff = self.coeff if isinstance(self.coeff, Fraction) else Fraction(self.coeff)
-        exp = int(self.pi_exp)
-        if coeff == 0 or exp < 1:
-            raise DomainError(f"PiValue needs coeff != 0 and pi_exp >= 1, got {coeff}, {exp}")
+        exp = require_index("pi_exp", self.pi_exp, least=1)
+        if coeff == 0:
+            raise DomainError("PiValue needs coeff != 0")
         object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "pi_exp", exp)
+        object.__setattr__(self, "pi_exp", int(exp))
 
     def to_float(self) -> float:
         """coeff * pi**pi_exp, formed with _PI and rounded once to a double.

@@ -31,7 +31,6 @@ _POLE_TOL = 1e-12
 
 @finite_or_out_of_range
 def gamma_complex(z: complex) -> complex:
-    z = complex(z)
     nearest = round(z.real)
     if nearest <= 0 and abs(z - nearest) < _POLE_TOL:
         raise PoleAtNonpositiveInteger(f"Gamma pole at z = {nearest}")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,7 +37,8 @@ from .errors import (
     QuadratureNotConverged,
     TooCloseToPositiveIntegerPole,
     finite_or_out_of_range,
-    require_finite,
+    require_complex,
+    require_index,
 )
 from .gammafn import gamma_complex
 
@@ -55,11 +55,14 @@ class ContourSpec:
     x_max: float = 40.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.radius < 2 * math.pi:
+        radius = require_complex("radius", self.radius)
+        x_max = require_complex("x_max", self.x_max)
+        if radius.imag or x_max.imag:
+            raise DomainError("radius and x_max must be real")
+        if not 0.0 < radius.real < 2 * math.pi:
             raise DomainError("radius must lie in (0, 2 pi)")
-        if self.x_max <= self.radius:
+        if x_max.real <= radius.real:
             raise DomainError("x_max must exceed the radius")
-        require_finite("x_max", self.x_max)
 
 
 _EPS = 2.3e-16
@@ -117,7 +120,7 @@ def default_contour(s: complex) -> ContourSpec:
     factors of 1.1 until it lies e^-35 below that peak:
     (x - a) - a log(x/a) >= 35. At Re s <= 2 the start already does.
     """
-    require_finite("s", s)
+    s = require_complex("s", s)
     try:  # abs(s) overflows, or 2|s| rounds to inf and ContourSpec refuses it
         x_max = max(40.0, 10.0 + 2.0 * abs(s))
         a = s.real - 1.0
@@ -145,7 +148,6 @@ def zeta_em(s: complex) -> complex:
     N is capped at 10^6, so |Im s| <= 5e5; beyond the cap, and where the sum
     overflows double precision, OutOfValidatedRange is raised.
     """
-    s = complex(s)
     if abs(s - 1) < 1e-6:
         raise NearPole("zeta pole at s = 1")
     if s.real <= -(2 * _EM_TERMS_J - 1):
@@ -275,7 +277,6 @@ def zeta_hankel(s: complex, contour: ContourSpec | None = None) -> complex:
     positive integer TooCloseToPositiveIntegerPole is raised: Gamma(1-s)
     blows up against a vanishing integral.
     """
-    s = complex(s)
     nearest = max(1, round(s.real))
     if abs(s - nearest) < 0.1:
         raise TooCloseToPositiveIntegerPole(
@@ -312,15 +313,10 @@ def zeta_hankel(s: complex, contour: ContourSpec | None = None) -> complex:
 def _inverted_contour_domain(s: complex, n_poles: int) -> complex:
     """s as a complex, once s is finite with Re s <= -1/2 and n_poles is an
     integer in 1..10^6."""
-    s = complex(s)
-    require_finite("s", s)
+    s = require_complex("s", s)
     if s.real > -0.5:
         raise DomainError("inverted contour requires Re(s) <= -0.5")
-    if not isinstance(n_poles, numbers.Integral):
-        raise DomainError(f"n_poles must be an integer, got {n_poles!r}")
-    if n_poles < 1:
-        raise DomainError("n_poles must be positive")
-    if n_poles > _MAX_TERMS:
+    if require_index("n_poles", n_poles, least=1) > _MAX_TERMS:
         raise OutOfValidatedRange(f"n_poles = {n_poles} exceeds 10^6")
     return s
 
@@ -361,7 +357,6 @@ def funceq_residual(s: complex) -> float:
     Both zeta values come from the Euler-Maclaurin route; the residual is
     normalized by the larger side.
     """
-    s = complex(s)
     if abs(s - 1) < 1e-3:
         raise NearPole(f"s = {s} too close to 1.0")
     nearest = round(s.real)
@@ -380,11 +375,7 @@ def _cotangent_domain(x, n_terms: int) -> Fraction:
         x = None
     if x is None or not 0 < x < 1:
         raise DomainError("x must be a rational strictly between 0 and 1")
-    if not isinstance(n_terms, numbers.Integral):
-        raise DomainError(f"n_terms must be an integer, got {n_terms!r}")
-    if n_terms < 1:
-        raise DomainError("n_terms must be positive")
-    if n_terms > _MAX_TERMS:
+    if require_index("n_terms", n_terms, least=1) > _MAX_TERMS:
         raise OutOfValidatedRange(f"n_terms = {n_terms} exceeds 10^6")
     return x
 

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, OutOfTrustedRange, ZeroSeries
+from .errors import DomainError, OutOfTrustedRange, ZeroSeries, require_index
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,8 @@ class LaurentSeries:
         coeffs = tuple(
             c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs
         )
-        val = self.valuation
+        val = require_index("valuation", self.valuation, least=None)
+        require_index("order", self.order, least=None)
         if len(coeffs) != self.order - val + 1:
             raise DomainError("coefficient count must match order - valuation + 1")
         while len(coeffs) > 1 and coeffs[0] == 0:
@@ -49,7 +50,8 @@ class LaurentSeries:
     @classmethod
     def monomial(cls, coeff, power: int, order: int) -> "LaurentSeries":
         """c * z^power, trusted through `order`."""
-        if order < power:
+        require_index("power", power, least=None)
+        if require_index("order", order, least=None) < power:
             raise DomainError("monomial order must be >= its power")
         coeffs = (Fraction(coeff),) + (Fraction(0),) * (order - power)
         return cls(power, coeffs, order)
@@ -65,7 +67,7 @@ class LaurentSeries:
 
     def coeff(self, m: int) -> Fraction:
         """Coefficient of z^m: zero below the valuation, an error past the order."""
-        if m > self.order:
+        if require_index("m", m, least=None) > self.order:
             raise OutOfTrustedRange(f"z^{m} beyond the trusted order {self.order}")
         if m < self.valuation:
             return Fraction(0)
@@ -144,8 +146,7 @@ class LaurentSeries:
 
 def exp_series(a, order: int) -> LaurentSeries:
     """exp(a*z) truncated: sum_{n<=order} a^n z^n / n!."""
-    if order < 0:
-        raise DomainError("order must be nonnegative")
+    require_index("order", order)
     a = Fraction(a)
     coeffs = [Fraction(1)]
     for n in range(1, order + 1):

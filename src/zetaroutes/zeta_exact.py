@@ -8,7 +8,8 @@ route    function                    primitive
 -------  --------------------------  -----------------------------------------
 closed   zeta_nonpositive (K <= 0)   the cached integer tangent-number table,
          zeta_even_positive (K >= 2) bernoulli_via_recurrence
-residue  zeta_neg_via_residue        the inversion of (e^z - 1)/z, uncached
+residue  zeta_neg_via_residue        the cached series-inversion table of
+                                     (e^z - 1)/z, bernoulli_via_series
 genfun   zeta_neg_via_G              the inversion of (e^{-z} - 1)/z
 abel     abel.zeta_neg_via_abel      the integer theta = x d/dx chain, checked
                                      against the tangent-number table
@@ -32,12 +33,8 @@ from enum import Enum
 from fractions import Fraction
 
 from . import abel
-from .bernoulli import (
-    bernoulli_generating_series,
-    bernoulli_via_recurrence,
-    bernoulli_via_series,
-)
-from .errors import ArgumentNotEvenPositive, DomainError, PoleArgument
+from .bernoulli import bernoulli_via_recurrence, bernoulli_via_series
+from .errors import ArgumentNotEvenPositive, DomainError, PoleArgument, require_index
 from .exact import PiValue
 from .series import LaurentSeries, exp_series
 
@@ -55,8 +52,7 @@ class Route(str, Enum):
 
 def zeta_nonpositive(n: int) -> Fraction:
     """zeta(-n) = (-1)^n B_{n+1}/(n+1)."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    require_index("n", n)
     b = bernoulli_via_recurrence(n + 1)[n + 1]
     sign = -1 if n % 2 else 1
     return sign * b / (n + 1)
@@ -65,22 +61,20 @@ def zeta_nonpositive(n: int) -> Fraction:
 def sin_gamma_limit_exact(n: int) -> PiValue:
     """lim_{x -> -n} sin(pi x) Gamma(x) = pi/n!, resolved by peeling the
     Gamma recurrence n times."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    return PiValue(Fraction(1, math.factorial(n)), 1)
+    return PiValue(Fraction(1, math.factorial(require_index("n", n))), 1)
 
 
 def zeta_neg_via_residue(n: int) -> Fraction:
     """zeta(-n) from the loop integral around the origin.
 
-    The loop picks up 2*pi*i * (-1)^{n-1} * [x^{n+1}] x/(e^x - 1) and equals
-    -2i * (pi/n!) * zeta(-n); both sides sit at the same power of pi, so the
-    quotient is exact. The overall orientation sign is pinned by agreement
-    with the Abel route, which has no contour to orient.
+    The loop picks up 2*pi*i * (-1)^{n-1} * c, with c = [x^{n+1}] x/(e^x - 1)
+    = B_{n+1}/(n+1)! read off the series table, and equals -2i * (pi/n!) *
+    zeta(-n); both sides sit at the same power of pi, so the quotient is
+    exact. The overall orientation sign is pinned by agreement with the Abel
+    route, which has no contour to orient.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    c = bernoulli_generating_series(n + 1).coeff(n + 1)
+    require_index("n", n)
+    c = bernoulli_via_series(n + 1)[n + 1] / math.factorial(n + 1)
     branch = -1 if (n - 1) % 2 else 1  # (-1)^{n-1}
     # Loop integral = 2 pi i * branch * c; it equals -2i * (pi/n!) * zeta(-n).
     # Both sides carry one power of pi and one of i, so the quotient of the
@@ -93,9 +87,7 @@ def zeta_neg_via_G(order: int) -> list[Fraction]:
 
     Discarding the pole term leaves sum_m zeta(-m) z^m / m!.
     """
-    if order < 1:
-        raise DomainError("order must be >= 1")
-    work = order + 2
+    work = require_index("order", order, least=1) + 2
     em1 = exp_series(-1, work) - LaurentSeries.constant(1, work)
     gen = em1.invert()  # 1/(e^{-z} - 1), valuation -1
     gen = gen + LaurentSeries.monomial(1, -1, gen.order)
@@ -107,8 +99,7 @@ def zeta_neg_via_G(order: int) -> list[Fraction]:
 
 def zeta_even_positive(n: int) -> PiValue:
     """zeta(2n) = (-1)^{n-1} (2 pi)^{2n} B_{2n} / (2 (2n)!)."""
-    if n < 1:
-        raise DomainError("n must be positive")
+    require_index("n", n, least=1)
     b = bernoulli_via_recurrence(2 * n)[2 * n]
     sign = 1 if (n - 1) % 2 == 0 else -1
     coeff = sign * 2 ** (2 * n) * b / (2 * math.factorial(2 * n))
@@ -118,8 +109,7 @@ def zeta_even_positive(n: int) -> PiValue:
 def zeta_even_via_funceq(n: int) -> PiValue:
     """zeta(2n) transported from zeta(1-2n) = -B_2n/(2n), read off the series
     table, across 2 cos(pi n) Gamma(2n) zeta(2n) = (2 pi)^{2n} zeta(1-2n)."""
-    if n < 1:
-        raise DomainError("n must be positive")
+    require_index("n", n, least=1)
     z_neg = -bernoulli_via_series(2 * n)[2 * n] / (2 * n)
     sign = 1 if n % 2 == 0 else -1  # cos(pi n) = (-1)^n
     coeff = 2 ** (2 * n) * z_neg / (2 * sign * math.factorial(2 * n - 1))
@@ -136,7 +126,7 @@ def funceq_exact_check(s: int) -> bool:
     pi^{2m+2}) differs from it at s = 2m+2 only by a nonzero exact factor, so
     it is the same comparison.
     """
-    if s < 2 or s % 2:
+    if require_index("s", s, least=None) < 2 or s % 2:
         raise ArgumentNotEvenPositive(f"s = {s}: check requires even s >= 2")
     return zeta_even_positive(s // 2) == zeta_even_via_funceq(s // 2)
 
@@ -155,7 +145,7 @@ POSITIVE_ROUTES = (Route.CLOSED_FORM, Route.FUNCTIONAL_EQUATION)
 def zeta_classical(argument: int, route: Route) -> Fraction | PiValue:
     """zeta(argument) by one named route: a Fraction at argument <= 0, a
     PiValue at even argument >= 2."""
-    if argument == 1:
+    if require_index("argument", argument, least=None) == 1:
         raise PoleArgument("zeta(1) is a pole")
     if argument > 0 and argument % 2:
         raise DomainError("positive classical arguments must be even")

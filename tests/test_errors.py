@@ -1,11 +1,12 @@
 import importlib
+import inspect
 import math
 from fractions import Fraction as F
 
 import pytest
 
 import zetaroutes
-from zetaroutes import abel, bernoulli, numeric, series, zeta_exact
+from zetaroutes import abel, bernoulli, gammafn, numeric, series, zeta_exact
 from zetaroutes.errors import DomainError, InternalInconsistency
 from zetaroutes.exact import PiValue
 
@@ -58,41 +59,144 @@ def test_star_import_binds_every_export_once():
 
 
 # Each argument check of a library function, as (function, *arguments) that
-# fail it: the CLI turns a DomainError into exit 2 and one error line.
+# fail it: the CLI turns a DomainError into exit 2 and one error line. An
+# integer index that is a float and a complex point that is no number fail
+# too, at every such parameter of a public callable (checked below). ONE is
+# the series whose methods the cases call.
+ONE = series.LaurentSeries.constant(1, 3)
+ARGUMENT_CASES = [
+    (zeta_exact.zeta_nonpositive, -1),
+    (zeta_exact.zeta_nonpositive, 2.5),
+    (zeta_exact.zeta_nonpositive, 3.0),
+    (zeta_exact.sin_gamma_limit_exact, -1),
+    (zeta_exact.sin_gamma_limit_exact, 2.5),
+    (zeta_exact.sin_gamma_limit_exact, 3.0),
+    (zeta_exact.zeta_neg_via_residue, -1),
+    (zeta_exact.zeta_neg_via_residue, 2.5),
+    (zeta_exact.zeta_neg_via_residue, 3.0),
+    (zeta_exact.zeta_neg_via_G, 0),
+    (zeta_exact.zeta_neg_via_G, 2.5),
+    (zeta_exact.zeta_neg_via_G, 3.0),
+    (zeta_exact.zeta_even_positive, 0),
+    (zeta_exact.zeta_even_positive, 2.5),
+    (zeta_exact.zeta_even_positive, 3.0),
+    (zeta_exact.zeta_even_via_funceq, 0),
+    (zeta_exact.zeta_even_via_funceq, 3.0),
+    (zeta_exact.funceq_exact_check, 2.5),
+    (zeta_exact.funceq_exact_check, 3.0),
+    (zeta_exact.funceq_exact_check, 4.0),
+    (zeta_exact.zeta_classical, 3, zeta_exact.Route("closed")),
+    (zeta_exact.zeta_classical, 4, zeta_exact.Route("abel")),
+    (zeta_exact.zeta_classical, 2.5, zeta_exact.Route("closed")),
+    (zeta_exact.zeta_classical, 3.0, zeta_exact.Route("closed")),
+    (zeta_exact.zeta_classical, -3.0, zeta_exact.Route("closed")),
+    (abel.abel_closed_form, -1),
+    (abel.abel_closed_form, 3.0),
+    (abel.abel_sum_exact, -1),
+    (abel.abel_sum_exact, 2.5),
+    (abel.abel_sum_exact, 3.0),
+    (abel.zeta_neg_via_abel, 2.5),
+    (abel.zeta_neg_via_abel, 3.0),
+    (abel.abel_numeric_estimate, -1),
+    (abel.abel_numeric_estimate, 9),
+    (abel.abel_numeric_estimate, 2.5),
+    (abel.abel_numeric_estimate, 3.0),
+    (bernoulli.bernoulli_via_series, -1),
+    (bernoulli.bernoulli_via_series, 2.5),
+    (bernoulli.bernoulli_via_series, 3.0),
+    (bernoulli.bernoulli_via_recurrence, -1),
+    (bernoulli.bernoulli_via_recurrence, 2.5),
+    (bernoulli.bernoulli_via_recurrence, 3.0),
+    (series.exp_series, 1, -1),
+    (series.exp_series, 1, 2.5),
+    (series.exp_series, 1, 3.0),
+    (series.LaurentSeries, 0, (F(1),), 3),
+    (series.LaurentSeries, 2.5, (F(1),), 3),
+    (series.LaurentSeries, 3.0, (F(1),), 3),
+    (series.LaurentSeries, 3, (F(1),), 2.5),
+    (series.LaurentSeries, 3, (F(1),), 3.0),
+    (series.LaurentSeries.monomial, 1, 2, 1),
+    (series.LaurentSeries.monomial, 1, 2.5, 3),
+    (series.LaurentSeries.monomial, 1, 3.0, 3),
+    (series.LaurentSeries.monomial, 1, 1, 2.5),
+    (series.LaurentSeries.monomial, 1, 1, 3.0),
+    (series.LaurentSeries.constant, 1, 2.5),
+    (series.LaurentSeries.constant, 1, 3.0),
+    (series.LaurentSeries.coeff, ONE, 2.5),
+    (series.LaurentSeries.coeff, ONE, 3.0),
+    (series.LaurentSeries.shifted, ONE, 2.5),
+    (series.LaurentSeries.shifted, ONE, 3.0),
+    (PiValue, F(0), 1),
+    (PiValue, 1, 2.5),
+    (PiValue, 1, 3.0),
+    (gammafn.gamma_complex, "a"),
+    (gammafn.gamma_complex, None),
+    (numeric.ContourSpec, 7.0),
+    (numeric.ContourSpec, 1.0, 0.5),
+    (numeric.ContourSpec, "a"),
+    (numeric.ContourSpec, 1.0, None),
+    (numeric.ContourSpec, 1j),
+    (numeric.zeta_em, "a"),
+    (numeric.zeta_em, None),
+    (numeric.zeta_hankel, "a"),
+    (numeric.zeta_hankel, None),
+    (numeric.funceq_residual, "a"),
+    (numeric.funceq_residual, None),
+    (numeric.cotangent_check, 5, 10),
+    (numeric.cotangent_check, 0.25, 0),
+    (numeric.cotangent_check, 0.25, 2.5),
+    (numeric.cotangent_check, 0.25, 3.0),
+    (numeric.cotangent_check, math.inf, 10),
+    (numeric.cotangent_check, math.nan, 10),
+    (numeric.cotangent_check, "abc", 10),
+    (numeric.cotangent_tail_bound, 0.25, 2.5),
+    (numeric.cotangent_tail_bound, 0.25, 3.0),
+    (numeric.inverted_contour_check, -2.5, 2.5),
+    (numeric.inverted_contour_check, -2.5, 3.0),
+    (numeric.inverted_contour_check, "a", 10),
+    (numeric.inverted_contour_check, None, 10),
+    (numeric.inverted_contour_bound, -2.5, 2.5),
+    (numeric.inverted_contour_bound, -2.5, 3.0),
+    (numeric.inverted_contour_bound, "a", 10),
+    (numeric.inverted_contour_bound, None, 10),
+]
+
+
 @pytest.mark.parametrize(
     "case",
-    [
-        (zeta_exact.zeta_nonpositive, -1),
-        (zeta_exact.sin_gamma_limit_exact, -1),
-        (zeta_exact.zeta_neg_via_residue, -1),
-        (zeta_exact.zeta_neg_via_G, 0),
-        (zeta_exact.zeta_even_positive, 0),
-        (zeta_exact.zeta_even_via_funceq, 0),
-        (zeta_exact.zeta_classical, 3, zeta_exact.Route("closed")),
-        (zeta_exact.zeta_classical, 4, zeta_exact.Route("abel")),
-        (abel.abel_closed_form, -1),
-        (abel.abel_sum_exact, -1),
-        (abel.abel_numeric_estimate, -1),
-        (abel.abel_numeric_estimate, 9),
-        (bernoulli.bernoulli_via_series, -1),
-        (bernoulli.bernoulli_via_recurrence, -1),
-        (series.exp_series, 1, -1),
-        (series.LaurentSeries, 0, (F(1),), 3),
-        (series.LaurentSeries.monomial, 1, 2, 1),
-        (PiValue, F(0), 1),
-        (numeric.ContourSpec, 7.0),
-        (numeric.ContourSpec, 1.0, 0.5),
-        (numeric.cotangent_check, 5, 10),
-        (numeric.cotangent_check, 0.25, 0),
-        (numeric.cotangent_check, 0.25, 2.5),
-        (numeric.cotangent_check, math.inf, 10),
-        (numeric.cotangent_check, math.nan, 10),
-        (numeric.cotangent_check, "abc", 10),
-        (numeric.inverted_contour_check, -2.5, 2.5),
-    ],
+    ARGUMENT_CASES,
     ids=lambda case: f"{case[0].__qualname__}({', '.join(map(repr, case[1:]))})",
 )
 def test_argument_check_raises_domain_error(case):
     function, *args = case
     with pytest.raises(DomainError):
         function(*args)
+
+
+# The arguments outside each annotated kind that ARGUMENT_CASES must hold.
+NON_MEMBERS = {int: (2.5, 3.0), complex: ("a", None)}
+
+
+def _public_callables():
+    """Each function and non-exception class in __all__, and each public
+    method of such a class, by name."""
+    exceptions = _exported_exceptions()
+    for name in zetaroutes.__all__:
+        obj = getattr(zetaroutes, name)
+        if callable(obj) and name not in exceptions:
+            yield name, obj
+            for attr in vars(obj) if isinstance(obj, type) else ():
+                if not attr.startswith("_") and callable(method := getattr(obj, attr)):
+                    yield f"{name}.{attr}", method
+
+
+def test_every_index_and_point_parameter_has_a_case():
+    missing = []
+    for name, obj in _public_callables():
+        params = inspect.signature(obj, eval_str=True).parameters.values()
+        for i, param in enumerate(params, start=1):
+            for value in NON_MEMBERS.get(param.annotation, ()):
+                given = [c[i] for c in ARGUMENT_CASES if c[0] == obj and len(c) > i]
+                if (type(value), value) not in [(type(a), a) for a in given]:
+                    missing.append(f"{name}({param.name}={value!r})")
+    assert missing == []
