@@ -1,11 +1,13 @@
 """The package's exceptions, each under DomainError (CLI exit 2) or
 InternalInconsistency (CLI exit 1), plus a builtin base it also keeps, and
-the two argument rules every library function applies: require_index for an
-integer index, count or order, require_complex for a complex point."""
+the three argument rules every library function applies: require_index for
+an integer index, count or order, require_rational for an exact rational,
+require_complex for a complex point."""
 
 import cmath
 import functools
 import numbers
+from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -60,6 +62,19 @@ def require_index(name: str, value, least: int | None = 0):
     if least is not None and value < least:
         raise DomainError(f"{name} must be {('nonnegative', 'positive')[least]}")
     return value
+
+
+def require_rational(name: str, value) -> Fraction:
+    """value as a Fraction (a float by its exact binary value): DomainError
+    for a non-number (a str too, though Fraction() parses one), inf or nan."""
+    if isinstance(value, Fraction):
+        return value
+    try:
+        if isinstance(value, str):
+            raise TypeError
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a rational, got {value!r}") from None
 
 
 def require_complex(name: str, value) -> complex:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, require_index
+from .errors import DomainError, require_index, require_rational
 
 # pi to 60 significant digits. The relative error of _PI**k is about k*1e-60,
 # so one rounding of q * _PI**k gives the double nearest q*pi^k unless q*pi^k
@@ -31,7 +31,7 @@ class PiValue:
     pi_exp: int
 
     def __post_init__(self) -> None:
-        coeff = self.coeff if isinstance(self.coeff, Fraction) else Fraction(self.coeff)
+        coeff = require_rational("coeff", self.coeff)
         exp = require_index("pi_exp", self.pi_exp, least=1)
         if coeff == 0:
             raise DomainError("PiValue needs coeff != 0")

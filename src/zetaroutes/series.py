@@ -13,7 +13,13 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, OutOfTrustedRange, ZeroSeries, require_index
+from .errors import (
+    DomainError,
+    OutOfTrustedRange,
+    ZeroSeries,
+    require_index,
+    require_rational,
+)
 
 
 @dataclass(frozen=True)
@@ -31,7 +37,8 @@ class LaurentSeries:
 
     def __post_init__(self) -> None:
         coeffs = tuple(
-            c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs
+            c if isinstance(c, Fraction) else require_rational("coeffs", c)
+            for c in self.coeffs
         )
         val = require_index("valuation", self.valuation, least=None)
         require_index("order", self.order, least=None)
@@ -48,16 +55,16 @@ class LaurentSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def monomial(cls, coeff, power: int, order: int) -> "LaurentSeries":
+    def monomial(cls, coeff: Fraction, power: int, order: int) -> "LaurentSeries":
         """c * z^power, trusted through `order`."""
         require_index("power", power, least=None)
         if require_index("order", order, least=None) < power:
             raise DomainError("monomial order must be >= its power")
-        coeffs = (Fraction(coeff),) + (Fraction(0),) * (order - power)
+        coeffs = (require_rational("coeff", coeff),) + (Fraction(0),) * (order - power)
         return cls(power, coeffs, order)
 
     @classmethod
-    def constant(cls, value, order: int) -> "LaurentSeries":
+    def constant(cls, value: Fraction, order: int) -> "LaurentSeries":
         return cls.monomial(value, 0, order)
 
     # -- inspection --------------------------------------------------------
@@ -144,10 +151,10 @@ class LaurentSeries:
         return LaurentSeries(val, tuple(b), val + len(b) - 1)
 
 
-def exp_series(a, order: int) -> LaurentSeries:
+def exp_series(a: Fraction, order: int) -> LaurentSeries:
     """exp(a*z) truncated: sum_{n<=order} a^n z^n / n!."""
     require_index("order", order)
-    a = Fraction(a)
+    a = require_rational("a", a)
     coeffs = [Fraction(1)]
     for n in range(1, order + 1):
         coeffs.append(coeffs[-1] * a / n)

@@ -144,7 +144,11 @@ POSITIVE_ROUTES = (Route.CLOSED_FORM, Route.FUNCTIONAL_EQUATION)
 
 def zeta_classical(argument: int, route: Route) -> Fraction | PiValue:
     """zeta(argument) by one named route: a Fraction at argument <= 0, a
-    PiValue at even argument >= 2."""
+    PiValue at even argument >= 2. The route is a Route or its name."""
+    try:
+        route = Route(route)
+    except ValueError:
+        raise DomainError(f"unknown route {route!r}") from None
     if require_index("argument", argument, least=None) == 1:
         raise PoleArgument("zeta(1) is a pole")
     if argument > 0 and argument % 2:

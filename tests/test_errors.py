@@ -60,9 +60,9 @@ def test_star_import_binds_every_export_once():
 
 # Each argument check of a library function, as (function, *arguments) that
 # fail it: the CLI turns a DomainError into exit 2 and one error line. An
-# integer index that is a float and a complex point that is no number fail
-# too, at every such parameter of a public callable (checked below). ONE is
-# the series whose methods the cases call.
+# integer index that is a float, and a rational or a complex point that is no
+# number, fail too, at every such parameter of a public callable (checked
+# below). ONE is the series whose methods the cases call.
 ONE = series.LaurentSeries.constant(1, 3)
 ARGUMENT_CASES = [
     (zeta_exact.zeta_nonpositive, -1),
@@ -90,6 +90,9 @@ ARGUMENT_CASES = [
     (zeta_exact.zeta_classical, 2.5, zeta_exact.Route("closed")),
     (zeta_exact.zeta_classical, 3.0, zeta_exact.Route("closed")),
     (zeta_exact.zeta_classical, -3.0, zeta_exact.Route("closed")),
+    (zeta_exact.zeta_classical, 4, "residue"),
+    (zeta_exact.zeta_classical, 4, "bogus"),
+    (zeta_exact.zeta_classical, 4, None),
     (abel.abel_closed_form, -1),
     (abel.abel_closed_form, 3.0),
     (abel.abel_sum_exact, -1),
@@ -110,11 +113,17 @@ ARGUMENT_CASES = [
     (series.exp_series, 1, -1),
     (series.exp_series, 1, 2.5),
     (series.exp_series, 1, 3.0),
+    (series.exp_series, "a", 3),
+    (series.exp_series, None, 3),
+    (series.exp_series, math.inf, 3),
     (series.LaurentSeries, 0, (F(1),), 3),
     (series.LaurentSeries, 2.5, (F(1),), 3),
     (series.LaurentSeries, 3.0, (F(1),), 3),
     (series.LaurentSeries, 3, (F(1),), 2.5),
     (series.LaurentSeries, 3, (F(1),), 3.0),
+    (series.LaurentSeries, 0, ("a",), 0),
+    (series.LaurentSeries, 0, (None,), 0),
+    (series.LaurentSeries, 0, (math.nan,), 0),
     (series.LaurentSeries.monomial, 1, 2, 1),
     (series.LaurentSeries.monomial, 1, 2.5, 3),
     (series.LaurentSeries.monomial, 1, 3.0, 3),
@@ -122,6 +131,10 @@ ARGUMENT_CASES = [
     (series.LaurentSeries.monomial, 1, 1, 3.0),
     (series.LaurentSeries.constant, 1, 2.5),
     (series.LaurentSeries.constant, 1, 3.0),
+    (series.LaurentSeries.monomial, "a", 1, 3),
+    (series.LaurentSeries.monomial, None, 1, 3),
+    (series.LaurentSeries.constant, "a", 3),
+    (series.LaurentSeries.constant, None, 3),
     (series.LaurentSeries.coeff, ONE, 2.5),
     (series.LaurentSeries.coeff, ONE, 3.0),
     (series.LaurentSeries.shifted, ONE, 2.5),
@@ -129,6 +142,9 @@ ARGUMENT_CASES = [
     (PiValue, F(0), 1),
     (PiValue, 1, 2.5),
     (PiValue, 1, 3.0),
+    (PiValue, "a", 2),
+    (PiValue, None, 2),
+    (PiValue, 1j, 2),
     (gammafn.gamma_complex, "a"),
     (gammafn.gamma_complex, None),
     (numeric.ContourSpec, 7.0),
@@ -140,6 +156,8 @@ ARGUMENT_CASES = [
     (numeric.zeta_em, None),
     (numeric.zeta_hankel, "a"),
     (numeric.zeta_hankel, None),
+    (numeric.zeta_hankel, 0.5 + 3j, "x"),
+    (numeric.zeta_hankel, 0.5 + 3j, (math.pi, 40.0)),
     (numeric.funceq_residual, "a"),
     (numeric.funceq_residual, None),
     (numeric.cotangent_check, 5, 10),
@@ -149,6 +167,7 @@ ARGUMENT_CASES = [
     (numeric.cotangent_check, math.inf, 10),
     (numeric.cotangent_check, math.nan, 10),
     (numeric.cotangent_check, "abc", 10),
+    (numeric.cotangent_check, "1/4", 10),
     (numeric.cotangent_tail_bound, 0.25, 2.5),
     (numeric.cotangent_tail_bound, 0.25, 3.0),
     (numeric.inverted_contour_check, -2.5, 2.5),
@@ -174,7 +193,7 @@ def test_argument_check_raises_domain_error(case):
 
 
 # The arguments outside each annotated kind that ARGUMENT_CASES must hold.
-NON_MEMBERS = {int: (2.5, 3.0), complex: ("a", None)}
+NON_MEMBERS = {int: (2.5, 3.0), F: ("a", None), complex: ("a", None)}
 
 
 def _public_callables():

@@ -1,5 +1,6 @@
 import cmath
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,6 +19,7 @@ from zetaroutes.numeric import (
     _arc_nodes,
     _integrand,
     _panel_nodes,
+    _ray,
     _s_free_factors,
     _upper_ray,
     _weighted_terms,
@@ -199,6 +201,58 @@ class TestHankelTermsBitForBit:
         assert repr(between) == repr(wide_alone)
         assert first != between
 
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            (ContourSpec(x_max=40.0), ContourSpec(x_max=45.0)),
+            (ContourSpec(radius=math.pi / 2), ContourSpec(radius=3.0)),
+        ],
+        ids=["x_max", "radius"],
+    )
+    def test_ray_cache_is_keyed_on_the_contour(self, specs):
+        # Both contours stop at level 1, so the interleaved calls read the
+        # cached rays; each must give the bits of a call on empty caches.
+        s = -0.5 + 1j
+        cold = []
+        for spec in specs:
+            _ray.cache_clear()
+            _arc.cache_clear()
+            cold.append(repr(zeta_hankel(s, spec)))
+        _ray.cache_clear()
+        warm = [repr(zeta_hankel(s, spec)) for spec in specs + specs]
+        assert warm == cold + cold
+        assert cold[0] != cold[1]
+        assert _ray.cache_info().hits == 4
+
+    @pytest.mark.parametrize("panels", [16, 32])
+    def test_cached_ray_is_the_upper_ray_and_read_only(self, panels):
+        spec = ContourSpec()
+        x, wt = _upper_ray(spec, panels)
+        cached = _ray(spec, panels)
+        arrays = (cached[0], *cached[1])
+        fresh = (wt, *_s_free_factors(x))
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in fresh]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            cached[1][0][0] = 0.0
+
+    def test_refusal_leaves_only_the_first_two_ray_levels_cached(self, monkeypatch):
+        # The zero runs all seven levels; only the 16- and 32-panel rays stay.
+        calls = []
+        weighted_terms = numeric_module._weighted_terms
+
+        def counted(s, spec, panels_ray):
+            calls.append(panels_ray)
+            return weighted_terms(s, spec, panels_ray)
+
+        monkeypatch.setattr(numeric_module, "_weighted_terms", counted)
+        _ray.cache_clear()
+        with pytest.raises(QuadratureNotConverged):
+            zeta_hankel(0.5 + 14.13j)
+        assert calls == [16 << level for level in LEVELS]
+        assert _ray.cache_info().currsize == 2
+        assert _ray.cache_info().misses == 2
+
 
 class TestZetaHankel:
     def test_minus_half(self):
@@ -228,6 +282,14 @@ class TestZetaHankel:
         reference = -2j * cmath.sin(math.pi * s) * gamma_complex(s) * zeta_em(s)
         assert abs(loop - reference) <= 1e-10 * abs(reference)
         assert abs(loop + reference) > abs(reference)  # flipped sign would fail
+
+    def test_contour_fields_are_plain_floats(self):
+        # The spec keys the ray cache: an array radius was unhashable there,
+        # and a Decimal one could not multiply the complex nodes.
+        spec = ContourSpec(radius=np.array(3.0), x_max=Decimal(40))
+        plain = ContourSpec(3.0, 40.0)
+        assert spec == plain and type(spec.radius) is type(spec.x_max) is float
+        assert repr(zeta_hankel(-0.5 + 1j, spec)) == repr(zeta_hankel(-0.5 + 1j, plain))
 
     def test_contour_independence(self):
         s = -0.5 + 1j

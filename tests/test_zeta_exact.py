@@ -5,7 +5,7 @@ import pytest
 
 from zetaroutes import abel, bernoulli, cli
 from zetaroutes.abel import zeta_neg_via_abel
-from zetaroutes.errors import InternalInconsistency
+from zetaroutes.errors import DomainError, InternalInconsistency
 from zetaroutes.exact import PiValue
 from zetaroutes.series import LaurentSeries
 from zetaroutes.zeta_exact import (
@@ -183,6 +183,19 @@ class TestDispatch:
             zeta_classical(4, Route.ABEL_SUMMATION)
         with pytest.raises(ValueError):
             zeta_classical(-4, Route.FUNCTIONAL_EQUATION)
+
+    @pytest.mark.parametrize("k", [-3, 0, 4])
+    def test_route_by_name_is_the_route(self, k):
+        # A plain str names its Route: "closed" at -3 once fell through every
+        # branch to the funceq one and raised "n must be positive".
+        for route in routes_for_argument(k):
+            assert zeta_classical(k, route.value) == zeta_classical(k, route)
+
+    @pytest.mark.parametrize("k, name", [(4, "residue"), (-3, "funceq"), (4, "bogus")])
+    def test_route_by_name_is_checked(self, k, name):
+        # "residue" at 4 raised AttributeError: str has no .value.
+        with pytest.raises(DomainError):
+            zeta_classical(k, name)
 
 
 # -- route -> primitive ---------------------------------------------------------
