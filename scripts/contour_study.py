@@ -8,9 +8,11 @@ of the Gauss-Legendre panels and independence of the contour geometry
 
 zeta_hankel uses a fixed rule: 16-point Gauss-Legendre panels, 16 per ray
 and 8 on the arc to start, doubled up to six times until two successive
-results agree to _TOL = 1e-12. The panel sweep evaluates single rungs of that ladder
-(half as many arc panels as ray panels); the radius sweep calls zeta_hankel
-itself.
+results agree to _TOL = 1e-12, on the contour default_contour(s) picks. The
+contour is not a parameter of zeta_hankel, so both sweeps reach into the
+module: the panel sweep evaluates single rungs of that ladder (half as many
+arc panels as ray panels) with _weighted_terms, and the radius sweep runs
+zeta_hankel's refinement loop, _hankel, on each contour.
 """
 
 import argparse
@@ -21,10 +23,10 @@ import numpy as np
 from zetaroutes.gammafn import gamma_complex
 from zetaroutes.numeric import (
     ContourSpec,
+    _hankel,
     _weighted_terms,
     default_contour,
     zeta_em,
-    zeta_hankel,
 )
 
 
@@ -45,9 +47,9 @@ def main() -> None:
         value = prefactor * complex(np.sum(_weighted_terms(s, spec, panels)))
         print(f"  {panels:>3} ray panels: error {abs(value - reference):.3e}")
 
-    print("\ncontour independence (zeta_hankel, converged):")
+    print("\ncontour independence (refinement loop, converged):")
     for radius in (math.pi / 2, 2.0, math.pi, 4.0, 5.5):
-        value = zeta_hankel(s, ContourSpec(radius=radius, x_max=40.0))
+        value = _hankel(s, ContourSpec(radius=radius, x_max=40.0))
         print(f"  radius {radius:5.3f}: error {abs(value - reference):.3e}")
 
 

@@ -31,7 +31,6 @@ from .zeta_exact import (
 )
 from .gammafn import PoleAtNonpositiveInteger, gamma_complex
 from .numeric import (
-    ContourSpec,
     NearPole,
     OutOfValidatedRange,
     QuadratureNotConverged,
@@ -72,7 +71,6 @@ __all__ = [
     "PoleArgument",
     "gamma_complex",
     "PoleAtNonpositiveInteger",
-    "ContourSpec",
     "zeta_em",
     "zeta_hankel",
     "inverted_contour_check",

@@ -48,26 +48,13 @@ from .gammafn import gamma_complex
 class ContourSpec:
     """Hankel contour geometry: rays at Im x = +-radius joined by an arc.
 
-    The radius must sit strictly between the origin and the first nonreal
-    poles at +-2 pi i; the default pi maximizes the distance to both.
+    The radius sits strictly between the origin and the first nonreal poles
+    at +-2 pi i; pi maximizes the distance to both. Only ``default_contour``
+    builds one for ``zeta_hankel``, and the frozen spec keys the ray cache.
     """
 
     radius: float = math.pi
     x_max: float = 40.0
-
-    def __post_init__(self) -> None:
-        radius = require_complex("radius", self.radius)
-        x_max = require_complex("x_max", self.x_max)
-        if radius.imag or x_max.imag:
-            raise DomainError("radius and x_max must be real")
-        if not 0.0 < radius.real < 2 * math.pi:
-            raise DomainError("radius must lie in (0, 2 pi)")
-        if x_max.real <= radius.real:
-            raise DomainError("x_max must exceed the radius")
-        # Plain floats: the spec keys the ray cache, and equal values then
-        # hash alike and build the same nodes.
-        object.__setattr__(self, "radius", radius.real)
-        object.__setattr__(self, "x_max", x_max.real)
 
 
 _EPS = 2.3e-16
@@ -126,15 +113,17 @@ def default_contour(s: complex) -> ContourSpec:
     (x - a) - a log(x/a) >= 35. At Re s <= 2 the start already does.
     """
     s = require_complex("s", s)
-    try:  # abs(s) overflows, or 2|s| rounds to inf and ContourSpec refuses it
+    try:
         x_max = max(40.0, 10.0 + 2.0 * abs(s))
-        a = s.real - 1.0
-        if a > 0.0:
-            while (x_max - a) - a * math.log(x_max / a) < _TAIL_DROP:
-                x_max *= 1.1
-        return ContourSpec(x_max=x_max)
-    except (OverflowError, OutOfValidatedRange):
-        raise OutOfValidatedRange(f"|s| exceeds double precision at s = {s}") from None
+    except OverflowError:  # |s| beyond double range
+        x_max = math.inf
+    if not math.isfinite(x_max):  # also when 2|s| rounds to inf
+        raise OutOfValidatedRange(f"|s| exceeds double precision at s = {s}")
+    a = s.real - 1.0
+    if a > 0.0:
+        while (x_max - a) - a * math.log(x_max / a) < _TAIL_DROP:
+            x_max *= 1.1
+    return ContourSpec(x_max=x_max)
 
 
 # -- Euler-Maclaurin route ----------------------------------------------------
@@ -282,7 +271,7 @@ def _weighted_terms(s: complex, spec: ContourSpec, panels_ray: int):
 
 
 @finite_or_out_of_range
-def zeta_hankel(s: complex, contour: ContourSpec | None = None) -> complex:
+def zeta_hankel(s: complex) -> complex:
     """zeta(s) = -Gamma(1-s) I(s) / (2 pi i) with I over the Hankel contour.
 
     Orientation: in above the cut from x_max, counterclockwise around the
@@ -295,16 +284,18 @@ def zeta_hankel(s: complex, contour: ContourSpec | None = None) -> complex:
     round-off floor eps |prefactor| sum |w f| of that level's terms is not
     finite or exceeds 100 _TOL: no refinement gets below it. Within 0.1 of a
     positive integer TooCloseToPositiveIntegerPole is raised: Gamma(1-s)
-    blows up against a vanishing integral.
+    blows up against a vanishing integral. The contour is default_contour(s).
     """
-    if contour is not None and not isinstance(contour, ContourSpec):
-        raise DomainError(f"contour must be a ContourSpec, got {contour!r}")
     nearest = max(1, round(s.real))
     if abs(s - nearest) < 0.1:
         raise TooCloseToPositiveIntegerPole(
             f"s = {s} is within 0.1 of the positive integer {nearest}"
         )
-    spec = contour if contour is not None else default_contour(s)
+    return _hankel(s, default_contour(s))
+
+
+def _hankel(s: complex, spec: ContourSpec) -> complex:
+    """The refinement loop of ``zeta_hankel`` on the contour `spec`."""
     prefactor = -gamma_complex(1 - s) / (2j * math.pi)
     prev = None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is typed below

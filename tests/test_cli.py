@@ -230,6 +230,12 @@ class TestVerify:
         assert invoke(capsys, "verify", "funceq", "--exact-max", "50")[0] == 0
         assert calls == {"zeta_even_positive": 50, "zeta_even_via_funceq": 50}
 
+    @pytest.mark.parametrize("grid, code", [("-12:-8:20:30:3", 1), ("0.1:0.9:0:10:5", 0)])
+    def test_funceq_grid_bound_is_fixed(self, capsys, grid, code):
+        # zeta_em loses digits far left of Re s = 0, so the first grid's worst
+        # residual is about 1e-1; it once passed with --grid-tol 1.
+        assert invoke(capsys, "verify", "funceq", "--exact-max", "0", f"--grid={grid}")[0] == code
+
     def test_funceq_bad_grid_is_usage_error(self, capsys):
         for grid in ("1:2:3", "1:2:3:4:0"):
             code, _, err = invoke(capsys, "verify", "funceq", "--grid", grid)
@@ -335,6 +341,7 @@ def test_usage_error_exit_code(capsys):
     # The numeric tuning flags are gone; two of them once exited 0 unread.
     for argv in (
         ("verify", "funceq", "--tol", "1e-3"),
+        ("verify", "funceq", "--grid-tol", "nan"),
         ("verify", "contour-inversion", "--s", "-2.5", "--poles", "10", "--radius", "1"),
     ):
         code, out, err = invoke(capsys, *argv)
@@ -346,8 +353,6 @@ def test_usage_error_exit_code(capsys):
         ("bernoulli", "--max", "-1"),
         ("abel", "-1"),
         ("verify", "funceq", "--exact-max", "-3"),
-        ("verify", "funceq", "--grid-tol", "nan"),
-        ("verify", "funceq", "--grid-tol", "-1"),
         ("verify", "contour-inversion", "--s=-2.5,1,junk", "--poles", "10"),
     ):
         code, out, err = invoke(capsys, *argv)
@@ -470,7 +475,7 @@ def _argv(draw):
         grid = ":".join(draw(st.lists(_NUMBERS, min_size=4, max_size=4)))
         steps = draw(st.integers(0, 2))
         return ["verify", "funceq", f"--exact-max={draw(st.integers(-1, 30))}",
-                f"--grid={grid}:{steps}", f"--grid-tol={draw(_NUMBERS)}", *opt]
+                f"--grid={grid}:{steps}", *opt]
     if command == "cotangent":
         return ["verify", "cotangent", f"--x={draw(_RATIONALS)}",
                 f"--terms={draw(_COUNTS)}", *opt]

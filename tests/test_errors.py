@@ -147,17 +147,10 @@ ARGUMENT_CASES = [
     (PiValue, 1j, 2),
     (gammafn.gamma_complex, "a"),
     (gammafn.gamma_complex, None),
-    (numeric.ContourSpec, 7.0),
-    (numeric.ContourSpec, 1.0, 0.5),
-    (numeric.ContourSpec, "a"),
-    (numeric.ContourSpec, 1.0, None),
-    (numeric.ContourSpec, 1j),
     (numeric.zeta_em, "a"),
     (numeric.zeta_em, None),
     (numeric.zeta_hankel, "a"),
     (numeric.zeta_hankel, None),
-    (numeric.zeta_hankel, 0.5 + 3j, "x"),
-    (numeric.zeta_hankel, 0.5 + 3j, (math.pi, 40.0)),
     (numeric.funceq_residual, "a"),
     (numeric.funceq_residual, None),
     (numeric.cotangent_check, 5, 10),

@@ -232,10 +232,13 @@ def _corrupt_theta(monkeypatch):
     monkeypatch.setattr(abel, "_THETA_NUMERATORS", [[1]] + chain[1:])
 
 
-@pytest.mark.parametrize(
+EACH_PRIMITIVE = pytest.mark.parametrize(
     "corrupt", [_corrupt_tangent, _corrupt_series, _corrupt_invert, _corrupt_theta],
     ids=["tangent", "series", "invert", "theta"],
 )
+
+
+@EACH_PRIMITIVE
 @pytest.mark.parametrize("k", [-5, -1, 4, 40])
 def test_no_corrupt_primitive_passes_route_all(monkeypatch, k, corrupt):
     # Routes that --route all compares must not share a primitive: with any
@@ -249,3 +252,48 @@ def test_no_corrupt_primitive_passes_route_all(monkeypatch, k, corrupt):
     except InternalInconsistency:
         return
     assert len(set(values)) >= 2 or set(values) == {truth}
+
+
+@EACH_PRIMITIVE
+@pytest.mark.parametrize("k", [-5, -1, 4, 40])
+def test_route_all_exit_status_is_the_comparison(monkeypatch, capsys, k, corrupt):
+    # Exit 1 when the printed values are not all equal, 0 when they are; a
+    # route that raises (the abel check) exits 1 and prints no value.
+    corrupt(monkeypatch)
+    code = cli.run(["zeta", "exact", str(k), "--route", "all"])
+    out, err = capsys.readouterr()
+    if err:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+    else:
+        lines = out.splitlines()
+        assert len(lines) == len(routes_for_argument(k))
+        assert code == (0 if len(set(lines)) == 1 else 1)
+
+
+@pytest.mark.parametrize(
+    "corrupt, k, printed",
+    [
+        (_corrupt_tangent, 4, ["1/30*pi^4", "1/90*pi^4"]),
+        (_corrupt_series, -3, ["1/120", "1/40", "1/120", "1/120"]),
+    ],
+    ids=["tangent", "series"],
+)
+def test_route_all_disagreement_exits_1(monkeypatch, capsys, corrupt, k, printed):
+    # These exited 0 with the disagreement in plain sight.
+    corrupt(monkeypatch)
+    assert cli.run(["zeta", "exact", str(k), "--route", "all"]) == 1
+    out, err = capsys.readouterr()
+    assert (out.splitlines(), err) == (printed, "")
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_tangent, _corrupt_series], ids=["tangent", "series"])
+def test_bernoulli_both_exits_1_when_the_methods_disagree(monkeypatch, capsys, corrupt):
+    argv = ["bernoulli", "--max", "64", "--method", "both"]
+    assert cli.run(argv) == 0
+    intact = capsys.readouterr().out
+    corrupt(monkeypatch)
+    assert cli.run(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out != intact
