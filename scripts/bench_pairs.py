@@ -11,9 +11,12 @@ both checkouts, the parent first in even pairs and the change first in odd ones,
 one run at a time. The record keeps each run's last two stdout lines
 unedited: the result under the side's name and, under `<side>_info`, the info
 line before it, which holds the run's `host_factor`. It also keeps both
-commit hashes and, per workload and metric, each side's quartiles and
-the pairs the change won (lower is better for every end-to-end metric). The
-file is rewritten after every pair, so an interrupted session keeps its runs.
+commit hashes and, per workload and metric, each side's quartiles, the
+pairs the change won (lower is better for every end-to-end metric; a tie is
+no win) and whether a gain may be claimed: the change won at least 9 of
+every 10 pairs and its median is below the parent's by more than the
+parent's interquartile range. The file is rewritten after every pair, so an
+interrupted session keeps its runs.
 """
 
 import argparse
@@ -51,17 +54,21 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summary(pairs: list[dict]) -> dict:
-    """Per metric: each side's [q1, median, q3] and the change's wins."""
+    """Per metric: each side's [q1, median, q3], the change's wins and
+    whether they meet the rule for claiming a gain."""
     runs = {side: [json.loads(p[side])["metrics"] for p in pairs] for side in ("parent", "change")}
     out = {}
     for name in runs["parent"][0]:
         parent = [m[name]["value"] for m in runs["parent"]]
         change = [m[name]["value"] for m in runs["change"]]
+        (p1, p2, p3), change_q = quartiles(parent), quartiles(change)
+        wins = sum(c < p for p, c in zip(parent, change))
         out[name] = {
-            "parent": quartiles(parent),
-            "change": quartiles(change),
-            "change_wins": sum(c < p for p, c in zip(parent, change)),
+            "parent": [p1, p2, p3],
+            "change": change_q,
+            "change_wins": wins,
             "pairs": len(pairs),
+            "claim_met": 10 * wins >= 9 * len(pairs) and p2 - change_q[1] > p3 - p1,
         }
     return out
 

@@ -19,18 +19,13 @@ import threading
 from fractions import Fraction
 
 from .errors import require_index
-from .series import LaurentSeries, exp_series
-
-
-def bernoulli_generating_series(order: int) -> LaurentSeries:
-    """z/(e^z - 1) through z^order, computed as the inverse of (e^z - 1)/z."""
-    expm1 = exp_series(1, order + 1) - LaurentSeries.constant(1, order + 1)
-    return expm1.shifted(-1).invert()
+from .series import invert_exponential
 
 
 def _series_table(order: int) -> list[Fraction]:
-    gen = bernoulli_generating_series(order)
-    return [math.factorial(n) * gen.coeff(n) for n in range(order + 1)]
+    # (e^z - 1)/z = sum z^k/(k+1)! has alpha_k = 1/(k+1) on the scale z^k/k!,
+    # and its inverse z/(e^z - 1) has beta_k = B_k there.
+    return invert_exponential([Fraction(1, k + 1) for k in range(order + 1)])
 
 
 def _tangent_table(order: int) -> list[Fraction]:

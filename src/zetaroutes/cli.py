@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -147,8 +148,12 @@ def _floated(records) -> list[OutputRecord]:
 
 
 def _agreement(values) -> int:
-    """Exit status of a cross-route comparison: 1 unless all values are equal."""
-    return 0 if len(set(values)) <= 1 else 1
+    """Exit status of a cross-route comparison: 1 unless all values are equal.
+
+    Compared with ==, not by hash: hashing a Fraction costs a modular inverse.
+    """
+    values = list(values)
+    return 0 if all(v == values[0] for v in values) else 1
 
 
 def _cmd_bernoulli(args):
@@ -390,14 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first run, not at import, and reused by every later run.
+_parser = functools.cache(build_parser)
+
 # Exit status by the first matching class; ValueError includes DomainError.
 EXIT_CODES = {InternalInconsistency: 1, ValueError: 2, OSError: 2}
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .bernoulli import bernoulli_via_recurrence
 from .errors import (
@@ -166,8 +165,22 @@ def zeta_em(s: complex) -> complex:
 
 
 # The fixed quadrature rule: 16-point Gauss-Legendre panels, 16 per ray and
-# half as many on the arc to start, doubled up to six times.
-_GAUSS_X, _GAUSS_W = leggauss(16)
+# half as many on the arc to start, doubled up to six times. The nodes and
+# weights are numpy's leggauss(16) to the bit, written out so that importing
+# the package does not load numpy.polynomial; the rule is exactly symmetric,
+# so the 8 positive nodes and their weights give all 16.
+_HALF_X = np.array([float.fromhex(h) for h in (
+    "0x1.852bd6676a9f9p-4", "0x1.205cae642337cp-2", "0x1.d50259a43a772p-2",
+    "0x1.3c5a466d5e8b8p-1", "0x1.82c45dda4726bp-1", "0x1.bb3403514e483p-1",
+    "0x1.e39f56616f9b0p-1", "0x1.fa92c264d787ep-1",
+)])
+_HALF_W = np.array([float.fromhex(h) for h in (
+    "0x1.83feae80e4e01p-3", "0x1.75f8c77e0c011p-3", "0x1.5a6ebbb5a7600p-3",
+    "0x1.325f61bca3cbep-3", "0x1.fe7af2bad3878p-4", "0x1.85c4ee79cc24bp-4",
+    "0x1.fdfb1a2c1261ep-5", "0x1.bcddab4b7c228p-6",
+)])
+_GAUSS_X = np.concatenate([-_HALF_X[::-1], _HALF_X])
+_GAUSS_W = np.concatenate([_HALF_W[::-1], _HALF_W])
 _PANELS_RAY = 16
 _REFINEMENTS = 6
 _TOL = 1e-12  # two successive levels agreeing to this much is convergence

@@ -1,4 +1,6 @@
-"""Truncated Laurent series over exact rationals.
+"""Truncated Laurent series over exact rationals, and the exact inverse of
+a series of exponential type, ``invert_exponential``, that every series
+inversion runs on.
 
 A series carries its own trust horizon: ``order`` is the largest exponent
 whose coefficient is guaranteed correct. Arithmetic tightens the horizon,
@@ -12,6 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
 
 from .errors import (
     DomainError,
@@ -126,29 +129,50 @@ class LaurentSeries:
     def invert(self) -> "LaurentSeries":
         """Series b with self*b == 1 through the deliverable order.
 
-        Uses long division on the relative coefficients; the inverse has
-        valuation -v and carries order - 2v trusted exponents' worth.
-        In b_k = -(sum_{i=1..k} a_i b_{k-i}) / a_0 a common scale of the a_i
-        cancels, so they are taken as integers over their lcm, and the b_k
-        as integers over one running denominator: each b_k is then an
-        integer dot product and a single reduction.
+        The inverse has valuation -v and carries order - 2v trusted
+        exponents' worth. The relative coefficients c_k go through
+        ``invert_exponential`` as alpha_k = k! c_k and come back as
+        b_k = beta_k / k!.
         """
-        if self.is_zero():
-            raise ZeroSeries("cannot invert the zero series")
-        lcm = math.lcm(*(c.denominator for c in self.coeffs))
-        a = [c.numerator * (lcm // c.denominator) for c in self.coeffs]
-        b = [1 / self.coeffs[0]]
-        den, nums = b[0].denominator, [b[0].numerator]  # b_k = nums[k] / den
-        for k in range(1, len(a)):
-            bk = Fraction(-sum(map(operator.mul, a[k:0:-1], nums)), den * a[0])
-            grow = bk.denominator // math.gcd(den, bk.denominator)
-            if grow > 1:
-                den *= grow
-                nums = [num * grow for num in nums]
-            nums.append(bk.numerator * (den // bk.denominator))
-            b.append(bk)
+        facts = list(accumulate(range(1, len(self.coeffs)), operator.mul, initial=1))
+        beta = invert_exponential(map(operator.mul, facts, self.coeffs))
+        b = tuple(map(operator.truediv, beta, facts))
         val = -self.valuation
-        return LaurentSeries(val, tuple(b), val + len(b) - 1)
+        return LaurentSeries(val, b, val + len(b) - 1)
+
+
+def invert_exponential(alpha) -> list[Fraction]:
+    """beta_0 .. beta_n with (sum alpha_k z^k/k!)(sum beta_k z^k/k!) == 1.
+
+    beta_0 = 1/alpha_0 and beta_k = -(sum_{i=1..k} C(k,i) alpha_i beta_{k-i})
+    / alpha_0. On this exponential scale the integers stay small: the common
+    scale of alpha_k = 1/(k+1) is lcm(1..n+1), where the ordinary
+    coefficients 1/(k+1)! need (n+1)!. A common scale of the alpha_i
+    cancels, so they are taken as integers over their lcm, and the beta_k as
+    integers over one running denominator: each beta_k is then an integer
+    dot product with one Pascal row, kept by additions, and a single
+    reduction. Terms at a zero beta_{k-i} are skipped, which halves the work
+    for an even function plus a linear term, such as z/(e^z - 1).
+    """
+    alpha = [c if isinstance(c, Fraction) else require_rational("alpha", c) for c in alpha]
+    if not alpha or alpha[0] == 0:
+        raise ZeroSeries("cannot invert a series whose constant term is zero")
+    lcm = math.lcm(*(c.denominator for c in alpha))
+    a = [c.numerator * (lcm // c.denominator) for c in alpha]
+    beta = [1 / alpha[0]]
+    den, rev = beta[0].denominator, [beta[0].numerator]  # beta_{k-1-j} = rev[j] / den
+    row = [1]  # C(k-1, 0..k-1)
+    for k in range(1, len(a)):
+        row = [1, *map(operator.add, row[1:], row), 1]
+        scaled = map(operator.mul, compress(row[1:], rev), compress(a[1 : k + 1], rev))
+        bk = Fraction(-sum(map(operator.mul, scaled, filter(None, rev))), den * a[0])
+        grow = bk.denominator // math.gcd(den, bk.denominator)
+        if grow > 1:
+            den *= grow
+            rev = [num * grow for num in rev]
+        rev.insert(0, bk.numerator * (den // bk.denominator))
+        beta.append(bk)
+    return beta
 
 
 def exp_series(a: Fraction, order: int) -> LaurentSeries:

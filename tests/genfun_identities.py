@@ -6,9 +6,15 @@ import math
 from fractions import Fraction
 
 from zetaroutes.abel import _theta_numerator
-from zetaroutes.bernoulli import bernoulli_generating_series, bernoulli_via_recurrence
+from zetaroutes.bernoulli import bernoulli_via_recurrence
 from zetaroutes.series import LaurentSeries, exp_series
 from zetaroutes.zeta_exact import zeta_nonpositive
+
+
+def bernoulli_generating_series(order: int) -> LaurentSeries:
+    """z/(e^z - 1) through z^order, computed as the inverse of (e^z - 1)/z."""
+    expm1 = exp_series(1, order + 1) - LaurentSeries.constant(1, order + 1)
+    return expm1.shifted(-1).invert()
 
 
 def finite_G_check(n: int, max_m: int) -> bool:

@@ -150,3 +150,9 @@ class TestEvenPartCheck:
 
     def test_order_2(self):
         assert even_part_check(2) is True
+
+
+@pytest.mark.parametrize("order", [200, 400])
+def test_series_table_is_the_tangent_table(order):
+    # the two builders share no code, so equality at large n checks both
+    assert bernoulli._series_table(order) == bernoulli._tangent_table(order)

@@ -335,6 +335,15 @@ class TestRender:
             render([OutputRecord(F(1), "r", "a")], "yaml")
 
 
+def test_one_parser_answers_each_argv_as_a_fresh_process(capsys, monkeypatch):
+    # run builds its parser once per process: a usage error, a command and
+    # --help in turn each give the rc, stdout and stderr they give alone.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    for argv in (["zeta", "exact", "x"], ["bernoulli", "--max", "4"], ["--help"]):
+        fresh = run_fresh(*argv)
+        assert invoke(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 2
     capsys.readouterr()

@@ -139,6 +139,9 @@ ARGUMENT_CASES = [
     (series.LaurentSeries.coeff, ONE, 3.0),
     (series.LaurentSeries.shifted, ONE, 2.5),
     (series.LaurentSeries.shifted, ONE, 3.0),
+    (series.invert_exponential, [1, "a"]),
+    (series.invert_exponential, [1, None]),
+    (series.invert_exponential, [1, math.nan]),
     (PiValue, F(0), 1),
     (PiValue, 1, 2.5),
     (PiValue, 1, 3.0),

@@ -1,6 +1,9 @@
 import cmath
 import inspect
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -88,6 +91,28 @@ class TestZetaEm:
     )
     def test_bits_are_pinned(self, s, pinned):
         assert repr(zeta_em(s)) == pinned
+
+
+def test_gauss_rule_is_leggauss_to_the_bit():
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(16)
+    assert numeric_module._GAUSS_X.tobytes() == x.tobytes()
+    assert numeric_module._GAUSS_W.tobytes() == w.tobytes()
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the written-out rule spares each process numpy.polynomial's import
+    src = os.path.dirname(os.path.dirname(zetaroutes.__file__))
+    code = "import sys, zetaroutes.cli; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def _integrand_at(x, s):

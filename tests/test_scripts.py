@@ -63,8 +63,24 @@ def test_bench_pairs_keeps_the_info_line_and_summarises(monkeypatch):
             "change": [1.125, 1.75, 2.375],
             "change_wins": 1,
             "pairs": 2,
+            "claim_met": False,
         }
     }
+
+    # A gain is claimed on 9 of 10 pairs won, a tie winning nothing, and a
+    # median drop beyond the parent's interquartile range. The parent runs
+    # 1.0 .. 1.9 have quartiles 1.225, 1.45, 1.675: a range of 0.45.
+    parent = [1.0 + i / 10 for i in range(10)]
+    won = [p - 0.5 for p in parent]
+    for change, met in [
+        (won, True),  # 10 of 10 won, median 0.5 lower
+        (won[:9] + [1.9], True),  # 9 won and a tie
+        (won[:8] + [1.8, 1.9], False),  # 8 won and two ties
+        (won[:8] + [1.9, 2.0], False),  # 8 won
+        ([p - 0.4 for p in parent], False),  # 10 of 10 won, median 0.4 lower
+    ]:
+        pairs = [{"parent": _result(p), "change": _result(c)} for p, c in zip(parent, change)]
+        assert bench.summary(pairs)["wall_s"]["claim_met"] is met, change
 
 
 def test_numeric_diff_finds_no_difference_between_a_tree_and_itself():

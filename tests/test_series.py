@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -9,6 +10,7 @@ from zetaroutes.series import (
     OutOfTrustedRange,
     ZeroSeries,
     exp_series,
+    invert_exponential,
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -189,6 +191,23 @@ class TestInvert:
             for m in range(one.valuation, one.order + 1)
             if m != 0
         )
+
+
+class TestInvertExponential:
+    @given(rationals.filter(lambda q: q != 0), st.lists(rationals, max_size=11))
+    def test_matches_long_division_on_random_series(self, lead, rest):
+        # beta_k / k! are the ordinary coefficients of the inverse of
+        # sum alpha_k z^k / k!
+        alpha = [lead, *rest]
+        ordinary = tuple(c / math.factorial(k) for k, c in enumerate(alpha))
+        inverse = invert_by_long_division(LaurentSeries(0, ordinary, len(rest)))
+        beta = invert_exponential(alpha)
+        assert [b / math.factorial(k) for k, b in enumerate(beta)] == list(inverse.coeffs)
+
+    @pytest.mark.parametrize("alpha", [[], [0, 1, 2], [F(0)]])
+    def test_zero_lead_rejected(self, alpha):
+        with pytest.raises(ZeroSeries):
+            invert_exponential(alpha)
 
 
 class TestCoeff:

@@ -3,11 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from zetaroutes import abel, bernoulli, cli
+from zetaroutes import abel, bernoulli, cli, series
 from zetaroutes.abel import zeta_neg_via_abel
 from zetaroutes.errors import DomainError, InternalInconsistency
 from zetaroutes.exact import PiValue
-from zetaroutes.series import LaurentSeries
 from zetaroutes.zeta_exact import (
     ArgumentNotEvenPositive,
     PoleArgument,
@@ -216,14 +215,16 @@ def _corrupt_series(monkeypatch):
 
 
 def _corrupt_invert(monkeypatch):
-    invert = LaurentSeries.invert
+    invert = series.invert_exponential
 
-    def wrong(self):
-        inv = invert(self)
-        return LaurentSeries(inv.valuation, _tripled_past_one(inv.coeffs), inv.order)
+    def wrong(alpha):
+        return _tripled_past_one(invert(alpha))
 
-    monkeypatch.setattr(LaurentSeries, "invert", wrong)
-    # an empty series table, so that it is rebuilt on the corrupt inversion
+    # the kernel where genfun (through LaurentSeries.invert) and the series
+    # table look it up, and an empty series table, so that it is rebuilt on
+    # the corrupt inversion
+    monkeypatch.setattr(series, "invert_exponential", wrong)
+    monkeypatch.setattr(bernoulli, "invert_exponential", wrong)
     monkeypatch.setattr(bernoulli, "_SERIES_PREFIX", [])
 
 
