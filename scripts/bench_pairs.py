@@ -13,10 +13,10 @@ unedited: the result under the side's name and, under `<side>_info`, the info
 line before it, which holds the run's `host_factor`. It also keeps both
 commit hashes and, per workload and metric, each side's quartiles, the
 pairs the change won (lower is better for every end-to-end metric; a tie is
-no win) and whether a gain may be claimed: the change won at least 9 of
-every 10 pairs and its median is below the parent's by more than the
-parent's interquartile range. The file is rewritten after every pair, so an
-interrupted session keeps its runs.
+no win) and whether a gain may be claimed: at least ten pairs ran, the
+change won at least 9 of every 10, and its median is below the parent's by
+more than the parent's interquartile range. The file is rewritten after
+every pair, so an interrupted session keeps its runs.
 """
 
 import argparse
@@ -61,14 +61,14 @@ def summary(pairs: list[dict]) -> dict:
     for name in runs["parent"][0]:
         parent = [m[name]["value"] for m in runs["parent"]]
         change = [m[name]["value"] for m in runs["change"]]
-        (p1, p2, p3), change_q = quartiles(parent), quartiles(change)
+        (q1, q2, q3), change_q = quartiles(parent), quartiles(change)
         wins = sum(c < p for p, c in zip(parent, change))
         out[name] = {
-            "parent": [p1, p2, p3],
+            "parent": [q1, q2, q3],
             "change": change_q,
             "change_wins": wins,
             "pairs": len(pairs),
-            "claim_met": 10 * wins >= 9 * len(pairs) and p2 - change_q[1] > p3 - p1,
+            "claim_met": len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and q2 - change_q[1] > q3 - q1,
         }
     return out
 

@@ -67,9 +67,9 @@ def test_bench_pairs_keeps_the_info_line_and_summarises(monkeypatch):
         }
     }
 
-    # A gain is claimed on 9 of 10 pairs won, a tie winning nothing, and a
-    # median drop beyond the parent's interquartile range. The parent runs
-    # 1.0 .. 1.9 have quartiles 1.225, 1.45, 1.675: a range of 0.45.
+    # A gain is claimed on ten pairs or more, 9 of 10 won, a tie winning
+    # nothing, and a median drop beyond the parent's interquartile range. The
+    # parent runs 1.0 .. 1.9 have quartiles 1.225, 1.45, 1.675: a range of 0.45.
     parent = [1.0 + i / 10 for i in range(10)]
     won = [p - 0.5 for p in parent]
     for change, met in [
@@ -78,6 +78,7 @@ def test_bench_pairs_keeps_the_info_line_and_summarises(monkeypatch):
         (won[:8] + [1.8, 1.9], False),  # 8 won and two ties
         (won[:8] + [1.9, 2.0], False),  # 8 won
         ([p - 0.4 for p in parent], False),  # 10 of 10 won, median 0.4 lower
+        (won[:9], False),  # 9 of 9 won
     ]:
         pairs = [{"parent": _result(p), "change": _result(c)} for p, c in zip(parent, change)]
         assert bench.summary(pairs)["wall_s"]["claim_met"] is met, change
