@@ -304,18 +304,20 @@ def _cmd_table_classical(args):
 # -- parser --------------------------------------------------------------------
 
 
-def _add_format_options(p, default="plain") -> None:
+def _add_format_options(p, default="plain", exact=False) -> None:
+    """--format, and --as-float where the command prints exact values."""
     p.add_argument(
         "--format",
         choices=("plain", "json", "csv", "md"),
         default=default,
         help="output rendering (default %(default)s)",
     )
-    p.add_argument(
-        "--as-float",
-        action="store_true",
-        help="render exact values as floats (exactness is the product; off by default)",
-    )
+    if exact:
+        p.add_argument(
+            "--as-float",
+            action="store_true",
+            help="render exact values as floats (exactness is the product; off by default)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=("series", "recurrence", "both"), default="series"
     )
-    _add_format_options(p)
+    _add_format_options(p, exact=True)
     p.set_defaults(func=_cmd_bernoulli)
 
     zeta = sub.add_parser("zeta", help="zeta values, exact or numeric")
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(*(r.value for r in Route), "all"),
         default="closed",
     )
-    _add_format_options(p)
+    _add_format_options(p, exact=True)
     p.set_defaults(func=_cmd_zeta_exact)
 
     p = zsub.add_parser("numeric", help="numeric zeta at complex s")
@@ -361,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the Richardson-extrapolated numeric limit (M <= 8)",
     )
-    _add_format_options(p)
+    _add_format_options(p, exact=True)
     p.set_defaults(func=_cmd_abel)
 
     verify = sub.add_parser("verify", help="identity checks")
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = table.add_subparsers(dest="table_command", required=True)
     p = tsub.add_parser("classical", help="all classical values up to |K| <= M")
     p.add_argument("--max", type=int, required=True)
-    _add_format_options(p, default="json")
+    _add_format_options(p, default="json", exact=True)
     p.set_defaults(func=_cmd_table_classical)
 
     return parser
@@ -409,7 +411,7 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         records, status = args.func(args)
-        if args.as_float:
+        if getattr(args, "as_float", False):
             records = _floated(records)
         print(render(records, args.format))
         return status

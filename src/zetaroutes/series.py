@@ -1,11 +1,9 @@
-"""Truncated Laurent series over exact rationals, and the exact inverse of
-a series of exponential type, ``invert_exponential``, that every series
-inversion runs on.
+"""The exact inverse of a series of exponential type, ``invert_exponential``,
+that every series inversion runs on, and the truncated Laurent series that
+the generating-function route reads its coefficients from.
 
 A series carries its own trust horizon: ``order`` is the largest exponent
-whose coefficient is guaranteed correct. Arithmetic tightens the horizon,
-never extends it, so a coefficient can be read only where it was actually
-computed.
+whose coefficient was computed, and ``coeff`` refuses to read past it.
 """
 
 from __future__ import annotations
@@ -55,26 +53,6 @@ class LaurentSeries:
         object.__setattr__(self, "valuation", val)
         object.__setattr__(self, "coeffs", coeffs)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def monomial(cls, coeff: Fraction, power: int, order: int) -> "LaurentSeries":
-        """c * z^power, trusted through `order`."""
-        require_index("power", power, least=None)
-        if require_index("order", order, least=None) < power:
-            raise DomainError("monomial order must be >= its power")
-        coeffs = (require_rational("coeff", coeff),) + (Fraction(0),) * (order - power)
-        return cls(power, coeffs, order)
-
-    @classmethod
-    def constant(cls, value: Fraction, order: int) -> "LaurentSeries":
-        return cls.monomial(value, 0, order)
-
-    # -- inspection --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def coeff(self, m: int) -> Fraction:
         """Coefficient of z^m: zero below the valuation, an error past the order."""
         if require_index("m", m, least=None) > self.order:
@@ -82,49 +60,6 @@ class LaurentSeries:
         if m < self.valuation:
             return Fraction(0)
         return self.coeffs[m - self.valuation]
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.valuation, tuple(-c for c in self.coeffs), self.order)
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        order = min(self.order, other.order)
-        val = min(self.valuation, other.valuation)
-        coeffs = [Fraction(0)] * (order - val + 1)
-        for src in (self, other):
-            for i, c in enumerate(src.coeffs):
-                m = src.valuation + i
-                if val <= m <= order:
-                    coeffs[m - val] += c
-        return LaurentSeries(val, tuple(coeffs), order)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        val = self.valuation + other.valuation
-        order = min(
-            self.order + other.valuation, other.order + self.valuation
-        )
-        if self.is_zero() or other.is_zero():
-            return LaurentSeries(order, (Fraction(0),), order)
-        size = order - val + 1
-        coeffs = [Fraction(0)] * size
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k >= size:
-                    break
-                if b != 0:
-                    coeffs[k] += a * b
-        return LaurentSeries(val, tuple(coeffs), order)
-
-    def shifted(self, k: int) -> "LaurentSeries":
-        """Multiply by z^k (exact; shifts the trust window with it)."""
-        return LaurentSeries(self.valuation + k, self.coeffs, self.order + k)
 
     def invert(self) -> "LaurentSeries":
         """Series b with self*b == 1 through the deliverable order.

@@ -85,12 +85,12 @@ def zeta_neg_via_residue(n: int) -> Fraction:
 def zeta_neg_via_G(order: int) -> list[Fraction]:
     """zeta(-m) for m = 0..order-1 from 1/(e^{-z} - 1) + 1/z.
 
-    Discarding the pole term leaves sum_m zeta(-m) z^m / m!.
+    Adding 1/z cancels the pole and leaves sum_m zeta(-m) z^m / m!, so the
+    coefficients of z^m, m >= 0, of 1/(e^{-z} - 1) are already zeta(-m) / m!.
     """
     work = require_index("order", order, least=1) + 2
-    em1 = exp_series(-1, work) - LaurentSeries.constant(1, work)
+    em1 = LaurentSeries(1, exp_series(-1, work).coeffs[1:], work)  # e^{-z} - 1
     gen = em1.invert()  # 1/(e^{-z} - 1), valuation -1
-    gen = gen + LaurentSeries.monomial(1, -1, gen.order)
     return [math.factorial(m) * gen.coeff(m) for m in range(order)]
 
 

@@ -347,11 +347,16 @@ def test_one_parser_answers_each_argv_as_a_fresh_process(capsys, monkeypatch):
 def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
-    # The numeric tuning flags are gone; two of them once exited 0 unread.
+    # The numeric tuning flags are gone; two of them once exited 0 unread. So
+    # is --as-float where no exact value is printed, which was ignored there.
     for argv in (
         ("verify", "funceq", "--tol", "1e-3"),
         ("verify", "funceq", "--grid-tol", "nan"),
         ("verify", "contour-inversion", "--s", "-2.5", "--poles", "10", "--radius", "1"),
+        ("zeta", "numeric", "0.5", "3", "--as-float"),
+        ("verify", "funceq", "--exact-max", "2", "--as-float"),
+        ("verify", "cotangent", "--x", "1/4", "--terms", "10", "--as-float"),
+        ("verify", "contour-inversion", "--s", "-2.5", "--poles", "10", "--as-float"),
     ):
         code, out, err = invoke(capsys, *argv)
         assert code == 2
