@@ -11,16 +11,20 @@ both checkouts, the parent first in even pairs and the change first in odd ones,
 one run at a time. The record keeps each run's last two stdout lines
 unedited: the result under the side's name and, under `<side>_info`, the info
 line before it, which holds the run's `host_factor`. It also keeps both
-commit hashes and, per workload and metric, each side's quartiles, the
-pairs the change won (lower is better for every end-to-end metric; a tie is
-no win) and whether a gain may be claimed: at least ten pairs ran, the
-change won at least 9 of every 10, and its median is below the parent's by
-more than the parent's interquartile range. The file is rewritten after
-every pair, so an interrupted session keeps its runs.
+commit hashes, whether PYTHONDONTWRITEBYTECODE was set in the environment
+each side ran with (a fresh clone then compiles the package in every cold
+process, so cold figures with and without it do not compare) and, per
+workload and metric, each side's quartiles, the pairs the change won (lower
+is better for every end-to-end metric; a tie is no win) and whether a gain
+may be claimed: at least ten pairs ran, the change won at least 9 of every
+10, and its median is below the parent's by more than the parent's
+interquartile range. The file is rewritten after every pair, so an
+interrupted script keeps the pairs it ran.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -33,12 +37,15 @@ def commit(checkout: Path) -> str:
     ).stdout.strip()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[str, str]:
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float, env: dict
+) -> tuple[str, str]:
     """The run's info line and its result line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload]
         + ["--seed", str(seed), "--seconds", str(seconds)],
         cwd=checkout,
+        env=env,
         capture_output=True,
         text=True,
         check=True,
@@ -84,11 +91,15 @@ def main() -> int:
     args = parser.parse_args()
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    env = dict(os.environ)
     record = {
         "commits": {side: commit(path) for side, path in checkouts.items()},
         "command": (
             f"python3 perfbench/run.py --workload <w> --seed {args.seed} --seconds {args.seconds:g}"
         ),
+        "PYTHONDONTWRITEBYTECODE": {
+            side: bool(env.get("PYTHONDONTWRITEBYTECODE")) for side in checkouts
+        },
         "workloads": {},
     }
     for item in args.pairs:
@@ -98,7 +109,9 @@ def main() -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"first": order[0]}
             for side in order:
-                info, pair[side] = run_once(checkouts[side], workload, args.seed, args.seconds)
+                info, pair[side] = run_once(
+                    checkouts[side], workload, args.seed, args.seconds, env
+                )
                 pair[f"{side}_info"] = info
             pairs.append(pair)
             record["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}

@@ -6,7 +6,8 @@ prints them. A record's kind, its JSON and text forms and its --as-float
 conversion follow from its payload's type through one table, ``_FORMS``.
 Exact values stay exact unless --as-float is passed. Exit status:
 0 success and all checks passing; 1 a verification failed, the routes or
-methods a command compares printed different values, or an
+methods a command compares printed different values (numeric ones by more
+than a mixed 2e-10), or an
 InternalInconsistency; 2 a usage error or a DomainError, raised by the library
 function that owns the domain (such as the pole at argument 1).
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import math
@@ -176,6 +178,11 @@ def _cmd_zeta_exact(args):
     return records, _agreement(values)
 
 
+# Each numeric route states a mixed tolerance of 1e-10, so --method both exits
+# 1 when its two values differ by more than their sum, relative to max(1, |em|).
+_NUMERIC_TOL = 2e-10
+
+
 def _cmd_zeta_numeric(args):
     s = complex(args.re, args.im)
     arg = _format_complex_arg(s)
@@ -189,7 +196,10 @@ def _cmd_zeta_numeric(args):
                 raise  # with "both", the em record stands alone
     if args.method in ("em", "both"):
         records.append(OutputRecord(zeta_em(s), "em", arg))
-    return records, 0
+    if len(records) < 2:
+        return records, 0
+    hankel, em = (r.payload for r in records)
+    return records, 0 if abs(hankel - em) <= _NUMERIC_TOL * max(1.0, abs(em)) else 1
 
 
 def _residual_check(residual: float, bound: float, route: str, argument: str):
@@ -399,14 +409,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Built on the first run, not at import, and reused by every later run.
 _parser = functools.cache(build_parser)
+_freeze_once = functools.cache(gc.freeze)
 
 # Exit status by the first matching class; ValueError includes DomainError.
 EXIT_CODES = {InternalInconsistency: 1, ValueError: 2, OSError: 2}
 
 
 def run(argv) -> int:
+    """Run one command, print its records and return its exit status.
+
+    The first call in a process builds the parser and then calls
+    ``gc.freeze()``: everything alive at that point (numpy, this package, the
+    parser) moves to the permanent generation. No later collection walks that
+    graph again, and at exit the interpreter no longer collects it object by
+    object. The cost falls on a process that embeds ``run``: cyclic garbage
+    that exists before its first call is never collected.
+    """
+    parser = _parser()
+    _freeze_once()
     try:
-        args = _parser().parse_args(list(argv))
+        args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

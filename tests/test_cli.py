@@ -15,7 +15,7 @@ import zetaroutes
 from zetaroutes import abel, zeta_exact
 from zetaroutes.cli import OutputRecord, render, run
 from zetaroutes.exact import PiValue
-from zetaroutes.numeric import zeta_em
+from zetaroutes.numeric import zeta_em, zeta_hankel
 
 
 def run_fresh(*argv):
@@ -125,6 +125,14 @@ class TestZetaNumeric:
         za = complex(a)
         zb = complex(b)
         assert abs(za - zb) <= 1e-8
+
+    def test_both_exits_1_when_its_values_differ(self, capsys):
+        # Hankel and em differ by about 1e-8 here (em is the one that is off):
+        # more than their 1e-10 tolerances allow, so the check fails.
+        code, out, err = invoke(capsys, "zeta", "numeric", "--", "-10", "3")
+        assert code == 1
+        assert out == f"{zeta_hankel(-10 + 3j)}\n{zeta_em(-10 + 3j)}\n"
+        assert err == ""
 
     def test_near_positive_integer_falls_back_to_em(self, capsys):
         # Near a positive integer Hankel refuses; at 0.5+20i it does not
@@ -337,11 +345,50 @@ class TestRender:
 
 def test_one_parser_answers_each_argv_as_a_fresh_process(capsys, monkeypatch):
     # run builds its parser once per process: a usage error, a command and
-    # --help in turn each give the rc, stdout and stderr they give alone.
+    # --help in turn each give the rc, stdout and stderr they give alone. The
+    # last argv's long output, piped, shows that the exit after the first run's
+    # gc.freeze() loses none of it.
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
-    for argv in (["zeta", "exact", "x"], ["bernoulli", "--max", "4"], ["--help"]):
+    for argv in (
+        ["zeta", "exact", "x"],
+        ["bernoulli", "--max", "4"],
+        ["--help"],
+        ["bernoulli", "--max", "400", "--method", "both", "--format", "json"],
+    ):
         fresh = run_fresh(*argv)
         assert invoke(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_first_run_freezes_the_import_graph_once():
+    # gc.get_freeze_count() is the size of the permanent generation. Importing
+    # the package freezes nothing; the first run freezes, the second does not.
+    script = """
+import contextlib, gc, io
+import zetaroutes
+counts = [gc.get_freeze_count()]
+import zetaroutes.cli as cli
+counts.append(gc.get_freeze_count())
+argv, out = ["zeta", "exact", "-1"], io.StringIO()
+with contextlib.redirect_stdout(out):
+    cli.run(argv)
+    counts.append(gc.get_freeze_count())
+    cli.run(argv)
+    counts.append(gc.get_freeze_count())
+print(*counts)
+"""
+    src = os.path.dirname(os.path.dirname(zetaroutes.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, imported, first, second = map(int, proc.stdout.split())
+    assert before == imported == 0
+    assert first > 0
+    assert second == first
 
 
 def test_usage_error_exit_code(capsys):

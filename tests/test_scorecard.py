@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from zetaroutes.cli import run
 from zetaroutes.errors import DomainError
 from zetaroutes.numeric import zeta_em, zeta_hankel
 
@@ -75,3 +76,22 @@ def test_scorecard_counts(name, route):
     counts = Counter((region, classify(route, s, ref)) for region, s, ref in seed0_grid())
     assert dict(counts) == EXPECTED[name]
 
+
+def test_numeric_both_exits_1_exactly_where_its_values_differ(capsys):
+    # zeta numeric --method both fails its check when the two values it prints
+    # differ by more than the routes' summed tolerance, 2e-10 mixed. On this
+    # grid that happens at three points, and at each the em value is silent.
+    failed = []
+    for region, s, ref in seed0_grid():
+        em = zeta_em(s)  # em refuses no point of this grid
+        try:
+            hankel = zeta_hankel(s)
+        except DomainError:
+            hankel = None
+        code = run(["zeta", "numeric", "--", repr(s.real), repr(s.imag)])
+        assert capsys.readouterr().err == ""
+        differ = hankel is not None and abs(hankel - em) > 2 * TOL * max(1.0, abs(em))
+        assert code == int(differ), s
+        if differ:
+            failed.append((region, classify(zeta_em, s, ref), classify(zeta_hankel, s, ref)))
+    assert failed == [("left", "silent", "ok")] * 3

@@ -34,24 +34,45 @@ def _result(wall_s):
     return json.dumps({"metrics": {"wall_s": {"value": wall_s, "unit": "s"}}})
 
 
-def test_bench_pairs_keeps_the_info_line_and_summarises(monkeypatch):
+def test_bench_pairs_keeps_the_info_line_and_summarises(monkeypatch, tmp_path):
     path = ROOT / "scripts" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     info = json.dumps({"env": {}, "info": {"host_factor": 1.25}})
     stdout = f"{info}\n{_result(0.5)}\n"
-    argvs = []
+    calls = []
 
     def run(argv, **kwargs):
-        argvs.append(argv)
+        calls.append((argv, kwargs.get("env")))
         return SimpleNamespace(stdout=stdout)
 
     monkeypatch.setattr(bench.subprocess, "run", run)
-    assert bench.run_once(ROOT, "cold_cli", 7, 1.0) == (info, _result(0.5))
-    assert argvs == [
-        [sys.executable, "perfbench/run.py", "--workload", "cold_cli", "--seed", "7", "--seconds", "1.0"]
+    env = {"PYTHONDONTWRITEBYTECODE": "1"}
+    assert bench.run_once(ROOT, "cold_cli", 7, 1.0, env) == (info, _result(0.5))
+    assert calls == [
+        (
+            [sys.executable, "perfbench/run.py", "--workload", "cold_cli", "--seed", "7", "--seconds", "1.0"],
+            env,
+        )
     ]
+
+    # The record says, per side, whether the runs compiled the package in
+    # every cold process: PYTHONDONTWRITEBYTECODE set to a non-empty value.
+    out = tmp_path / "BENCH.json"
+    argv = ["bench_pairs.py", str(ROOT), str(ROOT), "--pairs", "cold_cli=1", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    for value, flag in (("1", True), ("", False), (None, False)):
+        if value is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+        calls.clear()
+        assert bench.main() == 0
+        record = json.loads(out.read_text(encoding="utf-8"))
+        assert record["PYTHONDONTWRITEBYTECODE"] == {"parent": flag, "change": flag}
+        runs = [env for argv, env in calls if argv[1:2] == ["perfbench/run.py"]]
+        assert [env.get("PYTHONDONTWRITEBYTECODE") for env in runs] == [value, value]
 
     pairs = [
         {"parent": _result(1.0), "parent_info": info, "change": _result(0.5)},
