@@ -93,15 +93,35 @@ def _payload_text(record: OutputRecord) -> str:
     return _FORMS[type(record.payload)].text(record.payload)
 
 
+# json.dumps takes its C encoder only when indent is None, so render lays the
+# records out as json.dumps(rows, indent=2) would and has the C encoder write
+# each scalar, with the same escapes and float repr (NaN, Infinity included).
+_json_scalar = json.JSONEncoder().encode
+
+
+def _json_payload(value) -> str:
+    if type(value) is not dict:
+        return _json_scalar(value)
+    items = ",\n".join(f"      {_json_scalar(k)}: {_json_scalar(v)}" for k, v in value.items())
+    return f"{{\n{items}\n    }}"
+
+
+def _json_record(r: OutputRecord) -> str:
+    return (
+        f'  {{\n    "kind": {_json_scalar(r.kind)},\n'
+        f'    "payload": {_json_payload(_payload_json(r))},\n'
+        f'    "route": {_json_scalar(r.route)},\n'
+        f'    "argument": {_json_scalar(r.argument)}\n  }}'
+    )
+
+
 def render(records, fmt: str = "plain") -> str:
     """Render records; JSON/CSV/Markdown are byte-stable for fixed inputs."""
     records = list(records)
     if fmt == "json":
-        rows = [
-            {"kind": r.kind, "payload": _payload_json(r), "route": r.route, "argument": r.argument}
-            for r in records
-        ]
-        return json.dumps(rows, indent=2)
+        if not records:
+            return "[]"
+        return "[\n" + ",\n".join(map(_json_record, records)) + "\n]"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -263,7 +283,8 @@ _GRID_TOL = 1e-9
 def _cmd_verify_funceq(args):
     require_index("--exact-max", args.exact_max)
     grid = _parse_grid(args.grid) if args.grid else []
-    exact = [funceq_exact_check(2 * n) for n in range(1, args.exact_max + 1)]
+    # Largest first, so each Bernoulli table grows once, not by doubling.
+    exact = [funceq_exact_check(2 * n) for n in range(args.exact_max, 0, -1)][::-1]
     records = [OutputRecord(p, "funceq-exact", str(2 * n)) for n, p in enumerate(exact, 1)]
     # Euler's odd-argument form at m is the same comparison as s = 2m + 2.
     records += [OutputRecord(p, "funceq-simple", str(m)) for m, p in enumerate(exact)]

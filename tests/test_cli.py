@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 
 import zetaroutes
-from zetaroutes import abel, zeta_exact
-from zetaroutes.cli import OutputRecord, render, run
+from zetaroutes import abel, bernoulli, zeta_exact
+from zetaroutes.cli import _FORMS, OutputRecord, render, run
 from zetaroutes.exact import PiValue
 from zetaroutes.numeric import zeta_em, zeta_hankel
 
@@ -238,6 +239,20 @@ class TestVerify:
         assert invoke(capsys, "verify", "funceq", "--exact-max", "50")[0] == 0
         assert calls == {"zeta_even_positive": 50, "zeta_even_via_funceq": 50}
 
+    def test_funceq_builds_each_table_once(self, capsys, monkeypatch):
+        # From the largest argument down, neither table grows by doubling.
+        builds = []
+        tables = (("_SERIES_PREFIX", "_series_table"), ("_TANGENT_PREFIX", "_tangent_table"))
+        for prefix, name in tables:
+            monkeypatch.setattr(bernoulli, prefix, [])
+            build = getattr(bernoulli, name)
+            monkeypatch.setattr(
+                bernoulli, name,
+                lambda n, build=build, name=name: builds.append((name, n)) or build(n),
+            )
+        assert invoke(capsys, "verify", "funceq", "--exact-max", "50")[0] == 0
+        assert sorted(builds) == [("_series_table", 100), ("_tangent_table", 100)]
+
     @pytest.mark.parametrize("grid, code", [("-12:-8:20:30:3", 1), ("0.1:0.9:0:10:5", 0)])
     def test_funceq_grid_bound_is_fixed(self, capsys, grid, code):
         # zeta_em loses digits far left of Re s = 0, so the first grid's worst
@@ -310,9 +325,58 @@ class TestTable:
         assert out_md.splitlines()[0].startswith("| kind |")
 
 
+def stdlib_json(records):
+    """The json form as json.dumps(rows, indent=2) lays it out."""
+    rows = [
+        {
+            "kind": r.kind,
+            "payload": _FORMS[type(r.payload)].json(r.payload),
+            "route": r.route,
+            "argument": r.argument,
+        }
+        for r in records
+    ]
+    return json.dumps(rows, indent=2)
+
+
+# One or more payloads of every _FORMS type, at the edges of its json form.
+EDGE_PAYLOADS = [
+    F(-7, 12),
+    bernoulli.bernoulli_via_series(200)[200],
+    PiValue(F(-691, 638512875), 12),
+    complex(-0.0, 1e-320),
+    complex(1e308, -0.0),
+    True,
+    False,
+    0.0,
+    math.inf,
+    math.nan,
+]
+
+payloads = st.one_of(
+    st.fractions(),
+    st.builds(PiValue, st.fractions().filter(bool), st.integers(1, 10**4)),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
 class TestRender:
     def test_empty_json(self):
-        assert render([], "json") == "[]"
+        assert render([], "json") == "[]" == stdlib_json([])
+
+    def test_json_is_the_stdlib_layout(self):
+        assert {type(p) for p in EDGE_PAYLOADS} == set(_FORMS)
+        records = [OutputRecord(p, "route \"q\"\\", "arg \u00e9\n") for p in EDGE_PAYLOADS]
+        for record in records:
+            assert render([record], "json") == stdlib_json([record])
+        assert render(records, "json") == stdlib_json(records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(OutputRecord, payloads, st.text(), st.text()), max_size=5))
+    def test_json_is_the_stdlib_layout_for_any_records(self, records):
+        assert render(records, "json") == stdlib_json(records)
 
     def test_pi_monomial_json(self):
         rec = OutputRecord(PiValue(F(1, 6), 2), "closed", "2")
