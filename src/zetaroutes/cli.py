@@ -7,9 +7,9 @@ conversion follow from its payload's type through one table, ``_FORMS``.
 Exact values stay exact unless --as-float is passed. Exit status:
 0 success and all checks passing; 1 a verification failed, the routes or
 methods a command compares printed different values (numeric ones by more
-than a mixed 2e-10), or an
-InternalInconsistency; 2 a usage error or a DomainError, raised by the library
-function that owns the domain (such as the pole at argument 1).
+than the sum of their stated tolerances), or an InternalInconsistency; 2 a
+usage error, a DomainError, raised by the library function that owns the
+domain (such as the pole at argument 1), or a closed stdout or stderr.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ import gc
 import io
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import abel
+from . import abel, numeric
 from .errors import DomainError, InternalInconsistency, OutOfValidatedRange, require_index
 from .exact import PiValue
 from .bernoulli import bernoulli_via_recurrence, bernoulli_via_series
@@ -36,8 +37,6 @@ from .numeric import (
     funceq_residual,
     inverted_contour_bound,
     inverted_contour_check,
-    zeta_em,
-    zeta_hankel,
 )
 from .zeta_exact import (
     Route,
@@ -198,28 +197,23 @@ def _cmd_zeta_exact(args):
     return records, _agreement(values)
 
 
-# Each numeric route states a mixed tolerance of 1e-10, so --method both exits
-# 1 when its two values differ by more than their sum, relative to max(1, |em|).
-_NUMERIC_TOL = 2e-10
-
-
 def _cmd_zeta_numeric(args):
+    # Each route is looked up at call time, so a rebound zeta_<name> is the
+    # one called; the exit is 1 when a value misses the reference's by more
+    # than the routes' summed tolerance, relative to max(1, |reference|).
     s = complex(args.re, args.im)
     arg = _format_complex_arg(s)
+    both = args.method == "both"
     records = []
-    if args.method in ("hankel", "both"):
+    for name in numeric.ROUTES if both else (args.method,):
         try:
-            value = zeta_hankel(s)
-            records.append(OutputRecord(value, "hankel", arg))
+            records.append(OutputRecord(getattr(numeric, f"zeta_{name}")(s), name, arg))
         except DomainError:
-            if args.method == "hankel":
-                raise  # with "both", the em record stands alone
-    if args.method in ("em", "both"):
-        records.append(OutputRecord(zeta_em(s), "em", arg))
-    if len(records) < 2:
-        return records, 0
-    hankel, em = (r.payload for r in records)
-    return records, 0 if abs(hankel - em) <= _NUMERIC_TOL * max(1.0, abs(em)) else 1
+            if not both or name == numeric.ROUTES[-1]:
+                raise  # with "both", the reference record stands alone
+    ref = records[-1].payload
+    tol = 2 * numeric.ROUTE_TOL * max(1.0, abs(ref))
+    return records, 0 if all(abs(r.payload - ref) <= tol for r in records) else 1
 
 
 def _residual_check(residual: float, bound: float, route: str, argument: str):
@@ -383,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = zsub.add_parser("numeric", help="numeric zeta at complex s")
     p.add_argument("re", type=float, metavar="RE")
     p.add_argument("im", type=float, nargs="?", default=0.0, metavar="IM")
-    p.add_argument("--method", choices=("hankel", "em", "both"), default="both")
+    p.add_argument("--method", choices=(*numeric.ROUTES, "both"), default="both")
     _add_format_options(p)
     p.set_defaults(func=_cmd_zeta_numeric)
 
@@ -407,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_funceq)
 
     p = vsub.add_parser("cotangent", help="partial-fraction cotangent identity")
-    p.add_argument("--x", required=True, help="rational in (0,1), e.g. 1/4")
+    p.add_argument("--x", required=True, help="rational in [1/100, 99/100], e.g. 1/4")
     p.add_argument("--terms", type=int, required=True)
     _add_format_options(p)
     p.set_defaults(func=_cmd_verify_cotangent)
@@ -456,12 +450,21 @@ def run(argv) -> int:
         records, status = args.func(args)
         if getattr(args, "as_float", False):
             records = _floated(records)
-        print(render(records, args.format))
+        print(render(records, args.format), flush=True)  # a closed stdout raises here
         return status
     except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:
+            pass  # stderr is closed too: the exit status alone reports the error
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    status = run(sys.argv[1:])
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # a closed pipe: drop what is left, so exit cannot fail on it
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    sys.exit(status)

@@ -1,9 +1,9 @@
 """Numeric continuation of zeta to complex s, and the residual checks.
 
-Two independent evaluators:
+The independent evaluators ``zeta_<name>``, one per name in ``ROUTES``:
 
 * ``zeta_em``:     Euler-Maclaurin acceleration of the Dirichlet sum; the
-                   workhorse oracle away from s = 1.
+                   workhorse oracle away from s = 1, and the reference route.
 * ``zeta_hankel``: the loop integral of (-x)^{s-1}/(e^x - 1) over a contour
                    that comes in above the positive real axis, circles the
                    origin, and leaves below it; zeta(s) = -Gamma(1-s) I/(2 pi i).
@@ -55,6 +55,12 @@ class ContourSpec:
     radius: float = math.pi
     x_max: float = 40.0
 
+
+# The numeric routes: each name n is the function zeta_<n>, and the last is
+# the reference that the others are compared with. Each route states the
+# mixed tolerance |value - zeta(s)| / max(1, |zeta(s)|) <= ROUTE_TOL.
+ROUTES = ("hankel", "em")
+ROUTE_TOL = 1e-10
 
 _EPS = 2.3e-16
 _MAX_TERMS = 10**6  # cap on the terms of any numeric sum: cutoff, poles, pairs
@@ -393,11 +399,22 @@ def funceq_residual(s: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
+# Near x = 0 the check cancels 1/x against pi cot(pi x), near x = 1 the
+# n = 1 pair against it; the round-off, about eps / min(x, 1 - x), then
+# exceeds the bound's 1e-12 (at N = 10^6 from min(x, 1 - x) = 0.0023 down).
+_COT_X_MIN = Fraction(1, 100)
+
+
 def _cotangent_domain(x, n_terms: int) -> Fraction:
-    """x as a Fraction, once 0 < x < 1 and n_terms is an integer in 1..10^6."""
+    """x as a Fraction, once 1/100 <= x <= 99/100 and n_terms is an integer
+    in 1..10^6."""
     x = require_rational("x", x)
     if not 0 < x < 1:
         raise DomainError("x must be a rational strictly between 0 and 1")
+    if not _COT_X_MIN <= x <= 1 - _COT_X_MIN:
+        raise OutOfValidatedRange(
+            "x must lie in 1/100..99/100: nearer 0 or 1, round-off exceeds the tail bound"
+        )
     if require_index("n_terms", n_terms, least=1) > _MAX_TERMS:
         raise OutOfValidatedRange(f"n_terms = {n_terms} exceeds 10^6")
     return x
@@ -407,7 +424,8 @@ def cotangent_check(x, n_terms: int) -> float:
     """|pi cot(pi x) - (1/x + sum_{n<=N} (1/(x+n) + 1/(x-n)))| for rational x.
 
     The paired terms are 2x/(x^2 - n^2); the truncation error obeys
-    cotangent_tail_bound. n_terms is validated in 1..10^6.
+    cotangent_tail_bound. x is validated in 1/100..99/100 and n_terms in
+    1..10^6.
     """
     xf = float(_cotangent_domain(x, n_terms))
     n = np.arange(1.0, n_terms + 1)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import zetaroutes
-from zetaroutes import abel, bernoulli, zeta_exact
+from zetaroutes import abel, bernoulli, numeric, zeta_exact
 from zetaroutes.cli import _FORMS, OutputRecord, render, run
 from zetaroutes.exact import PiValue
 from zetaroutes.numeric import zeta_em, zeta_hankel
@@ -273,10 +273,13 @@ class TestVerify:
         assert out.splitlines()[1] == "pass"
 
     def test_cotangent_bad_x(self, capsys):
-        for x in ("5/4", "1"):
-            code, _, err = invoke(capsys, "verify", "cotangent", "--x", x, "--terms", "10")
-            assert code == 2
-            assert err.startswith("error: ")
+        # Past 5/4 and 1, x is outside the check's validated domain: near 0
+        # and 1 its round-off would fail a true identity, and 1e-400 and
+        # 1 - 1e-20 once raised ZeroDivisionError and printed inf.
+        for x in ("5/4", "1", "1e-400", "1e-9", "0.0099", "0.9901", "0.99999999999999999999"):
+            code, out, err = invoke(capsys, "verify", "cotangent", "--x", x, "--terms", "1000000")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_contour_inversion(self, capsys):
         code, out, _ = invoke(
@@ -455,6 +458,36 @@ print(*counts)
     assert second == first
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [("zeta", "exact", "1"), ("zeta", "exact", "-3", "--route", "all"), ("bernoulli", "--max", "200")],
+)
+def test_closed_stdout_and_stderr_exit_2(argv, unbuffered):
+    # Writing the error line to a closed stderr once raised inside the except
+    # block, and the traceback exited 1 as if a check had failed; a buffered
+    # stream then failed again at exit, with status 120.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(zetaroutes.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    (out_r, out_w), (err_r, err_w) = os.pipe(), os.pipe()
+    os.close(out_r)
+    os.close(err_r)  # both readers are gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetaroutes", *argv],
+            stdout=out_w,
+            stderr=err_w,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(out_w)
+        os.close(err_w)
+    assert proc.returncode == 2
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
@@ -561,10 +594,13 @@ _NUMBERS = st.one_of(
     st.floats(-50, 50).map(repr),
 )
 _SIZES = st.integers(-30, 30).map(str)
-_COUNTS = st.one_of(st.integers(-2, 1000), st.just(10**12)).map(str)
+_COUNTS = st.one_of(st.integers(-2, 1000), st.sampled_from([10**4, 10**6, 10**12])).map(str)
 _RATIONALS = st.one_of(
-    st.sampled_from(["1/0", "0", "1", "1/4", "-1/3", "3/2", "x"]),
+    st.sampled_from(["1/0", "0", "1", "1/4", "-1/3", "3/2", "x", "1e-400"]),
     st.fractions(-2, 2, max_denominator=50).map(str),
+    # 10^-k and 1 - 10^-k: near 0 and 1, where the cotangent check's round-off
+    # outgrows its bound
+    st.integers(3, 20).flatmap(lambda k: st.sampled_from([f"1e-{k}", "0." + "9" * k])),
 )
 _FORMAT = st.lists(
     st.sampled_from(["--format=json", "--format=csv", "--format=md", "--as-float"]),
@@ -590,7 +626,7 @@ def _argv(draw):
         )
         return ["zeta", "exact", f"--route={route}", *opt, "--", draw(_SIZES)]
     if command == "numeric":
-        method = draw(st.sampled_from(["hankel", "em", "both"]))
+        method = draw(st.sampled_from((*numeric.ROUTES, "both")))
         s = draw(st.lists(_NUMBERS, min_size=1, max_size=2))
         return ["zeta", "numeric", f"--method={method}", *opt, "--", *s]
     if command == "abel":
@@ -618,6 +654,8 @@ def test_fuzzed_exit_contract(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)  # nothing may escape
     assert code in (0, 1, 2)
+    if argv[:2] == ["verify", "cotangent"]:
+        assert code != 1  # a rational x passes the check or is refused
     if code == 2:
         text = err.getvalue()
         assert text.startswith("usage:") or any(

@@ -498,3 +498,25 @@ class TestCotangent:
             cotangent_check(F(0), 10)
         with pytest.raises(ValueError):
             cotangent_check(F(3, 2), 10)
+
+
+# min(x, 1 - x) on a log lattice, four points a decade from 1e-9 to 1/2, plus
+# the ends of the validated domain 1/100..99/100 and a point just outside it.
+_COT_LATTICE = sorted(
+    {F(f"{10 ** (k / 4 - 9):.3g}") for k in range(35)}
+    | {F(1, 100), F(1, 100) - F(1, 10**20), F(1, 2)}
+)
+
+
+@pytest.mark.parametrize("t", _COT_LATTICE, ids=str)
+def test_cotangent_lattice_passes_inside_the_domain_and_refuses_outside(t):
+    # Outside the domain the round-off near 0 or 1 would fail a true identity:
+    # at x = 1e-9 the residual is 1.2e-7 against a bound of 2e-10.
+    for x in (t, 1 - t):
+        for n_terms in (1, 2, 10, 100, 10**4, 10**6):
+            if t >= F(1, 100):
+                assert cotangent_check(x, n_terms) <= cotangent_tail_bound(x, n_terms)
+                continue
+            for fn in (cotangent_check, cotangent_tail_bound):
+                with pytest.raises(OutOfValidatedRange):
+                    fn(x, n_terms)

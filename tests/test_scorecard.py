@@ -1,9 +1,10 @@
-"""Accuracy scorecard of the two numeric routes on the benchmark's seed-0 grid.
+"""Accuracy scorecard of the numeric routes on the benchmark's seed-0 grid.
 
-Each call of ``zeta_em`` and ``zeta_hankel`` at the 240 points is *ok* (mixed
-error |v - ref| / max(1, |ref|) at most 1e-10 against the committed mpmath
-reference), *refused* (a typed ``DomainError``) or *silent* (a value returned
-that misses by more). Any other exception fails the test.
+Each call of ``zeta_<name>``, for each name in ``numeric.ROUTES``, at the 240
+points is *ok* (mixed error |v - ref| / max(1, |ref|) at most
+``numeric.ROUTE_TOL`` against the committed mpmath reference), *refused* (a
+typed ``DomainError``) or *silent* (a value returned that misses by more).
+Any other exception fails the test.
 """
 
 import importlib.util
@@ -13,12 +14,13 @@ from pathlib import Path
 
 import pytest
 
+from zetaroutes import numeric
 from zetaroutes.cli import run
 from zetaroutes.errors import DomainError
 from zetaroutes.numeric import zeta_em, zeta_hankel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TOL = 1e-10
+TOL = numeric.ROUTE_TOL
 
 # The counts the code gives today, per route and region: 34 silent in all.
 # A later change may edit this table only by moving points from silent to ok
@@ -71,7 +73,14 @@ def classify(route, s, ref):
     return "ok" if abs(value - ref) / max(1.0, abs(ref)) <= TOL else "silent"
 
 
-@pytest.mark.parametrize("name, route", [("em", zeta_em), ("hankel", zeta_hankel)])
+def test_every_route_has_its_counts():
+    # A route added to numeric.ROUTES lands with its counts.
+    assert set(EXPECTED) == set(numeric.ROUTES)
+
+
+@pytest.mark.parametrize(
+    "name, route", [(name, getattr(numeric, f"zeta_{name}")) for name in numeric.ROUTES]
+)
 def test_scorecard_counts(name, route):
     counts = Counter((region, classify(route, s, ref)) for region, s, ref in seed0_grid())
     assert dict(counts) == EXPECTED[name]
