@@ -2,11 +2,13 @@
 
 Convention: B_1 = -1/2, fixed by z/(e^z - 1) = sum B_n z^n / n!.
 
-The series method inverts (e^z - 1)/z in exact rationals. The other method
-is Algorithm TangentNumbers of Brent and Harvey, "Fast computation of
-Bernoulli, Tangent and Secant numbers" (2011, arXiv:1108.0286): the tangent
-numbers T_k of tan z = sum T_k z^{2k-1}/(2k-1)! come from an in-place
-recurrence on plain integers, and B_2k = (-1)^{k-1} 2k T_k / (4^k (4^k - 1)).
+The series method inverts (e^z - 1)/z = sum z^k/(k+1)! in exact rationals,
+on that family's own recurrence: its product with z/(e^z - 1) is 1, so
+sum_{i=0..k} C(k+1, i) B_i = 0 for k >= 1. The other method is Algorithm
+TangentNumbers of Brent and Harvey, "Fast computation of Bernoulli, Tangent
+and Secant numbers" (2011, arXiv:1108.0286): the tangent numbers T_k of
+tan z = sum T_k z^{2k-1}/(2k-1)! come from an in-place recurrence on plain
+integers, and B_2k = (-1)^{k-1} 2k T_k / (4^k (4^k - 1)).
 The two share no code, so their agreement checks the values themselves.
 The tangent method keeps the name ``bernoulli_via_recurrence`` and the CLI
 label ``recurrence``.
@@ -15,17 +17,34 @@ label ``recurrence``.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
+from itertools import compress
 
 from .errors import require_index
-from .series import invert_exponential
 
 
 def _series_table(order: int) -> list[Fraction]:
-    # (e^z - 1)/z = sum z^k/(k+1)! has alpha_k = 1/(k+1) on the scale z^k/k!,
-    # and its inverse z/(e^z - 1) has beta_k = B_k there.
-    return invert_exponential([Fraction(1, k + 1) for k in range(order + 1)])
+    # B_k = -(1/(k+1)) sum_{i=1..k} C(k+1, i+1) B_{k-i}: one Pascal row, kept
+    # by additions, dotted with the nonzero B_j held as integers over one
+    # running denominator, and a single reduction per k. The coefficients
+    # are plain binomials, with no lcm(1..n+1) scale as in the general
+    # inversion series.invert_exponential.
+    table = [Fraction(1)]
+    den, rev = 1, [1]  # B_{k-1-j} = rev[j] / den
+    row = [1, 1]  # C(k, 0..k)
+    for k in range(1, order + 1):
+        row = [1, *map(operator.add, row[1:], row), 1]
+        scaled = map(operator.mul, compress(row[2:], rev), filter(None, rev))
+        bk = Fraction(-sum(scaled), den * (k + 1))
+        grow = bk.denominator // math.gcd(den, bk.denominator)
+        if grow > 1:
+            den *= grow
+            rev = [num * grow for num in rev]
+        rev.insert(0, bk.numerator * (den // bk.denominator))
+        table.append(bk)
+    return table
 
 
 def _tangent_table(order: int) -> list[Fraction]:

@@ -82,8 +82,12 @@ def _dirichlet_cutoff(s: complex) -> int:
     the terms k^{-s} grow, and round-off of the partial sum against the
     N^{1-s} continuation term costs ~ N^{1-Re s} eps; balancing that against
     the first omitted Bernoulli term picks a much smaller N. At negative
-    integer s the rising product vanishes, the expansion terminates, and the
-    least cutoff, N = 2, is exact.
+    integer s the rising product vanishes and the expansion terminates, so
+    the least cutoff, N = 2, is taken. That is exact in exact arithmetic
+    only: in floating point the correction terms, up to about 7e9 in size
+    at s = -26, cancel to round-off there, and ``zeta_em`` returns 4.7e-7,
+    -6.9e-8 and -2.3e-10 at the trivial zeros -26, -24 and -20 with no
+    error raised. The round-off guard of ROADMAP item 2 is to refuse them.
     """
     n_pos = max(_EM_FLOOR_N, math.ceil(2 * abs(s.imag)))
     sigma = s.real

@@ -1,6 +1,8 @@
 """The exact inverse of a series of exponential type, ``invert_exponential``,
-that every series inversion runs on, and the truncated Laurent series that
-the generating-function route reads its coefficients from.
+and the truncated Laurent series that the generating-function route inverts
+through it and reads its coefficients from. The series Bernoulli table does
+not come through here: it runs on its own family's recurrence in
+``bernoulli``.
 
 A series carries its own trust horizon: ``order`` is the largest exponent
 whose coefficient was computed, and ``coeff`` refuses to read past it.
@@ -80,14 +82,16 @@ def invert_exponential(alpha) -> list[Fraction]:
     """beta_0 .. beta_n with (sum alpha_k z^k/k!)(sum beta_k z^k/k!) == 1.
 
     beta_0 = 1/alpha_0 and beta_k = -(sum_{i=1..k} C(k,i) alpha_i beta_{k-i})
-    / alpha_0. On this exponential scale the integers stay small: the common
-    scale of alpha_k = 1/(k+1) is lcm(1..n+1), where the ordinary
-    coefficients 1/(k+1)! need (n+1)!. A common scale of the alpha_i
+    / alpha_0. On this exponential scale the integers stay small: the
+    generating-function route inverts (e^{-z} - 1)/z, whose alpha_k =
+    (-1)^{k+1}/(k+1) have the common scale lcm(1..n+1), where the ordinary
+    coefficients (-1)^{k+1}/(k+1)! need (n+1)!. A common scale of the alpha_i
     cancels, so they are taken as integers over their lcm, and the beta_k as
     integers over one running denominator: each beta_k is then an integer
     dot product with one Pascal row, kept by additions, and a single
     reduction. Terms at a zero beta_{k-i} are skipped, which halves the work
-    for an even function plus a linear term, such as z/(e^z - 1).
+    for an even function plus a linear term, such as that route's inverse
+    z/(e^{-z} - 1) = -z - z/(e^z - 1).
     """
     alpha = [c if isinstance(c, Fraction) else require_rational("alpha", c) for c in alpha]
     if not alpha or alpha[0] == 0:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from genfun_identities import even_part_check
-from zetaroutes import bernoulli
+from zetaroutes import bernoulli, series
 from zetaroutes.bernoulli import bernoulli_via_recurrence, bernoulli_via_series
 
 # Frozen oracle values, recomputed here by the explicit recurrence.
@@ -152,7 +152,16 @@ class TestEvenPartCheck:
         assert even_part_check(2) is True
 
 
-@pytest.mark.parametrize("order", [200, 400])
+@pytest.mark.parametrize("order", [*range(13), 200, 400])
 def test_series_table_is_the_tangent_table(order):
-    # the two builders share no code, so equality at large n checks both
+    # the two builders share no code, so equality at large n checks both;
+    # n = 0 runs no step of the recurrence and n = 1 reaches only B_1
     assert bernoulli._series_table(order) == bernoulli._tangent_table(order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 51, 301])
+def test_series_table_is_the_generic_inversion(order):
+    # the general exponential-scale kernel, which the table once ran on,
+    # inverting (e^z - 1)/z = sum z^k/(k+1)!
+    alpha = [F(1, k + 1) for k in range(order + 1)]
+    assert bernoulli._series_table(order) == series.invert_exponential(alpha)

@@ -220,11 +220,19 @@ def _corrupt_invert(monkeypatch):
     def wrong(alpha):
         return _tripled_past_one(invert(alpha))
 
-    # the kernel where genfun (through LaurentSeries.invert) and the series
-    # table look it up, and an empty series table, so that it is rebuilt on
-    # the corrupt inversion
+    # the kernel where genfun looks it up, through LaurentSeries.invert
     monkeypatch.setattr(series, "invert_exponential", wrong)
-    monkeypatch.setattr(bernoulli, "invert_exponential", wrong)
+
+
+def _corrupt_series_kernel(monkeypatch):
+    build = bernoulli._series_table
+
+    def wrong(order):
+        return _tripled_past_one(build(order))
+
+    # the series table's own recurrence, and an empty table, so that it is
+    # rebuilt on the corrupt recurrence
+    monkeypatch.setattr(bernoulli, "_series_table", wrong)
     monkeypatch.setattr(bernoulli, "_SERIES_PREFIX", [])
 
 
@@ -234,8 +242,9 @@ def _corrupt_theta(monkeypatch):
 
 
 EACH_PRIMITIVE = pytest.mark.parametrize(
-    "corrupt", [_corrupt_tangent, _corrupt_series, _corrupt_invert, _corrupt_theta],
-    ids=["tangent", "series", "invert", "theta"],
+    "corrupt",
+    [_corrupt_tangent, _corrupt_series, _corrupt_series_kernel, _corrupt_invert, _corrupt_theta],
+    ids=["tangent", "series", "series_kernel", "invert", "theta"],
 )
 
 
