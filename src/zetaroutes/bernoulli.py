@@ -4,7 +4,9 @@ Convention: B_1 = -1/2, fixed by z/(e^z - 1) = sum B_n z^n / n!.
 
 The series method inverts (e^z - 1)/z = sum z^k/(k+1)! in exact rationals,
 on that family's own recurrence: its product with z/(e^z - 1) is 1, so
-sum_{i=0..k} C(k+1, i) B_i = 0 for k >= 1. The other method is Algorithm
+sum_{i=0..k} C(k+1, i) B_i = 0 for k >= 1. It evaluates the k = 1 row,
+which gives B_1, and the even rows: z/(e^z - 1) + z/2 = (z/2) coth(z/2) is
+even, so B_k = 0 for every odd k >= 3. The other method is Algorithm
 TangentNumbers of Brent and Harvey, "Fast computation of Bernoulli, Tangent
 and Secant numbers" (2011, arXiv:1108.0286): the tangent numbers T_k of
 tan z = sum T_k z^{2k-1}/(2k-1)! come from an in-place recurrence on plain
@@ -20,29 +22,40 @@ import math
 import operator
 import threading
 from fractions import Fraction
-from itertools import compress
 
 from .errors import require_index
 
 
 def _series_table(order: int) -> list[Fraction]:
-    # B_k = -(1/(k+1)) sum_{i=1..k} C(k+1, i+1) B_{k-i}: one Pascal row, kept
-    # by additions, dotted with the nonzero B_j held as integers over one
-    # running denominator, and a single reduction per k. The coefficients
-    # are plain binomials, with no lcm(1..n+1) scale as in the general
-    # inversion series.invert_exponential.
+    # Row k of sum_{i=0..k} C(k+1, i) B_i = 0 solved for B_k. The k = 1 row
+    # gives B_1; an even row k = 2m reads B_0, B_1 and B_2 .. B_{2m-2}. One
+    # Pascal row C(k+1, 0..k+1), kept by additions through every k, is dotted
+    # by position: row[0:k:2] with B_0, B_2, .., and row[1] with B_1, all held
+    # as integers over one running denominator, with a single reduction per
+    # row. The coefficients are plain binomials, with no lcm(1..n+1) scale as
+    # in the general inversion series.invert_exponential.
     table = [Fraction(1)]
-    den, rev = 1, [1]  # B_{k-1-j} = rev[j] / den
+    den, evens, b1 = 1, [1], 0  # B_2j = evens[j] / den, B_1 = b1 / den
     row = [1, 1]  # C(k, 0..k)
     for k in range(1, order + 1):
         row = [1, *map(operator.add, row[1:], row), 1]
-        scaled = map(operator.mul, compress(row[2:], rev), filter(None, rev))
-        bk = Fraction(-sum(scaled), den * (k + 1))
+        if k % 2 and k > 1:
+            # z/(e^z - 1) + z/2 = (z/2) coth(z/2) is even, so this row's B_k
+            # is 0 and its dot product is not evaluated
+            table.append(Fraction(0))
+            continue
+        dot = sum(map(operator.mul, row[0:k:2], evens)) + row[1] * b1
+        bk = Fraction(-dot, den * (k + 1))
         grow = bk.denominator // math.gcd(den, bk.denominator)
         if grow > 1:
             den *= grow
-            rev = [num * grow for num in rev]
-        rev.insert(0, bk.numerator * (den // bk.denominator))
+            evens = [num * grow for num in evens]
+            b1 *= grow
+        num = bk.numerator * (den // bk.denominator)
+        if k == 1:
+            b1 = num
+        else:
+            evens.append(num)
         table.append(bk)
     return table
 

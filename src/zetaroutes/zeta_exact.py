@@ -55,7 +55,7 @@ def zeta_nonpositive(n: int) -> Fraction:
     require_index("n", n)
     b = bernoulli_via_recurrence(n + 1)[n + 1]
     sign = -1 if n % 2 else 1
-    return sign * b / (n + 1)
+    return Fraction(sign * b.numerator, b.denominator * (n + 1))
 
 
 def sin_gamma_limit_exact(n: int) -> PiValue:
@@ -102,7 +102,8 @@ def zeta_even_positive(n: int) -> PiValue:
     require_index("n", n, least=1)
     b = bernoulli_via_recurrence(2 * n)[2 * n]
     sign = 1 if (n - 1) % 2 == 0 else -1
-    coeff = sign * 2 ** (2 * n) * b / (2 * math.factorial(2 * n))
+    # (2 pi)^{2n} / 2 = 2^{2n-1} pi^{2n}; one Fraction, so one gcd
+    coeff = Fraction(sign * b.numerator << (2 * n - 1), b.denominator * math.factorial(2 * n))
     return PiValue(coeff, 2 * n)
 
 
@@ -110,9 +111,12 @@ def zeta_even_via_funceq(n: int) -> PiValue:
     """zeta(2n) transported from zeta(1-2n) = -B_2n/(2n), read off the series
     table, across 2 cos(pi n) Gamma(2n) zeta(2n) = (2 pi)^{2n} zeta(1-2n)."""
     require_index("n", n, least=1)
-    z_neg = -bernoulli_via_series(2 * n)[2 * n] / (2 * n)
+    b = bernoulli_via_series(2 * n)[2 * n]
     sign = 1 if n % 2 == 0 else -1  # cos(pi n) = (-1)^n
-    coeff = 2 ** (2 * n) * z_neg / (2 * sign * math.factorial(2 * n - 1))
+    # 2^{2n} zeta(1-2n) / (2 (-1)^n (2n-1)!) with zeta(1-2n) = -B_2n/(2n),
+    # built as one Fraction, so one gcd
+    gamma = math.factorial(2 * n - 1)  # Gamma(2n)
+    coeff = Fraction(-sign * b.numerator << (2 * n - 1), b.denominator * 2 * n * gamma)
     return PiValue(coeff, 2 * n)
 
 

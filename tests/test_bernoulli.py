@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -159,9 +160,18 @@ def test_series_table_is_the_tangent_table(order):
     assert bernoulli._series_table(order) == bernoulli._tangent_table(order)
 
 
-@pytest.mark.parametrize("order", [0, 1, 2, 51, 301])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 51, 100, 301])
 def test_series_table_is_the_generic_inversion(order):
     # the general exponential-scale kernel, which the table once ran on,
-    # inverting (e^z - 1)/z = sum z^k/(k+1)!
+    # inverting (e^z - 1)/z = sum z^k/(k+1)!; it evaluates every row, so its
+    # odd entries are derived there, not assumed
     alpha = [F(1, k + 1) for k in range(order + 1)]
     assert bernoulli._series_table(order) == series.invert_exponential(alpha)
+
+
+def test_series_table_satisfies_the_odd_rows():
+    # the table evaluates only the even rows and k = 1 of
+    # sum_{i=0..k} C(k+1, i) B_i = 0; the odd rows k >= 3 must hold as well
+    table = bernoulli._series_table(200)
+    for k in range(3, 200, 2):
+        assert sum(math.comb(k + 1, i) * table[i] for i in range(k + 1)) == 0, k

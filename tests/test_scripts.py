@@ -114,3 +114,14 @@ def test_numeric_diff_finds_no_difference_between_a_tree_and_itself():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "0 of 480 outcomes differ (seeds 1)\n"
+
+
+def test_exact_diff_finds_no_difference_between_a_tree_and_itself():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "exact_diff.py"), str(ROOT), str(ROOT), "--max", "20"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "0 of 224 items differ (--max 20)\n"
