@@ -24,7 +24,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .bernoulli import bernoulli_via_recurrence
+from .bernoulli import _tangent_entry
 from .errors import DomainError, InternalInconsistency, require_index
 
 
@@ -50,7 +50,7 @@ def _theta_numerator(m: int) -> list[int]:
 def abel_closed_form(m: int) -> Fraction:
     """(-1)^m (1 - 2^{m+1}) B_{m+1} / (m+1)."""
     require_index("m", m)
-    b = bernoulli_via_recurrence(m + 1)[m + 1]
+    b = _tangent_entry(m + 1)
     sign = -1 if m % 2 else 1
     return sign * (1 - 2 ** (m + 1)) * b / (m + 1)
 

@@ -76,18 +76,32 @@ def _tangent_table(order: int) -> list[Fraction]:
 
 # One prefix B_0, B_1, ... per method. Each is rebuilt under the lock at twice
 # its length or more, O(log n) builds in a sweep, and swapped in whole: callers
-# slice it outside the lock.
+# read it outside the lock.
 _SERIES_PREFIX: list[Fraction] = []
 _TANGENT_PREFIX: list[Fraction] = []
 _LOCK = threading.Lock()
 
 
-def _read_prefix(prefix: list[Fraction], build, max_index: int) -> tuple[Fraction, ...]:
-    require_index("max_index", max_index)
+def _grown(prefix: list[Fraction], build, max_index: int) -> list[Fraction]:
     with _LOCK:
         if len(prefix) <= max_index:
             prefix[:] = build(max(max_index, 2 * len(prefix)))
-    return tuple(prefix[: max_index + 1])
+    return prefix
+
+
+def _read_prefix(prefix: list[Fraction], build, max_index: int) -> tuple[Fraction, ...]:
+    require_index("max_index", max_index)
+    return tuple(_grown(prefix, build, max_index)[: max_index + 1])
+
+
+# B_k alone, for the exact routes that read one entry: no copy of the prefix.
+# The caller has validated k.
+def _series_entry(k: int) -> Fraction:
+    return _grown(_SERIES_PREFIX, _series_table, k)[k]
+
+
+def _tangent_entry(k: int) -> Fraction:
+    return _grown(_TANGENT_PREFIX, _tangent_table, k)[k]
 
 
 def bernoulli_via_series(max_index: int) -> tuple[Fraction, ...]:

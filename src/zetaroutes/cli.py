@@ -95,6 +95,8 @@ def _payload_text(record: OutputRecord) -> str:
 # json.dumps takes its C encoder only when indent is None, so render lays the
 # records out as json.dumps(rows, indent=2) would and has the C encoder write
 # each scalar, with the same escapes and float repr (NaN, Infinity included).
+# With default arguments json.dumps is this encoder, which the csv form's
+# payload cells use too.
 _json_scalar = json.JSONEncoder().encode
 
 
@@ -127,7 +129,7 @@ def render(records, fmt: str = "plain") -> str:
         writer.writerow(["kind", "argument", "route", "payload"])
         for r in records:
             writer.writerow(
-                [r.kind, r.argument, r.route, json.dumps(_payload_json(r))]
+                [r.kind, r.argument, r.route, _json_scalar(_payload_json(r))]
             )
         return buf.getvalue().rstrip("\n")
     if fmt == "md":

@@ -29,11 +29,16 @@ _LANCZOS_COEFFS = (
 _POLE_TOL = 1e-12
 
 
-@finite_or_out_of_range
-def gamma_complex(z: complex) -> complex:
+def refuse_pole(z: complex) -> None:
+    """PoleAtNonpositiveInteger for z within 1e-12 of a pole of Gamma."""
     nearest = round(z.real)
     if nearest <= 0 and abs(z - nearest) < _POLE_TOL:
         raise PoleAtNonpositiveInteger(f"Gamma pole at z = {nearest}")
+
+
+@finite_or_out_of_range
+def gamma_complex(z: complex) -> complex:
+    refuse_pole(z)
     if z.real < 0.5:
         return math.pi / (cmath.sin(math.pi * z) * gamma_complex(1 - z))
     z -= 1

@@ -40,7 +40,7 @@ from .errors import (
     require_index,
     require_rational,
 )
-from .gammafn import gamma_complex
+from .gammafn import gamma_complex, refuse_pole
 
 
 @dataclass(frozen=True)
@@ -348,12 +348,17 @@ def _hankel(s: complex, spec: ContourSpec) -> complex:
 
 def _inverted_contour_domain(s: complex, n_poles: int) -> complex:
     """s as a complex, once s is finite with Re s <= -1/2 and n_poles is an
-    integer in 1..10^6."""
+    integer in 1..10^6. The check forms sin(pi s) and Gamma(s): an s whose
+    pi s overflows raises OverflowError, and one on a pole of Gamma, within
+    1e-12 of a negative integer, PoleAtNonpositiveInteger."""
     s = require_complex("s", s)
     if s.real > -0.5:
         raise DomainError("inverted contour requires Re(s) <= -0.5")
     if require_index("n_poles", n_poles, least=1) > _MAX_TERMS:
         raise OutOfValidatedRange(f"n_poles = {n_poles} exceeds 10^6")
+    if not cmath.isfinite(math.pi * s):
+        raise OverflowError(f"pi s overflows at s = {s}")
+    refuse_pole(s)
     return s
 
 
@@ -373,12 +378,14 @@ def inverted_contour_check(s: complex, n_poles: int) -> float:
     return abs(lhs - rhs)
 
 
+@finite_or_out_of_range
 def inverted_contour_bound(s: complex, n_poles: int) -> float:
     """Tail bound for the truncated residue sum, including its prefactor.
 
     |sum_{n>N} n^{s-1}| <= N^{Re s}/|Re s|, scaled by |(2 pi)^s 2 sin(pi s/2)|
     (the scale matters off the real axis, where sin(pi s/2) grows like
-    exp(pi |Im s| / 2)). The domain is inverted_contour_check's.
+    exp(pi |Im s| / 2)). The domain is inverted_contour_check's, and an
+    overflow raises OutOfValidatedRange there as in the check.
     """
     s = _inverted_contour_domain(s, n_poles)
     prefactor = abs((2 * math.pi) ** s * 2 * cmath.sin(math.pi * s / 2))

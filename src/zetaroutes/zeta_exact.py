@@ -33,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import abel
-from .bernoulli import bernoulli_via_recurrence, bernoulli_via_series
+from .bernoulli import _series_entry, _tangent_entry
 from .errors import ArgumentNotEvenPositive, DomainError, PoleArgument, require_index
 from .exact import PiValue
 from .series import LaurentSeries, exp_series
@@ -53,7 +53,7 @@ class Route(str, Enum):
 def zeta_nonpositive(n: int) -> Fraction:
     """zeta(-n) = (-1)^n B_{n+1}/(n+1)."""
     require_index("n", n)
-    b = bernoulli_via_recurrence(n + 1)[n + 1]
+    b = _tangent_entry(n + 1)
     sign = -1 if n % 2 else 1
     return Fraction(sign * b.numerator, b.denominator * (n + 1))
 
@@ -74,7 +74,7 @@ def zeta_neg_via_residue(n: int) -> Fraction:
     route, which has no contour to orient.
     """
     require_index("n", n)
-    c = bernoulli_via_series(n + 1)[n + 1] / math.factorial(n + 1)
+    c = _series_entry(n + 1) / math.factorial(n + 1)
     branch = -1 if (n - 1) % 2 else 1  # (-1)^{n-1}
     # Loop integral = 2 pi i * branch * c; it equals -2i * (pi/n!) * zeta(-n).
     # Both sides carry one power of pi and one of i, so the quotient of the
@@ -100,7 +100,7 @@ def zeta_neg_via_G(order: int) -> list[Fraction]:
 def zeta_even_positive(n: int) -> PiValue:
     """zeta(2n) = (-1)^{n-1} (2 pi)^{2n} B_{2n} / (2 (2n)!)."""
     require_index("n", n, least=1)
-    b = bernoulli_via_recurrence(2 * n)[2 * n]
+    b = _tangent_entry(2 * n)
     sign = 1 if (n - 1) % 2 == 0 else -1
     # (2 pi)^{2n} / 2 = 2^{2n-1} pi^{2n}; one Fraction, so one gcd
     coeff = Fraction(sign * b.numerator << (2 * n - 1), b.denominator * math.factorial(2 * n))
@@ -111,7 +111,7 @@ def zeta_even_via_funceq(n: int) -> PiValue:
     """zeta(2n) transported from zeta(1-2n) = -B_2n/(2n), read off the series
     table, across 2 cos(pi n) Gamma(2n) zeta(2n) = (2 pi)^{2n} zeta(1-2n)."""
     require_index("n", n, least=1)
-    b = bernoulli_via_series(2 * n)[2 * n]
+    b = _series_entry(2 * n)
     sign = 1 if n % 2 == 0 else -1  # cos(pi n) = (-1)^n
     # 2^{2n} zeta(1-2n) / (2 (-1)^n (2n-1)!) with zeta(1-2n) = -B_2n/(2n),
     # built as one Fraction, so one gcd

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -342,6 +343,17 @@ def stdlib_json(records):
     return json.dumps(rows, indent=2)
 
 
+def stdlib_csv(records):
+    """The csv form with each payload cell written by json.dumps."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["kind", "argument", "route", "payload"])
+    for r in records:
+        payload = json.dumps(_FORMS[type(r.payload)].json(r.payload))
+        writer.writerow([r.kind, r.argument, r.route, payload])
+    return buf.getvalue().rstrip("\n")
+
+
 # One or more payloads of every _FORMS type, at the edges of its json form.
 EDGE_PAYLOADS = [
     F(-7, 12),
@@ -374,12 +386,15 @@ class TestRender:
         records = [OutputRecord(p, "route \"q\"\\", "arg \u00e9\n") for p in EDGE_PAYLOADS]
         for record in records:
             assert render([record], "json") == stdlib_json([record])
+            assert render([record], "csv") == stdlib_csv([record])
         assert render(records, "json") == stdlib_json(records)
+        assert render(records, "csv") == stdlib_csv(records)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.builds(OutputRecord, payloads, st.text(), st.text()), max_size=5))
     def test_json_is_the_stdlib_layout_for_any_records(self, records):
         assert render(records, "json") == stdlib_json(records)
+        assert render(records, "csv") == stdlib_csv(records)
 
     def test_pi_monomial_json(self):
         rec = OutputRecord(PiValue(F(1, 6), 2), "closed", "2")

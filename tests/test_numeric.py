@@ -11,7 +11,7 @@ import pytest
 
 import zetaroutes
 from zetaroutes import numeric as numeric_module
-from zetaroutes.gammafn import gamma_complex
+from zetaroutes.gammafn import PoleAtNonpositiveInteger, gamma_complex
 from zetaroutes.numeric import (
     ContourSpec,
     DomainError,
@@ -442,6 +442,9 @@ class TestInvertedContour:
         (cotangent_check, cotangent_tail_bound, (F(1, 4), 10**6 + 1), OutOfValidatedRange),
         (inverted_contour_check, inverted_contour_bound, (-2.5, 2.5), DomainError),
         (cotangent_check, cotangent_tail_bound, (0.25, 2.5), DomainError),
+        (inverted_contour_check, inverted_contour_bound, (-1, 10), PoleAtNonpositiveInteger),
+        (inverted_contour_check, inverted_contour_bound, (-3, 10), PoleAtNonpositiveInteger),
+        (inverted_contour_check, inverted_contour_bound, (-1.7e308, 10), OutOfValidatedRange),
     ],
 )
 def test_bound_validates_its_check_domain(check, bound, args, exc):

@@ -4,6 +4,7 @@ change in the library cannot break them unseen."""
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -105,23 +106,40 @@ def test_bench_pairs_keeps_the_info_line_and_summarises(monkeypatch, tmp_path):
         assert bench.summary(pairs)["wall_s"]["claim_met"] is met, change
 
 
-def test_numeric_diff_finds_no_difference_between_a_tree_and_itself():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "numeric_diff.py"), str(ROOT), str(ROOT), "--seeds", "1"],
+def _tree_diff(old, new, *args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "tree_diff.py"), str(old), str(new), *args],
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_tree_diff_finds_no_difference_between_a_tree_and_itself():
+    proc = _tree_diff(ROOT, ROOT, "--seeds", "1", "--max", "20")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "0 of 480 outcomes differ (seeds 1)\n"
-
-
-def test_exact_diff_finds_no_difference_between_a_tree_and_itself():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "exact_diff.py"), str(ROOT), str(ROOT), "--max", "20"],
-        capture_output=True,
-        text=True,
-        timeout=120,
+    assert proc.stdout == (
+        "0 of 480 numeric outcomes differ (seeds 1)\n0 of 224 exact items differ (--max 20)\n"
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "0 of 224 items differ (--max 20)\n"
+
+
+def test_tree_diff_names_a_moved_route_and_exits_1(tmp_path):
+    # A looser convergence test moves Hankel values and refusals, and nothing
+    # that the exact half reads.
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "zetaroutes" / "numeric.py"
+    text = path.read_text(encoding="utf-8")
+    assert "\n_TOL = 1e-12 " in text
+    path.write_text(text.replace("\n_TOL = 1e-12 ", "\n_TOL = 1e-11 "), encoding="utf-8")
+    proc = _tree_diff(ROOT, tmp_path, "--seeds", "0", "--max", "20")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    *moved, numeric, exact = proc.stdout.splitlines()
+    assert moved and all(line.startswith("seed 0 ") and " zeta_hankel: " in line for line in moved)
+    assert numeric == f"{len(moved)} of 480 numeric outcomes differ (seeds 0)"
+    assert exact == "0 of 224 exact items differ (--max 20)"
+
+
+def test_tree_diff_exits_2_for_a_root_without_the_package(tmp_path):
+    proc = _tree_diff(ROOT, tmp_path, "--seeds", "1", "--max", "0")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
