@@ -15,8 +15,11 @@ interpreter with PYTHONPATH=ROOT/src, and reports two halves:
   exit status and the sha256 of stdout of these commands, run in order
   through cli.run in one process: ``bernoulli --max N --method both``,
   ``table classical --max N/2``, ``zeta exact K --route all`` for every
-  classical K with |K| <= 60, and ``verify funceq --exact-max N/4``, each
-  with ``--format json``.
+  classical K with |K| <= 60, ``verify funceq --exact-max N/4``, and the
+  identity checks ``verify contour-inversion`` (s = -2.5 at 10^5 poles,
+  -0.5-2i at 10^3, and the refusals -2 and -27.5) and ``verify cotangent``
+  (x = 1/4 and 1/3 at 10^4 terms, and the refusal 1/1000), each with
+  ``--format json``.
 
 It prints every outcome that differs between the trees and names every
 route that only one of them has, then one summary line per half. It exits
@@ -34,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CLASSICAL = (*range(-60, 1), *range(2, 61, 2))
+CONTOUR = (("-2.5", "100000"), ("-0.5,-2", "1000"), ("-2", "10"), ("-27.5", "10"))
 
 # Runs in the tree's interpreter: the work arrives on stdin as JSON, and goes
 # out as {"numeric": {route: [outcome per point]}, "exact": [outcome per item]},
@@ -98,6 +102,8 @@ def exact_items(n: int) -> dict[str, list]:
         ["table", "classical", "--max", str(n // 2)],
         *(["zeta", "exact", str(k), "--route", "all"] for k in CLASSICAL),
         ["verify", "funceq", "--exact-max", str(n // 4)],
+        *(["verify", "contour-inversion", f"--s={s}", "--poles", poles] for s, poles in CONTOUR),
+        *(["verify", "cotangent", "--x", x, "--terms", "10000"] for x in ("1/4", "1/3", "1/1000")),
     ]
     return {
         "tables": [[name, order] for name in ("_series_table", "_tangent_table") for order in orders],

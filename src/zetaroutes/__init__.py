@@ -36,9 +36,7 @@ from .numeric import (
     QuadratureNotConverged,
     TooCloseToPositiveIntegerPole,
     cotangent_check,
-    cotangent_tail_bound,
     funceq_residual,
-    inverted_contour_bound,
     inverted_contour_check,
     zeta_em,
     zeta_hankel,
@@ -74,10 +72,8 @@ __all__ = [
     "zeta_em",
     "zeta_hankel",
     "inverted_contour_check",
-    "inverted_contour_bound",
     "funceq_residual",
     "cotangent_check",
-    "cotangent_tail_bound",
     "NearPole",
     "OutOfValidatedRange",
     "TooCloseToPositiveIntegerPole",

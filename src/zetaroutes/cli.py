@@ -31,13 +31,7 @@ from . import abel, numeric
 from .errors import DomainError, InternalInconsistency, OutOfValidatedRange, require_index
 from .exact import PiValue
 from .bernoulli import bernoulli_via_recurrence, bernoulli_via_series
-from .numeric import (
-    cotangent_check,
-    cotangent_tail_bound,
-    funceq_residual,
-    inverted_contour_bound,
-    inverted_contour_check,
-)
+from .numeric import cotangent_check, funceq_residual, inverted_contour_check
 from .zeta_exact import (
     Route,
     funceq_exact_check,
@@ -297,12 +291,7 @@ def _cmd_verify_cotangent(args):
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--x must be a rational like 1/4, got {args.x!r}") from None
-    return _residual_check(
-        cotangent_check(x, args.terms),
-        cotangent_tail_bound(x, args.terms),
-        "cotangent",
-        str(x),
-    )
+    return _residual_check(*cotangent_check(x, args.terms), "cotangent", str(x))
 
 
 def _cmd_verify_contour_inversion(args):
@@ -311,10 +300,7 @@ def _cmd_verify_contour_inversion(args):
     except (ValueError, TypeError):
         raise ValueError(f"--s must be RE or RE,IM, got {args.s!r}") from None
     return _residual_check(
-        inverted_contour_check(s, args.poles),
-        inverted_contour_bound(s, args.poles),
-        "contour-inversion",
-        _format_complex_arg(s),
+        *inverted_contour_check(s, args.poles), "contour-inversion", _format_complex_arg(s)
     )
 
 

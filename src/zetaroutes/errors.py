@@ -96,7 +96,9 @@ def require_complex(name: str, value) -> complex:
 
 def finite_or_out_of_range(fn):
     """fn at s as a finite complex (``require_complex``), and
-    OutOfValidatedRange for an over- or underflow in fn(s).
+    OutOfValidatedRange for an over- or underflow in fn(s): a result that is
+    not finite, or a tuple of them, such as a check's (residual, bound), with
+    a part that is not.
 
     A DomainError passes through; a plain ValueError (cmath's "math domain
     error" on an overflowed argument) becomes OutOfValidatedRange naming s.
@@ -107,7 +109,7 @@ def finite_or_out_of_range(fn):
         z = require_complex("s", s)
         try:
             value = fn(z, *args, **kwargs)
-            if cmath.isfinite(value):
+            if all(map(cmath.isfinite, value if isinstance(value, tuple) else (value,))):
                 return value
         except DomainError:
             raise

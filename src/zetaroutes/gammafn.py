@@ -30,10 +30,12 @@ _POLE_TOL = 1e-12
 
 
 def refuse_pole(z: complex) -> None:
-    """PoleAtNonpositiveInteger for z within 1e-12 of a pole of Gamma."""
+    """PoleAtNonpositiveInteger for z within 1e-12 of a pole of Gamma, named
+    by its integer, or from 2^53 in size by the double itself (-1e+300)."""
     nearest = round(z.real)
     if nearest <= 0 and abs(z - nearest) < _POLE_TOL:
-        raise PoleAtNonpositiveInteger(f"Gamma pole at z = {nearest}")
+        pole = nearest if nearest > -(2**53) else z.real
+        raise PoleAtNonpositiveInteger(f"Gamma pole at z = {pole}")
 
 
 @finite_or_out_of_range

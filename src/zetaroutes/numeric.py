@@ -346,51 +346,37 @@ def _hankel(s: complex, spec: ContourSpec) -> complex:
 # -- identity checks ----------------------------------------------------------
 
 
-def _inverted_contour_domain(s: complex, n_poles: int) -> complex:
-    """s as a complex, once s is finite with Re s <= -1/2 and n_poles is an
-    integer in 1..10^6. The check forms sin(pi s) and Gamma(s): an s whose
-    pi s overflows raises OverflowError, and one on a pole of Gamma, within
-    1e-12 of a negative integer, PoleAtNonpositiveInteger."""
-    s = require_complex("s", s)
-    if s.real > -0.5:
-        raise DomainError("inverted contour requires Re(s) <= -0.5")
-    if require_index("n_poles", n_poles, least=1) > _MAX_TERMS:
-        raise OutOfValidatedRange(f"n_poles = {n_poles} exceeds 10^6")
-    if not cmath.isfinite(math.pi * s):
-        raise OverflowError(f"pi s overflows at s = {s}")
-    refuse_pole(s)
-    return s
-
-
 @finite_or_out_of_range
-def inverted_contour_check(s: complex, n_poles: int) -> float:
+def inverted_contour_check(s: complex, n_poles: int) -> tuple[float, float]:
     """Inside-out contour: residues at 2 pi i n versus the loop value.
 
     For Re s <= -1/2 the residue sum converges; its partial form is
     -i (2 pi)^s 2 sin(pi s/2) sum_{n<=N} n^{s-1}, compared against
     -2i sin(pi s) Gamma(s) zeta(s) with zeta from the Euler-Maclaurin route.
-    Returns the absolute difference; n_poles is validated in 1..10^6.
+    Returns the absolute difference and its tail bound: |sum_{n>N} n^{s-1}|
+    <= N^{Re s}/|Re s|, scaled by the modulus of the prefactor (which matters
+    off the real axis, where sin(pi s/2) grows like exp(pi |Im s| / 2)),
+    and at least 1e-8.
+
+    s must be finite with Re s <= -1/2 and n_poles an integer in 1..10^6.
+    Within 1e-12 of a negative integer, a pole of the Gamma(s) it forms,
+    PoleAtNonpositiveInteger is raised; where pi s or either result is not
+    finite, OutOfValidatedRange.
     """
-    s = _inverted_contour_domain(s, n_poles)
-    partial = _power_sum(s - 1, n_poles)
-    rhs = -1j * (2 * math.pi) ** s * 2 * cmath.sin(math.pi * s / 2) * partial
+    if s.real > -0.5:
+        raise DomainError("inverted contour requires Re(s) <= -0.5")
+    if require_index("n_poles", n_poles, least=1) > _MAX_TERMS:
+        raise OutOfValidatedRange(f"n_poles = {n_poles} exceeds 10^6")
+    # Tested before the poles: every double near -1.7e308 is one, and the
+    # overflow is what the check meets there.
+    if not cmath.isfinite(math.pi * s):
+        raise OverflowError(f"pi s overflows at s = {s}")
+    refuse_pole(s)
+    prefactor = (2 * math.pi) ** s * 2 * cmath.sin(math.pi * s / 2)
+    rhs = -1j * prefactor * _power_sum(s - 1, n_poles)
     lhs = -2j * cmath.sin(math.pi * s) * gamma_complex(s) * zeta_em(s)
-    return abs(lhs - rhs)
-
-
-@finite_or_out_of_range
-def inverted_contour_bound(s: complex, n_poles: int) -> float:
-    """Tail bound for the truncated residue sum, including its prefactor.
-
-    |sum_{n>N} n^{s-1}| <= N^{Re s}/|Re s|, scaled by |(2 pi)^s 2 sin(pi s/2)|
-    (the scale matters off the real axis, where sin(pi s/2) grows like
-    exp(pi |Im s| / 2)). The domain is inverted_contour_check's, and an
-    overflow raises OutOfValidatedRange there as in the check.
-    """
-    s = _inverted_contour_domain(s, n_poles)
-    prefactor = abs((2 * math.pi) ** s * 2 * cmath.sin(math.pi * s / 2))
-    tail = n_poles**s.real / abs(s.real)
-    return max(1e-8, prefactor * tail)
+    bound = max(1e-8, abs(prefactor) * (n_poles**s.real / abs(s.real)))
+    return abs(lhs - rhs), bound
 
 
 @finite_or_out_of_range
@@ -416,9 +402,14 @@ def funceq_residual(s: complex) -> float:
 _COT_X_MIN = Fraction(1, 100)
 
 
-def _cotangent_domain(x, n_terms: int) -> Fraction:
-    """x as a Fraction, once 1/100 <= x <= 99/100 and n_terms is an integer
-    in 1..10^6."""
+def cotangent_check(x, n_terms: int) -> tuple[float, float]:
+    """|pi cot(pi x) - (1/x + sum_{n<=N} (1/(x+n) + 1/(x-n)))| for rational
+    x, and its tail bound 2x/(N - x) + 1e-12, by integral comparison.
+
+    The paired terms are 2x/(x^2 - n^2). x must be a rational strictly
+    between 0 and 1 (DomainError) and lie in 1/100..99/100, and n_terms an
+    integer in 1..10^6 (OutOfValidatedRange beyond either).
+    """
     x = require_rational("x", x)
     if not 0 < x < 1:
         raise DomainError("x must be a rational strictly between 0 and 1")
@@ -428,23 +419,8 @@ def _cotangent_domain(x, n_terms: int) -> Fraction:
         )
     if require_index("n_terms", n_terms, least=1) > _MAX_TERMS:
         raise OutOfValidatedRange(f"n_terms = {n_terms} exceeds 10^6")
-    return x
-
-
-def cotangent_check(x, n_terms: int) -> float:
-    """|pi cot(pi x) - (1/x + sum_{n<=N} (1/(x+n) + 1/(x-n)))| for rational x.
-
-    The paired terms are 2x/(x^2 - n^2); the truncation error obeys
-    cotangent_tail_bound. x is validated in 1/100..99/100 and n_terms in
-    1..10^6.
-    """
-    xf = float(_cotangent_domain(x, n_terms))
+    xf = float(x)
     n = np.arange(1.0, n_terms + 1)
     series = 1.0 / xf + float(np.sum(2.0 * xf / (xf * xf - n * n)))
-    return abs(math.pi / math.tan(math.pi * xf) - series)
-
-
-def cotangent_tail_bound(x, n_terms: int) -> float:
-    """2x/(N - x) + 1e-12, by integral comparison, on cotangent_check's domain."""
-    xf = float(_cotangent_domain(x, n_terms))
-    return 2.0 * xf / (n_terms - xf) + 1e-12
+    residual = abs(math.pi / math.tan(math.pi * xf) - series)
+    return residual, 2.0 * xf / (n_terms - xf) + 1e-12

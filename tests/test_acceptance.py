@@ -20,7 +20,6 @@ from zetaroutes.numeric import (
     ContourSpec,
     _hankel,
     cotangent_check,
-    cotangent_tail_bound,
     funceq_residual,
     inverted_contour_check,
     zeta_em,
@@ -131,14 +130,13 @@ def test_criterion_08_functional_equation_residual():
 
 
 def test_criterion_09_inside_out_inversion():
-    diff = inverted_contour_check(-2.5, 10**5)
+    diff, _ = inverted_contour_check(-2.5, 10**5)
     assert diff <= 1e-6
     _report(9, f"inverted contour at s = -2.5 with 1e5 poles: {diff:.2e} <= 1e-6")
 
 
 def test_criterion_10_cotangent_identity():
-    diff = cotangent_check(F(1, 4), 10**4)
-    bound = cotangent_tail_bound(F(1, 4), 10**4)
+    diff, bound = cotangent_check(F(1, 4), 10**4)
     assert diff <= bound
     _report(10, f"cotangent identity at x = 1/4, 1e4 terms: {diff:.2e} <= {bound:.2e}")
 

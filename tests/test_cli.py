@@ -565,6 +565,9 @@ def test_usage_error_exit_code(capsys):
         (("verify", "funceq", "--exact-max", "0", "--grid=0.5:0.5:1e3:1e3:1"),
          "funceq_residual exceeds double precision"),
         (("verify", "contour-inversion", "--s=-2", "--poles", "10"), "Gamma pole"),
+        # Every double from 2^53 in size is an integer: named by its repr.
+        (("verify", "contour-inversion", "--s=-1e300", "--poles", "10"),
+         "Gamma pole at z = -1e+300\n"),
         (("verify", "contour-inversion", "--s=-2.5,1e3", "--poles", "10"),
          "inverted_contour_check exceeds double precision"),
         (("verify", "cotangent", "--x", "1/4", "--terms", "1000000000000"),

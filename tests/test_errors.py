@@ -7,7 +7,12 @@ import pytest
 
 import zetaroutes
 from zetaroutes import abel, bernoulli, gammafn, numeric, series, zeta_exact
-from zetaroutes.errors import DomainError, InternalInconsistency
+from zetaroutes.errors import (
+    DomainError,
+    InternalInconsistency,
+    OutOfValidatedRange,
+    finite_or_out_of_range,
+)
 from zetaroutes.exact import PiValue
 
 # Each class the package exported before errors.py held the taxonomy: the
@@ -151,16 +156,10 @@ ARGUMENT_CASES = [
     (numeric.cotangent_check, math.nan, 10),
     (numeric.cotangent_check, "abc", 10),
     (numeric.cotangent_check, "1/4", 10),
-    (numeric.cotangent_tail_bound, 0.25, 2.5),
-    (numeric.cotangent_tail_bound, 0.25, 3.0),
     (numeric.inverted_contour_check, -2.5, 2.5),
     (numeric.inverted_contour_check, -2.5, 3.0),
     (numeric.inverted_contour_check, "a", 10),
     (numeric.inverted_contour_check, None, 10),
-    (numeric.inverted_contour_bound, -2.5, 2.5),
-    (numeric.inverted_contour_bound, -2.5, 3.0),
-    (numeric.inverted_contour_bound, "a", 10),
-    (numeric.inverted_contour_bound, None, 10),
 ]
 
 
@@ -173,6 +172,27 @@ def test_argument_check_raises_domain_error(case):
     function, *args = case
     with pytest.raises(DomainError):
         function(*args)
+
+
+# A check's (residual, bound) is returned only when both parts are finite.
+@pytest.mark.parametrize(
+    "result, finite",
+    [
+        ((1e-9, 1e-8), True),
+        ((1e-9, math.inf), False),
+        ((math.nan, 1e-8), False),
+    ],
+)
+def test_finite_or_out_of_range_requires_both_parts_of_a_pair(result, finite):
+    @finite_or_out_of_range
+    def check(s):
+        return result
+
+    if finite:
+        assert check(-2.5) == result
+        return
+    with pytest.raises(OutOfValidatedRange, match=r"^check exceeds double precision at s = -2\.5$"):
+        check(-2.5)
 
 
 # The arguments outside each annotated kind that ARGUMENT_CASES must hold.

@@ -28,6 +28,22 @@ class TestKnownValues:
         with pytest.raises(PoleAtNonpositiveInteger):
             gamma_complex(-5 + 1e-14j)
 
+    # A pole is named by its integer; every double from 2^53 in size is an
+    # integer, and is named by its repr instead of all of its digits.
+    @pytest.mark.parametrize(
+        "z, name",
+        [
+            (-3, "-3"),
+            (-(2.0**53) + 2, "-9007199254740990"),
+            (-(2.0**53), "-9007199254740992.0"),
+            (-1e300, "-1e+300"),
+        ],
+    )
+    def test_pole_message_names_the_pole(self, z, name):
+        with pytest.raises(PoleAtNonpositiveInteger) as info:
+            gamma_complex(z)
+        assert str(info.value) == f"Gamma pole at z = {name}"
+
 
 class TestIdentities:
     @given(

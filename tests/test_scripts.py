@@ -119,7 +119,7 @@ def test_tree_diff_finds_no_difference_between_a_tree_and_itself():
     proc = _tree_diff(ROOT, ROOT, "--seeds", "1", "--max", "20")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == (
-        "0 of 480 numeric outcomes differ (seeds 1)\n0 of 224 exact items differ (--max 20)\n"
+        "0 of 480 numeric outcomes differ (seeds 1)\n0 of 231 exact items differ (--max 20)\n"
     )
 
 
@@ -136,7 +136,7 @@ def test_tree_diff_names_a_moved_route_and_exits_1(tmp_path):
     *moved, numeric, exact = proc.stdout.splitlines()
     assert moved and all(line.startswith("seed 0 ") and " zeta_hankel: " in line for line in moved)
     assert numeric == f"{len(moved)} of 480 numeric outcomes differ (seeds 0)"
-    assert exact == "0 of 224 exact items differ (--max 20)"
+    assert exact == "0 of 231 exact items differ (--max 20)"
 
 
 def test_tree_diff_exits_2_for_a_root_without_the_package(tmp_path):
