@@ -7,9 +7,11 @@ Each root is a checkout of this repository. Each tree runs once, in its own
 interpreter with PYTHONPATH=ROOT/src, and reports two halves:
 
 - numeric: at the benchmark's numeric_grid points of every seed (read from
-  this repository's perfbench/workloads.py), zeta_<name> for every name in
-  that tree's own numeric.ROUTES, as float.hex of the real and imaginary
-  parts or the class of the exception raised;
+  this repository's perfbench/workloads.py), and at 32 fixed `far` points
+  beyond the grid's |Im s| <= 1e4 (Re s in {0, 0.5, 1.5, 3} at 8 log-spaced
+  |Im s| from 1e4 to 5e5), zeta_<name> for every name in that tree's own
+  numeric.ROUTES, as float.hex of the real and imaginary parts or the class
+  of the exception raised;
 - exact: the sha256 of repr(bernoulli._series_table(n)) and of
   repr(bernoulli._tangent_table(n)) for every n <= 64 and at n = N, and the
   exit status and the sha256 of stdout of these commands, run in order
@@ -38,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CLASSICAL = (*range(-60, 1), *range(2, 61, 2))
 CONTOUR = (("-2.5", "100000"), ("-0.5,-2", "1000"), ("-2", "10"), ("-27.5", "10"))
+FAR = tuple(complex(re, 1e4 * 50 ** (i / 7)) for re in (0.0, 0.5, 1.5, 3.0) for i in range(8))
 
 # Runs in the tree's interpreter: the work arrives on stdin as JSON, and goes
 # out as {"numeric": {route: [outcome per point]}, "exact": [outcome per item]},
@@ -87,12 +90,14 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def grid_points(seeds: list[int]) -> list[tuple[int, str, complex]]:
+def numeric_points(seeds: list[int]) -> list[tuple[str, complex]]:
+    """(where, s): the grid points of every seed, then the far points."""
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [(seed, region, s) for seed in seeds for region, s in workloads.grid_points(seed)]
+    grid = [(f"seed {seed} {region}", s) for seed in seeds for region, s in workloads.grid_points(seed)]
+    return grid + [("far", s) for s in FAR]
 
 
 def exact_items(n: int) -> dict[str, list]:
@@ -137,9 +142,9 @@ def main() -> int:
     if args.n < 0:
         parser.error("--max must be >= 0")
 
-    points = grid_points(args.seeds)
+    points = numeric_points(args.seeds)
     items = exact_items(args.n)
-    work = {"points": [[s.real.hex(), s.imag.hex()] for _, _, s in points], **items}
+    work = {"points": [[s.real.hex(), s.imag.hex()] for _, s in points], **items}
     old, new = (outcomes(root.resolve(), work) for root in (args.old, args.new))
 
     routes = [name for name in old["numeric"] if name in new["numeric"]]
@@ -149,8 +154,8 @@ def main() -> int:
     names = [f"{name}({order})" for name, order in items["tables"]]
     names += [" ".join(argv) for argv in items["commands"]]
     rows = [  # (half: 0 numeric, 1 exact, label, old outcome, new outcome)
-        (0, f"seed {seed} {region} s = {s!r} zeta_{name}", old["numeric"][name][i], new["numeric"][name][i])
-        for i, (seed, region, s) in enumerate(points)
+        (0, f"{where} s = {s!r} zeta_{name}", old["numeric"][name][i], new["numeric"][name][i])
+        for i, (where, s) in enumerate(points)
         for name in routes
     ] + [(1, *row) for row in zip(names, old["exact"], new["exact"])]
     differ = [0, 0]
@@ -159,7 +164,7 @@ def main() -> int:
             differ[half] += 1
             print(f"{label}: {a} -> {b}")
     seeds = ",".join(map(str, args.seeds))
-    print(f"{differ[0]} of {len(points) * len(routes)} numeric outcomes differ (seeds {seeds})")
+    print(f"{differ[0]} of {len(points) * len(routes)} numeric outcomes differ (seeds {seeds}, far)")
     print(f"{differ[1]} of {len(names)} exact items differ (--max {args.n})")
     return 1 if any(differ) else 0
 

@@ -42,7 +42,12 @@ def refuse_pole(z: complex) -> None:
 def gamma_complex(z: complex) -> complex:
     refuse_pole(z)
     if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * gamma_complex(1 - z))
+        # The reflection reads the unwrapped kernel, so that a refusal names
+        # this z; an infinite Gamma(1 - z) would otherwise return pi/inf = 0.
+        reflected = gamma_complex.__wrapped__(1 - z)
+        if not cmath.isfinite(reflected):
+            raise OverflowError(f"Gamma(1 - z) overflows at z = {z}")
+        return math.pi / (cmath.sin(math.pi * z) * reflected)
     z -= 1
     acc = _LANCZOS_COEFFS[0]
     for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):

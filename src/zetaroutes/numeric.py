@@ -63,9 +63,10 @@ ROUTES = ("hankel", "em")
 ROUTE_TOL = 1e-10
 
 _EPS = 2.3e-16
-_MAX_TERMS = 10**6  # cap on the terms of any numeric sum: cutoff, poles, pairs
+_MAX_TERMS = 10**6  # cap on the terms of the identity checks: poles, pairs
 _EM_FLOOR_N = 30  # least Dirichlet cutoff for Re s >= 0
 _EM_TERMS_J = 14  # Bernoulli correction terms in zeta_em
+_EM_MAX_IM = 1e4  # zeta_em refuses beyond this |Im s|: its round-off reaches ROUTE_TOL by 1.7e4
 
 # B_{2j}/(2j)! as floats, j = 1..J+1 (the first omitted term sizes the
 # cutoff), from the exact table.
@@ -78,29 +79,34 @@ _B2J_OVER_FACT = tuple(
 def _dirichlet_cutoff(s: complex) -> int:
     """Partial-sum cutoff N for the Euler-Maclaurin evaluation.
 
-    For Re s >= 0 the floor N = 30 (grown with |Im s|) is fine. For Re s < 0
-    the terms k^{-s} grow, and round-off of the partial sum against the
-    N^{1-s} continuation term costs ~ N^{1-Re s} eps; balancing that against
-    the first omitted Bernoulli term picks a much smaller N. At negative
-    integer s the rising product vanishes and the expansion terminates, so
-    the least cutoff, N = 2, is taken. That is exact in exact arithmetic
-    only: in floating point the correction terms, up to about 7e9 in size
-    at s = -26, cancel to round-off there, and ``zeta_em`` returns 4.7e-7,
-    -6.9e-8 and -2.3e-10 at the trivial zeros -26, -24 and -20 with no
-    error raised. The round-off guard of ROADMAP item 2 is to refuse them.
+    For Re s >= 0, N = max(30, ceil(|Im s|/2)). After J = 14 corrections the
+    remainder is about 2 (|s|/(2 pi N))^{2J+1}/(2 pi) (Edwards, "Riemann's
+    Zeta Function", ch. 6), which N = |Im s|/2 holds to about (1/pi)^29, or
+    4e-15; each further term only adds the round-off eps |Im s| log k of its
+    phase. At N = |Im s|/4 the remainder dominates (1.6e-7).
+
+    For Re s < 0 the terms k^{-s} grow, and round-off of the partial sum
+    against the N^{1-s} continuation term costs ~ N^{1-Re s} eps; balancing
+    that against the first omitted Bernoulli term picks a smaller N, capped
+    at max(30, ceil(2|Im s|)). At negative integer s the rising product
+    vanishes and the expansion terminates, so the least cutoff, N = 2, is
+    taken. That is exact in exact arithmetic only: in floating point the
+    correction terms, up to about 7e9 in size at s = -26, cancel to
+    round-off there, and ``zeta_em`` returns 4.7e-7, -6.9e-8 and -2.3e-10 at
+    the trivial zeros -26, -24 and -20 with no error raised. The round-off
+    guard of ROADMAP item 2 is to refuse them.
     """
-    n_pos = max(_EM_FLOOR_N, math.ceil(2 * abs(s.imag)))
     sigma = s.real
     if sigma >= 0:
-        return n_pos
+        return max(_EM_FLOOR_N, math.ceil(abs(s.imag) / 2))
+    n_im = math.ceil(2 * abs(s.imag))
     j = _EM_TERMS_J
     rising = 1.0
     for i in range(2 * j + 1):
         rising *= abs(s + i)
     tail_coeff = abs(_B2J_OVER_FACT[j]) * rising
     n_star = (tail_coeff * (sigma + 2 * j + 1) / _EPS) ** (1.0 / (2 * j + 2))
-    n = max(2, math.ceil(n_star), math.ceil(2 * abs(s.imag)))
-    return min(n_pos, n)
+    return min(max(_EM_FLOOR_N, n_im), max(2, math.ceil(n_star), n_im))
 
 
 def _power_sum(w: complex, n: int) -> complex:
@@ -144,12 +150,14 @@ def zeta_em(s: complex) -> complex:
 
     Partial sum to N-1, then N^{1-s}/(s-1) + N^{-s}/2 plus J Bernoulli
     corrections B_{2j}/(2j)! times rising products of s, with N picked by
-    ``_dirichlet_cutoff``; N >= 30 for Re s >= 0 and J = 14. The absolute
-    error is about 1e-13 or less for Re s >= 0; to the left, double-precision
-    cancellation against the N^{1-s} term progressively costs digits (about
-    1e-10 at s = -10.5).
-    N is capped at 10^6, so |Im s| <= 5e5; beyond the cap, and where the sum
-    overflows double precision, OutOfValidatedRange is raised.
+    ``_dirichlet_cutoff``; N >= 30 for Re s >= 0 and J = 14. For Re s >= 0
+    the error relative to max(1, |zeta(s)|) is about 1e-13 at small |Im s|
+    and grows with the round-off of each term's phase, to at most 4.1e-11
+    at |Im s| <= 1e4 in scans against mpmath; to the left, double-precision cancellation against
+    the N^{1-s} term progressively costs digits (about 1e-10 at s = -10.5).
+    Beyond |Im s| = 1e4 the phase round-off climbs in spikes, to 1.03e-10 at
+    0.25+16611.5i, so |Im s| > 1e4 raises OutOfValidatedRange, as does a
+    sum that overflows double precision.
     """
     if abs(s - 1) < 1e-6:
         raise NearPole("zeta pole at s = 1")
@@ -157,9 +165,11 @@ def zeta_em(s: complex) -> complex:
         raise OutOfValidatedRange(
             f"Re(s) = {s.real} needs more than {_EM_TERMS_J} correction terms"
         )
+    if abs(s.imag) > _EM_MAX_IM:
+        raise OutOfValidatedRange(
+            f"s = {s}: the Dirichlet cutoff is validated for |Im s| <= 1e4 only"
+        )
     n = _dirichlet_cutoff(s)
-    if n > _MAX_TERMS:
-        raise OutOfValidatedRange(f"s = {s} needs a Dirichlet cutoff N > 10^6")
     value = _power_sum(-s, n - 1) + n ** (1 - s) / (s - 1) + 0.5 * n ** (-s)
     rising = s
     npow = n ** (-s - 1)

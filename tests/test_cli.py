@@ -586,6 +586,11 @@ def test_usage_error_exit_code(capsys):
          "--grid needs finite bounds, RE1-RE0 and IM1-IM0, got 'inf:1:0:1:2'"),
         (("verify", "funceq", "--exact-max", "0", "--grid=-1e308:1e308:0:0:3"),
          "--grid needs finite bounds, RE1-RE0 and IM1-IM0, got '-1e308:1e308:0:0:3'"),
+        # Hankel refuses here, and zeta_em's value would miss 1e-10 silently.
+        (("zeta", "numeric", "0.5", "300000"), "Dirichlet cutoff is validated for |Im s| <= 1e4"),
+        # Gamma(1 - s) overflows inside the reflection, which names s itself.
+        (("verify", "contour-inversion", "--s=-999999.5", "--poles", "10"),
+         "gamma_complex exceeds double precision at s = (-999999.5+0j)\n"),
     ],
 )
 def test_domain_error_exits_2(capsys, argv, reason):

@@ -13,6 +13,7 @@ import zetaroutes
 from zetaroutes import numeric as numeric_module
 from zetaroutes.gammafn import PoleAtNonpositiveInteger, gamma_complex
 from zetaroutes.numeric import (
+    ROUTE_TOL,
     ContourSpec,
     DomainError,
     NearPole,
@@ -21,6 +22,7 @@ from zetaroutes.numeric import (
     TooCloseToPositiveIntegerPole,
     _arc,
     _arc_nodes,
+    _dirichlet_cutoff,
     _hankel,
     _integrand,
     _panel_nodes,
@@ -84,11 +86,45 @@ class TestZetaEm:
             (-10.5, "(0.011146122571498598+0j)"),
             (-4.01 + 34.02j, "(-1903.9750902774806+808.2601622112677j)"),
             (30 + 5j, "(0.9999999991171805+2.966266802595231e-10j)"),
-            (0.5 + 1e4j, "(-0.33937380262188-0.03709150597970519j)"),
+            (0.5 + 1e4j, "(-0.3393738026261218-0.03709150598176066j)"),
         ],
     )
     def test_bits_are_pinned(self, s, pinned):
         assert repr(zeta_em(s)) == pinned
+
+    def test_cutoff_is_sized_by_the_remainder_at_re_s_nonnegative(self):
+        # N = max(30, ceil(|Im s|/2)) for Re s >= 0.
+        assert _dirichlet_cutoff(0.5 + 1e4j) == 5000
+        assert _dirichlet_cutoff(3 - 1e4j) == 5000
+        assert _dirichlet_cutoff(0.5 + 60j) == 30
+        assert _dirichlet_cutoff(0.0 + 61j) == 31
+        assert _dirichlet_cutoff(0.5 + 9999j) == 5000
+
+    @pytest.mark.parametrize(
+        "s, n",
+        [(-0.5 + 1e4j, 20000), (-0.5 + 15j, 30), (-3 + 10j, 20), (-10.5, 4), (-26, 2),
+         (-4.01 + 34.02j, 69), (-20 + 1e4j, 20000), (-1e-9, 3)],
+    )
+    def test_cutoff_at_re_s_negative_keeps_its_balance_and_cap(self, s, n):
+        assert _dirichlet_cutoff(complex(s)) == n
+
+    def test_im_s_beyond_1e4_is_refused(self):
+        zeta_em(0.5 + 1e4j)
+        zeta_em(-5 - 1e4j)
+        for s in (0.5 + 10001j, 0.5 - 10001j, 0.25 + 16611.5j, 3 + 3e5j, -5 + 1e6j):
+            with pytest.raises(OutOfValidatedRange, match="Dirichlet cutoff"):
+                zeta_em(s)
+
+    @pytest.mark.parametrize("re", [0.0, 0.5, 1.5, 3.0])
+    def test_meets_route_tol_up_to_its_bound(self, re):
+        # Edwards' remainder sizes N = |Im s|/2; the phase round-off of the
+        # terms grows with |Im s|, and 1e4 is where the validated band ends.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for t in np.geomspace(15, 1e4, 6):
+                ref = complex(mpmath.zeta(mpmath.mpc(re, t)))
+                err = abs(zeta_em(complex(re, t)) - ref) / max(1.0, abs(ref))
+                assert err <= ROUTE_TOL, (re, t, err)
 
 
 def test_gauss_rule_is_leggauss_to_the_bit():

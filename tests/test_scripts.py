@@ -119,7 +119,7 @@ def test_tree_diff_finds_no_difference_between_a_tree_and_itself():
     proc = _tree_diff(ROOT, ROOT, "--seeds", "1", "--max", "20")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == (
-        "0 of 480 numeric outcomes differ (seeds 1)\n0 of 231 exact items differ (--max 20)\n"
+        "0 of 544 numeric outcomes differ (seeds 1, far)\n0 of 231 exact items differ (--max 20)\n"
     )
 
 
@@ -135,7 +135,7 @@ def test_tree_diff_names_a_moved_route_and_exits_1(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     *moved, numeric, exact = proc.stdout.splitlines()
     assert moved and all(line.startswith("seed 0 ") and " zeta_hankel: " in line for line in moved)
-    assert numeric == f"{len(moved)} of 480 numeric outcomes differ (seeds 0)"
+    assert numeric == f"{len(moved)} of 544 numeric outcomes differ (seeds 0, far)"
     assert exact == "0 of 231 exact items differ (--max 20)"
 
 
@@ -143,3 +143,25 @@ def test_tree_diff_exits_2_for_a_root_without_the_package(tmp_path):
     proc = _tree_diff(ROOT, tmp_path, "--seeds", "1", "--max", "0")
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stdout == ""
+
+
+def test_bench_trajectory_reads_every_committed_record():
+    script = str(ROOT / "scripts" / "bench_trajectory.py")
+    for fmt in ("text", "json"):
+        proc = subprocess.run(
+            [sys.executable, script, "--format", fmt], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    records = sorted(path.name for path in ROOT.glob("BENCH_*.json"))
+    assert records and sorted({f"BENCH_{row['pr']}.json" for row in rows}) == records
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    claimed = 0
+    for row in rows:
+        assert row["workload"] in workloads, row
+        for name, metric in row["metrics"].items():
+            if metric["claim_met"]:
+                claimed += 1
+                assert row["pairs"] >= 10, (row["pr"], row["workload"], name)
+    assert claimed
