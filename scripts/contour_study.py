@@ -8,11 +8,14 @@ of the Gauss-Legendre panels and independence of the contour geometry
 
 zeta_hankel uses a fixed rule: 16-point Gauss-Legendre panels, 16 per ray
 and 8 on the arc to start, doubled up to six times until two successive
-results agree to _TOL = 1e-12, on the contour default_contour(s) picks. The
-contour is not a parameter of zeta_hankel, so both sweeps reach into the
-module: the panel sweep evaluates single rungs of that ladder (half as many
-arc panels as ray panels) with _weighted_terms, and the radius sweep runs
-zeta_hankel's refinement loop, _hankel, on each contour.
+results agree to max(_TOL, 4F), where _TOL = 1e-12 and F is the round-off
+floor of the first level, on the contour default_contour(s) picks: its ray
+is cut where the integrand has fallen e^{-35 - pi |Im s|/2} below its peak,
+at x_max = 40 or more. The contour is not a parameter of zeta_hankel, so
+both sweeps reach into the module: the panel sweep evaluates single rungs of
+that ladder (half as many arc panels as ray panels) with _weighted_terms,
+and the radius sweep runs zeta_hankel's refinement loop, _hankel, on each
+radius with that x_max.
 """
 
 import argparse
@@ -49,7 +52,7 @@ def main() -> None:
 
     print("\ncontour independence (refinement loop, converged):")
     for radius in (math.pi / 2, 2.0, math.pi, 4.0, 5.5):
-        value = _hankel(s, ContourSpec(radius=radius, x_max=40.0))
+        value = _hankel(s, ContourSpec(radius=radius, x_max=spec.x_max))
         print(f"  radius {radius:5.3f}: error {abs(value - reference):.3e}")
 
 

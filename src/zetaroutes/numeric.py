@@ -122,10 +122,14 @@ _TAIL_DROP = 35.0  # the ray's cut sits at least e^-35 below the integrand's pea
 def default_contour(s: complex) -> ContourSpec:
     """Radius pi; the ray truncation grows with s to keep the tail tiny.
 
-    x_max starts at max(40, 10 + 2|s|). For Re s > 1 the ray integrand
-    x^{a} e^{-x}, a = Re s - 1, peaks at x = a, so x_max then grows by
-    factors of 1.1 until it lies e^-35 below that peak:
-    (x - a) - a log(x/a) >= 35. At Re s <= 2 the start already does.
+    x_max starts at max(40, 10 + 2|s|) and grows by factors of 1.1 until
+    (x - p) - a log(x/p) >= 35 + pi |Im s|/2, where a = Re s - 1 and
+    p = max(a, 1). The ray integrand x^a e^{-x} peaks at x = a for a > 1 and
+    only decreases past x = 1 otherwise, so p is the point the cut is measured
+    from. On the upper ray (-x)^{s-1} carries a further e^{pi |Im s|} that
+    Gamma(1-s) ~ e^{-pi |Im s|/2} only half cancels: the pi |Im s|/2 covers
+    the other half. At Im s = 0 the start satisfies this for Re s <= 2, and
+    on the critical line up to |Im s| = 3.7.
     """
     s = require_complex("s", s)
     try:
@@ -135,9 +139,10 @@ def default_contour(s: complex) -> ContourSpec:
     if not math.isfinite(x_max):  # also when 2|s| rounds to inf
         raise OutOfValidatedRange(f"|s| exceeds double precision at s = {s}")
     a = s.real - 1.0
-    if a > 0.0:
-        while (x_max - a) - a * math.log(x_max / a) < _TAIL_DROP:
-            x_max *= 1.1
+    p = max(a, 1.0)
+    drop = _TAIL_DROP + 0.5 * math.pi * abs(s.imag)
+    while (x_max - p) - a * math.log(x_max / p) < drop:
+        x_max *= 1.1
     return ContourSpec(x_max=x_max)
 
 
@@ -204,10 +209,12 @@ _GAUSS_W = np.concatenate([_HALF_W[::-1], _HALF_W])
 _PANELS_RAY = 16
 _REFINEMENTS = 6
 _TOL = 1e-12  # two successive levels agreeing to this much is convergence
-# Level 0 refuses when its round-off floor eps |prefactor| sum |w f| exceeds
-# this many _TOL: converging points reach 4e-12 at _TOL = 1e-12, so a
-# factor of 1 would refuse some of them.
-_FLOOR_FACTOR = 100.0
+# Level 0's round-off floor F = eps |prefactor| sum |w f| charges eps once
+# per term, but each term's phase (s-1) log(-x) carries eps |s-1| |log(-x)|:
+# the level differences at the zero 0.5+14.13i stay near 2F. So a level is
+# accepted once it agrees with the last to max(_TOL, 4F), and level 0
+# refuses when 4F exceeds ROUTE_TOL, the error such an answer may carry.
+_FLOOR_FACTOR = 4.0
 
 
 def _s_free_factors(x):
@@ -253,8 +260,9 @@ def _upper_ray(spec: ContourSpec, panels: int):
 
 
 # The upper ray's levels 0 and 1, where nearly every converging point stops,
-# for four contours (about 0.12 MB); the default contour is one and the same
-# for every |s| <= 15 with Re s <= 2. Deeper levels are built per call.
+# for four contours (about 0.12 MB); the default contour keeps x_max = 40
+# for small |s| near the real axis, up to |Im s| = 3.7 on the critical line.
+# Deeper levels are built per call.
 _CACHED_RAY_PANELS = 2 * _PANELS_RAY
 
 
@@ -312,10 +320,11 @@ def zeta_hankel(s: complex) -> complex:
     loop reproduces (e^{-pi s i} - e^{pi s i}) times the real-axis integral).
     The rule is fixed: 16-point Gauss-Legendre panels, 16 per ray and 8 on
     the arc to start, doubled up to six times until two successive results
-    agree to _TOL = 1e-12; otherwise QuadratureNotConverged is raised. It is
-    raised on the first level already when the sum is not finite, or when the
-    round-off floor eps |prefactor| sum |w f| of that level's terms is not
-    finite or exceeds 100 _TOL: no refinement gets below it. Within 0.1 of a
+    agree to max(_TOL, 4F), where _TOL = 1e-12 and F = eps |prefactor|
+    sum |w f| is the round-off floor of the first level's terms; otherwise
+    QuadratureNotConverged is raised. It is raised on the first level
+    already when the sum is not finite, or when 4F is not finite or exceeds
+    ROUTE_TOL: no refinement gets below the floor. Within 0.1 of a
     positive integer TooCloseToPositiveIntegerPole is raised: Gamma(1-s)
     blows up against a vanishing integral. The contour is default_contour(s).
     """
@@ -339,17 +348,19 @@ def _hankel(s: complex, spec: ContourSpec) -> complex:
                 raise QuadratureNotConverged(f"contour integral at s = {s} is not finite")
             if level == 0:
                 floor = _EPS * abs(prefactor) * float(np.sum(np.abs(terms)))
-                if not floor <= _FLOOR_FACTOR * _TOL:  # also catches a floor of inf
+                if not _FLOOR_FACTOR * floor <= ROUTE_TOL:  # also catches inf
                     raise QuadratureNotConverged(
-                        f"contour integral at s = {s} has a round-off floor of "
-                        f"{floor:.1e}, above {_FLOOR_FACTOR:g} x _TOL = {_TOL}"
+                        f"contour integral at s = {s} has a round-off floor F = "
+                        f"{floor:.1e}, and {_FLOOR_FACTOR:g} F exceeds "
+                        f"ROUTE_TOL = {ROUTE_TOL:g}"
                     )
-            elif abs(cur - prev) < _TOL:
+                tol = max(_TOL, _FLOOR_FACTOR * floor)
+            elif abs(cur - prev) < tol:
                 return cur
             prev = cur
             del terms  # freed before the next, twice as large, level is built
     raise QuadratureNotConverged(
-        f"contour integral at s = {s} did not stabilize to {_TOL}"
+        f"contour integral at s = {s} did not stabilize to {tol:.1e}"
     )
 
 

@@ -34,3 +34,19 @@ def concurrently():
             sys.setswitchinterval(interval)
 
     return run
+
+
+@pytest.fixture
+def hankel_levels(monkeypatch):
+    """The ray panel counts of the levels zeta_hankel builds, in order."""
+    from zetaroutes import numeric
+
+    calls = []
+    weighted_terms = numeric._weighted_terms
+
+    def counted(s, spec, panels_ray):
+        calls.append(panels_ray)
+        return weighted_terms(s, spec, panels_ray)
+
+    monkeypatch.setattr(numeric, "_weighted_terms", counted)
+    return calls

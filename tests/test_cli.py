@@ -136,9 +136,20 @@ class TestZetaNumeric:
         assert out == f"{zeta_hankel(-10 + 3j)}\n{zeta_em(-10 + 3j)}\n"
         assert err == ""
 
+    @pytest.mark.parametrize(
+        "argv", [("0.5", "14.134725141734693"), ("1.6571665689542838", "13.51668899339316")]
+    )
+    def test_both_prints_hankel_where_it_once_failed(self, capsys, argv):
+        # Hankel ran all seven levels at the zero and refused; at the second
+        # point it returned a value 5.4e-10 off, and the check exited 1.
+        s = complex(float(argv[0]), float(argv[1]))
+        code, out, err = invoke(capsys, "zeta", "numeric", *argv)
+        assert (code, err) == (0, "")
+        assert out == f"{zeta_hankel(s)}\n{zeta_em(s)}\n"
+
     def test_near_positive_integer_falls_back_to_em(self, capsys):
-        # Near a positive integer Hankel refuses; at 0.5+20i it does not
-        # converge, and at 0.5+1e4i it overflows. Each time --method both
+        # Near a positive integer Hankel refuses; at 0.5+20i its round-off
+        # floor refuses it, and at 0.5+1e4i it overflows. Each time --method both
         # prints the em record alone.
         cases = {
             ("2.0",): 1.6449340668482264,

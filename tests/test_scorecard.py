@@ -38,25 +38,29 @@ EXPECTED = {
     "hankel": {
         ("critical", "ok"): 50,
         ("strip", "ok"): 50,
-        ("right", "ok"): 49,
-        ("right", "refused"): 1,
+        ("right", "ok"): 50,
         ("left", "ok"): 5,
         ("left", "refused"): 35,
         ("high", "refused"): 49,
-        ("zero", "refused"): 1,
+        ("zero", "ok"): 1,
     },
 }
 
 
-def seed0_grid():
-    """(region, s, reference) for the 240 points of the committed fixture."""
+def grid_points(seed):
+    """The benchmark's 240 (region, s) pairs of grid seed `seed`."""
     spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads.grid_points(seed)
+
+
+def seed0_grid():
+    """(region, s, reference) for the 240 points of the committed fixture."""
     with open(PERFBENCH / "fixtures" / "reference_seed0.json", encoding="utf-8") as fh:
         fixture = json.load(fh)
     assert fixture["columns"] == ["re", "im", "zeta_re", "zeta_im"]
-    points = workloads.grid_points(0)
+    points = grid_points(0)
     assert len(points) == len(fixture["points"]) == 240
     grid = []
     for (region, s), (re, im, ref_re, ref_im) in zip(points, fixture["points"]):
@@ -104,3 +108,32 @@ def test_numeric_both_exits_1_exactly_where_its_values_differ(capsys):
         if differ:
             failed.append((region, classify(zeta_em, s, ref), classify(zeta_hankel, s, ref)))
     assert failed == [("left", "silent", "ok")] * 3
+
+
+# Silent while the ray cut ignored the upper ray's e^{pi |Im s|} growth:
+# 1.5e-10, 1.2e-10 and 5.4e-10 off, on grid seeds 3, 4 and 8.
+ONCE_SILENT = (
+    4.502314910538604 + 16.93678879130439j,
+    4.541343951931359 + 17.213187184247452j,
+    1.6571665689542838 + 13.51668899339316j,
+)
+
+
+def test_hankel_on_seeds_0_to_9(hankel_levels):
+    # Over the 2400 points of seeds 0-9 no call runs past level 4, and every
+    # value returned is within ROUTE_TOL of mpmath at 30 digits.
+    mpmath = pytest.importorskip("mpmath")
+    returned = {}
+    for seed in range(10):
+        for _, s in grid_points(seed):
+            hankel_levels.clear()
+            try:
+                returned[s] = zeta_hankel(s)
+            except DomainError:
+                pass
+            assert len(hankel_levels) <= 5, s
+    assert set(ONCE_SILENT) <= set(returned)
+    with mpmath.workdps(30):
+        for s, value in returned.items():
+            ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+            assert abs(value - ref) / max(1.0, abs(ref)) <= TOL, s
