@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,17 +43,32 @@ from .errors import (
 from .gammafn import gamma_complex, refuse_pole
 
 
+_RAY_BASE = 40.0  # the ray's first segment is [0, 40]
+_RUNG_RATIO = 1.21  # each later rung of the ray ladder is this much longer
+
+
+def _rung_end(k: int) -> float:
+    """The far end 40 * 1.21^k of the ray ladder's first k rungs."""
+    return _RAY_BASE * _RUNG_RATIO**k
+
+
 @dataclass(frozen=True)
 class ContourSpec:
     """Hankel contour geometry: rays at Im x = +-radius joined by an arc.
 
     The radius sits strictly between the origin and the first nonreal poles
-    at +-2 pi i; pi maximizes the distance to both. Only ``default_contour``
-    builds one for ``zeta_hankel``, and the frozen spec keys the ray cache.
+    at +-2 pi i; pi maximizes the distance to both. Each ray runs from 0 to
+    x_max = 40 * 1.21^rungs: the segment [0, 40] and the first `rungs` rungs
+    of the ray ladder (see ``_ladder``). Only ``default_contour`` builds one
+    for ``zeta_hankel``.
     """
 
     radius: float = math.pi
-    x_max: float = 40.0
+    rungs: int = 0
+
+    @property
+    def x_max(self) -> float:
+        return _rung_end(self.rungs)
 
 
 # The numeric routes: each name n is the function zeta_<n>, and the last is
@@ -120,30 +135,36 @@ _TAIL_DROP = 35.0  # the ray's cut sits at least e^-35 below the integrand's pea
 
 
 def default_contour(s: complex) -> ContourSpec:
-    """Radius pi; the ray truncation grows with s to keep the tail tiny.
+    """Radius pi; the ray is cut at the least rung end x_max = 40 * 1.21^K of
+    the ray ladder that keeps the tail tiny.
 
-    x_max starts at max(40, 10 + 2|s|) and grows by factors of 1.1 until
-    (x - p) - a log(x/p) >= 35 + pi |Im s|/2, where a = Re s - 1 and
-    p = max(a, 1). The ray integrand x^a e^{-x} peaks at x = a for a > 1 and
-    only decreases past x = 1 otherwise, so p is the point the cut is measured
-    from. On the upper ray (-x)^{s-1} carries a further e^{pi |Im s|} that
-    Gamma(1-s) ~ e^{-pi |Im s|/2} only half cancels: the pi |Im s|/2 covers
-    the other half. At Im s = 0 the start satisfies this for Re s <= 2, and
-    on the critical line up to |Im s| = 3.7.
+    x_max is at least max(40, 10 + 2|s|), and (x - p) - a log(x/p) >=
+    35 + pi |Im s|/2 holds there, where a = Re s - 1 and p = max(a, 1). The
+    ray integrand x^a e^{-x} peaks at x = a for a > 1 and only decreases past
+    x = 1 otherwise, so p is the point the cut is measured from. On the upper
+    ray (-x)^{s-1} carries a further e^{pi |Im s|} that Gamma(1-s) ~
+    e^{-pi |Im s|/2} only half cancels: the pi |Im s|/2 covers the other
+    half. x_max = 40 holds at Im s = 0 for -15 <= Re s <= 2, and on the
+    critical line up to |Im s| = 3.7.
     """
     s = require_complex("s", s)
     try:
-        x_max = max(40.0, 10.0 + 2.0 * abs(s))
+        start = max(_RAY_BASE, 10.0 + 2.0 * abs(s))
     except OverflowError:  # |s| beyond double range
-        x_max = math.inf
-    if not math.isfinite(x_max):  # also when 2|s| rounds to inf
+        start = math.inf
+    if not math.isfinite(start):  # also when 2|s| rounds to inf
         raise OutOfValidatedRange(f"|s| exceeds double precision at s = {s}")
     a = s.real - 1.0
     p = max(a, 1.0)
     drop = _TAIL_DROP + 0.5 * math.pi * abs(s.imag)
-    while (x_max - p) - a * math.log(x_max / p) < drop:
-        x_max *= 1.1
-    return ContourSpec(x_max=x_max)
+    # One rung short of the logarithm's estimate, so that its round-off
+    # cannot skip the least rung; both conditions only improve with x.
+    rungs = max(0, int(math.log(start / _RAY_BASE) / math.log(_RUNG_RATIO)) - 1)
+    x_max = _rung_end(rungs)
+    while x_max < start or (x_max - p) - a * math.log(x_max / p) < drop:
+        rungs += 1
+        x_max = _rung_end(rungs)
+    return ContourSpec(rungs=rungs)
 
 
 # -- Euler-Maclaurin route ----------------------------------------------------
@@ -189,11 +210,12 @@ def zeta_em(s: complex) -> complex:
 # -- Hankel contour route -----------------------------------------------------
 
 
-# The fixed quadrature rule: 16-point Gauss-Legendre panels, 16 per ray and
-# half as many on the arc to start, doubled up to six times. The nodes and
-# weights are numpy's leggauss(16) to the bit, written out so that importing
-# the package does not load numpy.polynomial; the rule is exactly symmetric,
-# so the 8 positive nodes and their weights give all 16.
+# The fixed quadrature rule: 16-point Gauss-Legendre panels, at level
+# L = 0..6 16 * 2^L on the ray's [0, 40], 2^L on each rung of the ray ladder
+# past it and 8 * 2^L on the arc. The nodes and weights are numpy's
+# leggauss(16) to the bit, written out so that importing the package does
+# not load numpy.polynomial; the rule is exactly symmetric, so the 8
+# positive nodes and their weights give all 16.
 _HALF_X = np.array([float.fromhex(h) for h in (
     "0x1.852bd6676a9f9p-4", "0x1.205cae642337cp-2", "0x1.d50259a43a772p-2",
     "0x1.3c5a466d5e8b8p-1", "0x1.82c45dda4726bp-1", "0x1.bb3403514e483p-1",
@@ -206,7 +228,7 @@ _HALF_W = np.array([float.fromhex(h) for h in (
 )])
 _GAUSS_X = np.concatenate([-_HALF_X[::-1], _HALF_X])
 _GAUSS_W = np.concatenate([_HALF_W[::-1], _HALF_W])
-_PANELS_RAY = 16
+_PANELS_RAY = 16  # panels on the ray's [0, 40] at level 0
 _REFINEMENTS = 6
 _TOL = 1e-12  # two successive levels agreeing to this much is convergence
 # Level 0's round-off floor F = eps |prefactor| sum |w f| charges eps once
@@ -242,9 +264,8 @@ def _integrand(s: complex, ray, arc):
     return f
 
 
-def _panel_nodes(a: float, b: float, panels: int):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    edges = np.linspace(a, b, panels + 1)
+def _panels(edges):
+    """Composite Gauss-Legendre nodes/weights on the panels between `edges`."""
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
@@ -252,60 +273,82 @@ def _panel_nodes(a: float, b: float, panels: int):
     return t, w
 
 
-def _upper_ray(spec: ContourSpec, panels: int):
-    """Nodes t + i r, 0 < t < x_max, and the real weights of the ray; the
-    rule runs it inward, and the lower ray is its conjugate run outward."""
-    t, wt = _panel_nodes(0.0, spec.x_max, panels)
-    return t + 1j * spec.radius, wt
-
-
-# The upper ray's levels 0 and 1, where nearly every converging point stops,
-# for four contours (about 0.12 MB); the default contour keeps x_max = 40
-# for small |s| near the real axis, up to |Im s| = 3.7 on the critical line.
-# Deeper levels are built per call.
-_CACHED_RAY_PANELS = 2 * _PANELS_RAY
-
-
-@lru_cache(maxsize=8)
-def _ray(spec: ContourSpec, panels: int):
-    """The upper ray's real weights and ``_s_free_factors``, read-only."""
-    x, wt = _upper_ray(spec, panels)
-    factors = _s_free_factors(x)
-    for a in (wt, *factors):
-        a.flags.writeable = False
-    return wt, factors
+def _ray_nodes(radius: float, level: int, first: int, last: int):
+    """Nodes t + i r and real weights of the upper ray's rungs first..last-1
+    at `level`, led by [0, 40] in 16 * 2^level equal panels when first is 0.
+    Rung k, [40 * 1.21^k, 40 * 1.21^(k+1)], has 2^level equal panels. A
+    panel's nodes depend on its two edges alone, so a ray laid in pieces has
+    the bits of one laid whole. The rule runs the ray inward, and the lower
+    ray is its conjugate run outward."""
+    per_rung = 1 << level
+    ends = np.array([_rung_end(k) for k in range(first, last + 1)])
+    # One call lays every rung's edges as a call per rung would, to the bit.
+    rung_edges = np.linspace(ends[:-1], ends[1:], per_rung + 1, axis=1)[:, 1:]
+    lead = np.linspace(0.0, _RAY_BASE, _PANELS_RAY * per_rung + 1) if first == 0 else ends[:1]
+    t, wt = _panels(np.concatenate([lead, rung_edges.ravel()]))
+    return t + 1j * radius, wt
 
 
 def _arc_nodes(radius: float, panels: int):
     """Nodes and complex weights on the arc from i r counterclockwise to -i r."""
-    theta, wth = _panel_nodes(0.5 * math.pi, 1.5 * math.pi, panels)
+    theta, wth = _panels(np.linspace(0.5 * math.pi, 1.5 * math.pi, panels + 1))
     x = radius * np.exp(1j * theta)
     return x, 1j * x * wth
 
 
-# One contour's levels (about 0.8 MB at one radius): every s reuses them.
-@lru_cache(maxsize=_REFINEMENTS + 1)
-def _arc(radius: float, panels: int):
-    """The arc's weights and ``_s_free_factors``, read-only."""
-    x, w = _arc_nodes(radius, panels)
-    factors = _s_free_factors(x)
-    for a in (w, *factors):
+# The ray ladder: one entry per (radius, level) holds the arc's and the
+# upper ray's ``_factors``, read-only, the ray laid to a power of two of
+# rungs; every contour of that radius reads its ray as a prefix. An entry
+# too short for a contour is laid on under the lock, so a sweep grows it at
+# most log2 K + 1 times, and swapped in whole: callers read it outside the
+# lock. Its size rests on the order of ``_hankel``, which refuses a
+# Gamma(1-s) that overflows or underflows before it reads a ladder: on a
+# scan no contour that passes has more than 18 rungs (x_max = 1.24e3, at
+# -113.25+498.36i), so no ladder holds more than 32, 37 KB at level 0.
+_LADDERS: dict = {}
+_LADDER_LOCK = threading.Lock()
+
+
+def _factors(x, w):
+    """w, then the ``_s_free_factors`` at the nodes x."""
+    with np.errstate(over="ignore"):  # e^x - 1 is inf far out on the ray
+        return (w, *_s_free_factors(x))
+
+
+def _ladder(radius: float, level: int, rungs: int):
+    """(rungs laid, arc, ray) at `level` with at least `rungs` rungs laid,
+    where arc and ray are the ``_factors`` of the arc and the upper ray."""
+    entry = _LADDERS.get((radius, level))
+    if entry is None or entry[0] < rungs:
+        with _LADDER_LOCK:
+            entry = _LADDERS.get((radius, level))
+            if entry is None or entry[0] < rungs:
+                entry = _LADDERS[(radius, level)] = _grown(entry, radius, level, rungs)
+    return entry
+
+
+def _grown(entry, radius: float, level: int, rungs: int):
+    """`entry`, or a new one if it is None, laid on to the least power of two
+    of rungs that holds `rungs`."""
+    laid = 1 << (max(rungs, 1) - 1).bit_length()
+    if entry is None:
+        entry = (0, _factors(*_arc_nodes(radius, (_PANELS_RAY // 2) << level)), ())
+    have, arc, ray = entry
+    more = _factors(*_ray_nodes(radius, level, have, laid))
+    ray = tuple(map(np.concatenate, zip(ray, more))) if ray else more
+    for a in (*arc, *ray):
         a.flags.writeable = False
-    return w, factors
+    return laid, arc, ray
 
 
-def _weighted_terms(s: complex, spec: ContourSpec, panels_ray: int):
-    """The terms w f(x) of the rule with `panels_ray` panels per ray: in along
-    the upper ray, around the arc, out along the lower ray."""
-    # Each ray array is dropped once used, so that no more than three
-    # full-length arrays are alive at a time.
-    ray_at = _ray if panels_ray <= _CACHED_RAY_PANELS else _ray.__wrapped__
-    wt, ray = ray_at(spec, panels_ray)
-    w_arc, arc = _arc(spec.radius, panels_ray // 2)
+def _weighted_terms(s: complex, spec: ContourSpec, level: int):
+    """The terms w f(x) of the rule at `level`: in along the upper ray,
+    around the arc, out along the lower ray."""
+    _, (w_arc, *arc), ray = _ladder(spec.radius, level, spec.rungs)
+    n = ((_PANELS_RAY + spec.rungs) << level) * len(_GAUSS_X)  # the prefix
+    wt, *ray = (a[:n] for a in ray)
     f = _integrand(s, ray, arc)
-    del ray
     w = np.concatenate([-wt, w_arc, wt])
-    del wt
     # Keep f named: multiplying a bare temporary lets numpy reuse its buffer
     # in place, which rounds the product differently on large arrays.
     return w * f
@@ -318,13 +361,15 @@ def zeta_hankel(s: complex) -> complex:
     Orientation: in above the cut from x_max, counterclockwise around the
     origin, out below the cut (validated by the Re s > 1 limit, where the
     loop reproduces (e^{-pi s i} - e^{pi s i}) times the real-axis integral).
-    The rule is fixed: 16-point Gauss-Legendre panels, 16 per ray and 8 on
-    the arc to start, doubled up to six times until two successive results
-    agree to max(_TOL, 4F), where _TOL = 1e-12 and F = eps |prefactor|
-    sum |w f| is the round-off floor of the first level's terms; otherwise
-    QuadratureNotConverged is raised. It is raised on the first level
-    already when the sum is not finite, or when 4F is not finite or exceeds
-    ROUTE_TOL: no refinement gets below the floor. Within 0.1 of a
+    The rule is fixed: 16-point Gauss-Legendre panels, 16 on the ray's
+    [0, 40], one on each rung of the ray ladder past it and 8 on the arc to
+    start, doubled up to six times until two successive results agree to
+    max(_TOL, 4F), where _TOL = 1e-12 and F = eps |prefactor| sum |w f| is
+    the round-off floor of the first level's terms; otherwise
+    QuadratureNotConverged is raised. It is raised before the first level
+    where Gamma(1-s) underflows to 0, and on the first level when the sum is
+    not finite, or when 4F is not finite or exceeds ROUTE_TOL: no
+    refinement gets below the floor. Within 0.1 of a
     positive integer TooCloseToPositiveIntegerPole is raised: Gamma(1-s)
     blows up against a vanishing integral. The contour is default_contour(s).
     """
@@ -339,10 +384,14 @@ def zeta_hankel(s: complex) -> complex:
 def _hankel(s: complex, spec: ContourSpec) -> complex:
     """The refinement loop of ``zeta_hankel`` on the contour `spec`."""
     prefactor = -gamma_complex(1 - s) / (2j * math.pi)
+    if prefactor == 0:  # from |Im s| ~ 450, where e^{pi |Im s|} overflows
+        raise QuadratureNotConverged(
+            f"Gamma(1 - s) underflows to 0 at s = {s}, where the contour integral is not finite"
+        )
     prev = None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is typed below
         for level in range(_REFINEMENTS + 1):
-            terms = _weighted_terms(s, spec, _PANELS_RAY << level)
+            terms = _weighted_terms(s, spec, level)
             cur = prefactor * complex(np.sum(terms))
             if not cmath.isfinite(cur):
                 raise QuadratureNotConverged(f"contour integral at s = {s} is not finite")

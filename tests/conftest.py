@@ -38,15 +38,15 @@ def concurrently():
 
 @pytest.fixture
 def hankel_levels(monkeypatch):
-    """The ray panel counts of the levels zeta_hankel builds, in order."""
+    """The levels zeta_hankel evaluates, in order."""
     from zetaroutes import numeric
 
     calls = []
     weighted_terms = numeric._weighted_terms
 
-    def counted(s, spec, panels_ray):
-        calls.append(panels_ray)
-        return weighted_terms(s, spec, panels_ray)
+    def counted(s, spec, level):
+        calls.append(level)
+        return weighted_terms(s, spec, level)
 
     monkeypatch.setattr(numeric, "_weighted_terms", counted)
     return calls

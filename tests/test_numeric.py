@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -20,15 +21,16 @@ from zetaroutes.numeric import (
     OutOfValidatedRange,
     QuadratureNotConverged,
     TooCloseToPositiveIntegerPole,
-    _arc,
     _arc_nodes,
     _dirichlet_cutoff,
+    _factors,
     _hankel,
     _integrand,
-    _panel_nodes,
-    _ray,
+    _ladder,
+    _panels,
+    _ray_nodes,
+    _rung_end,
     _s_free_factors,
-    _upper_ray,
     _weighted_terms,
     cotangent_check,
     default_contour,
@@ -38,6 +40,8 @@ from zetaroutes.numeric import (
     zeta_hankel,
 )
 from zetaroutes.zeta_exact import zeta_even_positive, zeta_nonpositive
+
+from test_scorecard import grid_points
 
 # Wider criterion grids live in test_acceptance.py; these are the module's
 # own example points and failure modes.
@@ -157,11 +161,15 @@ def _integrand_at(x, s):
     return _integrand(s, _s_free_factors(np.asarray(x, dtype=complex)), no_arc)[: len(x)]
 
 
-def _rule_nodes(spec, panels_ray):
+def _rule_nodes(spec, level):
     """Every node the rule evaluates: the upper ray, the arc, the lower ray."""
-    x, _ = _upper_ray(spec, panels_ray)
-    arc, _ = _arc_nodes(spec.radius, panels_ray // 2)
+    x, _ = _ray_nodes(spec.radius, level, 0, spec.rungs)
+    arc, _ = _arc_nodes(spec.radius, 8 << level)
     return np.concatenate([x, arc, np.conj(x)])
+
+
+# The longest contour zeta_hankel reads: Gamma(1-s) refuses beyond it.
+LONGEST = ContourSpec(rungs=18)
 
 
 LEVELS = range(numeric_module._REFINEMENTS + 1)
@@ -181,17 +189,15 @@ class TestHankelIntegrand:
     @pytest.mark.parametrize("level", LEVELS)
     def test_cached_arc_is_the_arc_nodes(self, level):
         # The cached factors are those of the nodes the pole and cut checks see.
-        panels = (16 << level) // 2
-        arc, w = _arc_nodes(math.pi, panels)
-        w_cached, factors = _arc(math.pi, panels)
-        cached = (w_cached, *factors)
+        arc, w = _arc_nodes(math.pi, 8 << level)
+        _, cached, _ = _ladder(math.pi, level, 0)
         fresh = (w, *_s_free_factors(arc))
         assert [a.tobytes() for a in cached] == [a.tobytes() for a in fresh]
 
     def test_branch_cut_rejected(self):
         # At radius 0 the rays would run along the cut; no node ever lies on it.
         for level in LEVELS:
-            x = _rule_nodes(ContourSpec(), 16 << level)
+            x = _rule_nodes(LONGEST, level)
             assert not np.any((x.imag == 0) & (x.real > 0)), level
 
     def test_poles_rejected(self):
@@ -199,14 +205,20 @@ class TestHankelIntegrand:
         # default radius pi keeps every node pi away from 0 and +-2 pi i.
         poles = 2j * math.pi * np.arange(-1, 2)
         for level in LEVELS:
-            x = _rule_nodes(ContourSpec(), 16 << level)
+            x = _rule_nodes(LONGEST, level)
             assert np.min(np.abs(x[:, None] - poles[None, :])) >= math.pi - 1e-9, level
 
 
-def _direct_terms(s, spec, panels_ray):
-    """w f(x) from the whole node array, every factor computed at every node."""
-    t, wt = _panel_nodes(0.0, spec.x_max, panels_ray)
-    theta, wth = _panel_nodes(0.5 * math.pi, 1.5 * math.pi, panels_ray // 2)
+def _direct_terms(s, spec, level):
+    """w f(x) from the whole node array, every factor computed at every node.
+    The ray is laid out rung by rung: [0, 40] in 16 * 2^level equal panels,
+    then [40 * 1.21^k, 40 * 1.21^(k+1)] in 2^level for k < spec.rungs."""
+    n = 1 << level
+    edges = [np.linspace(0.0, 40.0, 16 * n + 1)]
+    for k in range(spec.rungs):
+        edges.append(np.linspace(40.0 * 1.21**k, 40.0 * 1.21 ** (k + 1), n + 1)[1:])
+    t, wt = _panels(np.concatenate(edges))
+    theta, wth = _panels(np.linspace(0.5 * math.pi, 1.5 * math.pi, 8 * n + 1))
     r = spec.radius
     arc = r * np.exp(1j * theta)
     x = np.concatenate([t + 1j * r, arc, t - 1j * r])
@@ -225,19 +237,20 @@ class TestHankelTermsBitForBit:
     )
     @pytest.mark.parametrize("default", [True, False])
     def test_terms_match_the_direct_expression(self, s, default):
-        # The cached arc, the conjugated lower ray and the concatenated
-        # log(-x) change no bit of any term at any level.
-        spec = default_contour(s) if default else ContourSpec(radius=2.5, x_max=55.5)
+        # The cached arc, the ladder's ray prefix, the conjugated lower ray
+        # and the concatenated log(-x) change no bit of any term at any level.
+        spec = default_contour(s) if default else ContourSpec(radius=2.5, rungs=5)
         for level in LEVELS:
-            panels = 16 << level
             with np.errstate(over="ignore", invalid="ignore"):
-                got = _weighted_terms(s, spec, panels)
-            assert got.tobytes() == _direct_terms(s, spec, panels).tobytes(), level
+                got = _weighted_terms(s, spec, level)
+            assert got.tobytes() == _direct_terms(s, spec, level).tobytes(), level
 
-    def test_arc_cache_is_keyed_on_the_radius(self):
+    def test_arc_cache_is_keyed_on_the_radius(self, monkeypatch):
+        # The arc and the ray ladder are cached per radius and level: calls
+        # at two radii, interleaved, give the bits of calls on empty caches.
         s = -0.5 + 1j
-        narrow, wide = (ContourSpec(radius=r, x_max=40.0) for r in (math.pi / 2, 3.0))
-        _arc.cache_clear()
+        narrow, wide = (ContourSpec(radius=r) for r in (math.pi / 2, 3.0))
+        monkeypatch.setattr(numeric_module, "_LADDERS", {})
         wide_alone = _hankel(s, wide)
         first = _hankel(s, narrow)
         between = _hankel(s, wide)
@@ -245,53 +258,141 @@ class TestHankelTermsBitForBit:
         assert repr(third) == repr(first)
         assert repr(between) == repr(wide_alone)
         assert first != between
+        assert sorted(numeric_module._LADDERS) == [
+            (r, level) for r in (math.pi / 2, 3.0) for level in (0, 1)
+        ]
+
+    @pytest.mark.parametrize("panels", [16, 32])
+    def test_cached_ray_is_the_upper_ray_and_read_only(self, panels):
+        # 16 and 32 panels on [0, 40]: levels 0 and 1, the two where nearly
+        # every converging point stops.
+        level = panels.bit_length() - 5
+        _, arc, ray = _ladder(math.pi, level, LONGEST.rungs)
+        fresh = _factors(*_ray_nodes(math.pi, level, 0, LONGEST.rungs))
+        n = len(fresh[0])
+        assert [a[:n].tobytes() for a in ray] == [a.tobytes() for a in fresh]
+        assert not any(a.flags.writeable for a in (*arc, *ray))
+        with pytest.raises(ValueError):
+            ray[1][0] = 0.0
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_every_contour_reads_a_prefix_of_the_ladder(self, monkeypatch, level):
+        # Laid on in pieces, as contours of growing length ask for it, the
+        # ladder holds the bits of a ray laid whole to its length, and each
+        # contour reads the first 16 (16 + K) 2^level of them.
+        monkeypatch.setattr(numeric_module, "_LADDERS", {})
+        laid = [_ladder(math.pi, level, rungs)[0] for rungs in (0, 1, 3, 5, 18, 2)]
+        assert laid == [1, 1, 4, 8, 32, 32]
+        _, _, ray = _ladder(math.pi, level, 0)
+        x, w = _ray_nodes(math.pi, level, 0, 32)
+        assert [a.tobytes() for a in ray] == [a.tobytes() for a in _factors(x, w)]
+        for rungs in (0, 1, 5, 18):
+            t, _ = _ray_nodes(math.pi, level, 0, rungs)
+            assert len(t) == (16 + rungs) * 16 << level
+            assert t.tobytes() == x[: len(t)].tobytes()
+
+    def test_concurrent_growth_keeps_every_prefix(self, monkeypatch, concurrently):
+        # Threads that grow one ladder at once each get an entry long enough
+        # for them, with the bits of a ray laid whole; no shorter entry
+        # overwrites a longer one.
+        whole = _factors(*_ray_nodes(math.pi, 1, 0, 32))
+        rungs = [18, 0, 5, 1, 16, 3, 9, 2]
+        for _ in range(20):
+            monkeypatch.setattr(numeric_module, "_LADDERS", {})
+            entries = concurrently(lambda k: _ladder(math.pi, 1, k), rungs)
+            for k, (laid, _, ray) in zip(rungs, entries):
+                assert laid >= k
+                assert [a.tobytes() for a in ray] == [a[: len(ray[0])].tobytes() for a in whole]
+            assert numeric_module._LADDERS[math.pi, 1][0] == 32
 
     @pytest.mark.parametrize(
         "specs",
         [
-            (ContourSpec(x_max=40.0), ContourSpec(x_max=45.0)),
+            (ContourSpec(), ContourSpec(rungs=2)),
             (ContourSpec(radius=math.pi / 2), ContourSpec(radius=3.0)),
         ],
         ids=["x_max", "radius"],
     )
-    def test_ray_cache_is_keyed_on_the_contour(self, specs):
-        # Both contours stop at level 1, so the interleaved calls read the
-        # cached rays; each must give the bits of a call on empty caches.
+    def test_ray_cache_is_keyed_on_the_contour(self, monkeypatch, specs):
+        # Contours of 0 and 2 rungs read prefixes of the same ladder, contours
+        # of two radii read two ladders; in any order, each call gives the
+        # bits of a call on an empty cache.
         s = -0.5 + 1j
         cold = []
         for spec in specs:
-            _ray.cache_clear()
-            _arc.cache_clear()
+            monkeypatch.setattr(numeric_module, "_LADDERS", {})
             cold.append(repr(_hankel(s, spec)))
-        _ray.cache_clear()
-        warm = [repr(_hankel(s, spec)) for spec in specs + specs]
-        assert warm == cold + cold
+        monkeypatch.setattr(numeric_module, "_LADDERS", {})
+        warm = [repr(_hankel(s, spec)) for spec in specs[::-1] + specs]
+        assert warm == cold[::-1] + cold
         assert cold[0] != cold[1]
-        assert _ray.cache_info().hits == 4
+        radii = sorted({spec.radius for spec in specs})
+        assert sorted(numeric_module._LADDERS) == [(r, level) for r in radii for level in (0, 1)]
 
-    @pytest.mark.parametrize("panels", [16, 32])
-    def test_cached_ray_is_the_upper_ray_and_read_only(self, panels):
-        spec = ContourSpec()
-        x, wt = _upper_ray(spec, panels)
-        cached = _ray(spec, panels)
-        arrays = (cached[0], *cached[1])
-        fresh = (wt, *_s_free_factors(x))
-        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in fresh]
-        assert not any(a.flags.writeable for a in arrays)
-        with pytest.raises(ValueError):
-            cached[1][0][0] = 0.0
+    def test_seed_0_pass_grows_a_ladder_at_most_log2_k_plus_1(self, monkeypatch):
+        # One pass on empty caches, as each benchmark sample makes it.
+        monkeypatch.setattr(numeric_module, "_LADDERS", {})
+        grown, read = Counter(), []
+        grow = numeric_module._grown
 
-    def test_refusal_leaves_only_the_first_two_ray_levels_cached(self, monkeypatch, hankel_levels):
-        # With no tolerance and no floor the zero runs all seven levels; only
-        # the 16- and 32-panel rays stay.
-        monkeypatch.setattr(numeric_module, "_TOL", 0.0)
-        monkeypatch.setattr(numeric_module, "_FLOOR_FACTOR", 0.0)
-        _ray.cache_clear()
+        def counted(entry, radius, level, rungs):
+            grown[radius, level] += 1
+            return grow(entry, radius, level, rungs)
+
+        ladder = numeric_module._ladder
+
+        def reading(radius, level, rungs):
+            read.append(rungs)
+            return ladder(radius, level, rungs)
+
+        monkeypatch.setattr(numeric_module, "_grown", counted)
+        monkeypatch.setattr(numeric_module, "_ladder", reading)
+        for _, s in grid_points(0):
+            try:
+                zeta_hankel(s)
+            except DomainError:
+                pass
+        k_max = max(read)
+        assert k_max == 16
+        assert set(grown) == {(math.pi, level) for level in range(3)}
+        assert max(grown.values()) <= math.ceil(math.log2(k_max)) + 1
+
+    @pytest.mark.parametrize(
+        "s, exc",
+        [
+            (0.5 + 1e6j, QuadratureNotConverged),
+            (1e300j, QuadratureNotConverged),
+            (-160, OutOfValidatedRange),
+            (-1e300, OutOfValidatedRange),
+        ],
+    )
+    def test_extreme_s_is_refused_before_any_ladder_grows(self, monkeypatch, s, exc):
+        # Gamma(1-s) underflows to 0 at the first two and overflows at the
+        # others; _hankel refuses there before it reads a ladder, though
+        # default_contour(s) would ask for 57, 3609, 12 and 3609 rungs.
+        monkeypatch.setattr(numeric_module, "_LADDERS", {})
+        with pytest.raises(exc):
+            zeta_hankel(s)
+        assert numeric_module._LADDERS == {}
+
+    def test_no_contour_past_gamma_needs_more_than_18_rungs(self, monkeypatch):
+        # Where Gamma(1-s) is finite and nonzero, no contour is longer than
+        # 18 rungs (x_max = 1.24e3), so no ladder holds more than 32.
+        for re in range(-176, 177, 4):
+            for im in range(0, 600, 8):
+                s = complex(re, im)
+                try:
+                    if gamma_complex(1 - s) == 0:
+                        continue
+                except DomainError:
+                    continue
+                assert default_contour(s).rungs <= 18, s
+        s = -113.25 + 498.36j  # near the edge where Gamma(1-s) underflows
+        assert default_contour(s).rungs == 18
+        monkeypatch.setattr(numeric_module, "_LADDERS", {})
         with pytest.raises(QuadratureNotConverged):
-            zeta_hankel(0.5 + 14.13j)
-        assert hankel_levels == [16 << level for level in LEVELS]
-        assert _ray.cache_info().currsize == 2
-        assert _ray.cache_info().misses == 2
+            zeta_hankel(s)
+        assert {laid for laid, _, _ in numeric_module._LADDERS.values()} == {32}
 
 
 class TestZetaHankel:
@@ -318,7 +419,7 @@ class TestZetaHankel:
         # over (0, inf), i.e. -2i sin(pi s) Gamma(s) zeta(s); the sign pins
         # the traversal direction.
         s = 2.5
-        loop = complex(np.sum(_weighted_terms(s, default_contour(s), 16)))
+        loop = complex(np.sum(_weighted_terms(s, default_contour(s), 0)))
         reference = -2j * cmath.sin(math.pi * s) * gamma_complex(s) * zeta_em(s)
         assert abs(loop - reference) <= 1e-10 * abs(reference)
         assert abs(loop + reference) > abs(reference)  # flipped sign would fail
@@ -330,13 +431,13 @@ class TestZetaHankel:
         assert "ContourSpec" not in zetaroutes.__all__
 
     def test_converged_value_matches_256_ray_panels(self):
-        # A much finer fixed rule (256 ray and 128 arc panels) must agree
-        # with the refinement loop's converged value.
+        # A much finer fixed rule (level 4: 256 ray and 128 arc panels) must
+        # agree with the refinement loop's converged value.
         s = -0.5 + 1j
         spec = ContourSpec()
         converged = _hankel(s, spec)
         prefactor = -gamma_complex(1 - s) / (2j * math.pi)
-        fine = prefactor * complex(np.sum(_weighted_terms(s, spec, 256)))
+        fine = prefactor * complex(np.sum(_weighted_terms(s, spec, 4)))
         assert abs(converged - fine) <= 1e-10
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
@@ -372,40 +473,45 @@ class TestZetaHankel:
                 assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), s
 
     def test_ray_cut_covers_the_upper_rays_growth(self):
-        # The cut lies e^-(35 + pi |Im s|/2) below the ray integrand's peak,
-        # at x = max(Re s - 1, 1): on the real axis right of Re s = 2, and
-        # with |Im s| anywhere. Short of that, it keeps its start.
-        for s in (0.5 + 3j, 0.5 + 3.7j, 2.0, -5.0, -5.0 + 9j):
-            assert default_contour(s).x_max == max(40.0, 10.0 + 2.0 * abs(s))
-        for s in (2.5, 7.4 + 16.5j, 40.0, 0.5 + 14.13j, 1.66 + 13.52j, -1.28 + 16.22j):
-            x = default_contour(s).x_max
+        # The cut is the least rung end 40 * 1.21^K past max(40, 10 + 2|s|)
+        # that lies e^-(35 + pi |Im s|/2) below the ray integrand's peak, at
+        # x = max(Re s - 1, 1): on the real axis right of Re s = 2, and with
+        # |Im s| anywhere. Short of that, it keeps 40.
+        for s in (0.5 + 3j, 0.5 + 3.7j, 2.0, -5.0, -5.0 + 9j, -15.0):
+            assert default_contour(s).x_max == 40.0
+        for s in (2.5, 7.4 + 16.5j, 40.0, 0.5 + 14.13j, 1.66 + 13.52j, -1.28 + 16.22j, -16.0):
+            spec = default_contour(s)
+            assert spec.x_max == _rung_end(spec.rungs) == 40.0 * 1.21**spec.rungs
             a = s.real - 1.0
             p = max(a, 1.0)
             need = 35.0 + 0.5 * math.pi * abs(s.imag)
-            assert x > max(40.0, 10.0 + 2.0 * abs(s))
-            assert (x - p) - a * math.log(x / p) >= need
-            assert (x / 1.1 - p) - a * math.log(x / 1.1 / p) < need
+
+            def holds(x):
+                return x >= 10.0 + 2.0 * abs(s) and (x - p) - a * math.log(x / p) >= need
+
+            assert spec.rungs > 0 and holds(spec.x_max)
+            assert not holds(_rung_end(spec.rungs - 1))
 
     def test_worst_right_region_point(self):
-        # A seed-0 `right` point whose ray needs a long cut: at x_max = 46.2
-        # it loses 3.4e-8; the default 90.0 misses by 9.9e-13.
+        # A seed-0 `right` point whose ray needs a long cut: at x_max = 48.4
+        # (one rung) it loses 5.3e-9; the default 85.7 (four) misses by 8.3e-13.
         s = 7.394732803504359 + 16.507676985871694j
         reference = 1.0027694923424797 + 0.005575622076670691j  # mpmath, 30 digits
         assert abs(zeta_hankel(s) - reference) <= 1e-10
 
-    # Exact doubles from the refinement loop's exits at levels 1, 1, 3 and 1,
-    # each within 1.1e-12 of mpmath.
+    # Exact doubles from the refinement loop's exits, each at level 1 and
+    # within 2.7e-12 of mpmath.
     @pytest.mark.parametrize(
         "s, pinned",
         [
             (0.5 + 3j, "(0.5327366709742296-0.0788965134258343j)"),
             (
                 -2.0162558844472898 + 11.804331877694318j,
-                "(3.6231634713189376-3.368684726712953j)",
+                "(3.623163471320925-3.368684726713022j)",
             ),
             (
                 8.915923176818932 + 18.022174277744345j,
-                "(1.0021008890492409+0.0001094229735871255j)",
+                "(1.002100889048639+0.00010942297573095228j)",
             ),
             (
                 -6.317462492903772 + 9.175309071832668j,

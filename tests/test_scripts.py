@@ -17,7 +17,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "script, args",
-    [("abel_table.py", ["--max", "2"]), ("contour_study.py", [])],
+    [
+        ("abel_table.py", ["--max", "2"]),
+        ("contour_study.py", []),
+        # radius pi/2 refuses this point by its round-off floor, F = 4.5e-11
+        ("contour_study.py", ["--re", "4.5", "--im", "16.9"]),
+    ],
 )
 def test_script_runs(script, args):
     proc = subprocess.run(
@@ -28,6 +33,7 @@ def test_script_runs(script, args):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
     assert proc.stdout.strip()
 
 
