@@ -27,7 +27,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import abel, numeric
+from . import abel, numeric, zeta_exact
 from .errors import DomainError, InternalInconsistency, OutOfValidatedRange, require_index
 from .exact import PiValue
 from .bernoulli import bernoulli_via_recurrence, bernoulli_via_series
@@ -205,7 +205,7 @@ def _cmd_zeta_numeric(args):
         try:
             records.append(OutputRecord(getattr(numeric, f"zeta_{name}")(s), name, arg))
         except DomainError:
-            if not both or name == numeric.ROUTES[-1]:
+            if not both or name == [*numeric.ROUTES][-1]:
                 raise  # with "both", the reference record stands alone
     ref = records[-1].payload
     tol = 2 * numeric.ROUTE_TOL * max(1.0, abs(ref))
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("argument", type=int, metavar="K")
     p.add_argument(
         "--route",
-        choices=(*(r.value for r in Route), "all"),
+        choices=(*(r.value for r in zeta_exact.ROUTES), "all"),
         default="closed",
     )
     _add_format_options(p, exact=True)

@@ -73,8 +73,11 @@ class ContourSpec:
 
 # The numeric routes: each name n is the function zeta_<n>, and the last is
 # the reference that the others are compared with. Each route states the
-# mixed tolerance |value - zeta(s)| / max(1, |zeta(s)|) <= ROUTE_TOL.
-ROUTES = ("hankel", "em")
+# mixed tolerance |value - zeta(s)| / max(1, |zeta(s)|) <= ROUTE_TOL, and
+# reads the primitives it maps to, named as in zeta_exact.ROUTES: "gamma" is
+# gamma_complex, "gauss_legendre" the rule _GAUSS_X, _GAUSS_W, "power_sum"
+# _power_sum and "tangent" the table behind _B2J_OVER_FACT.
+ROUTES = {"hankel": ("gamma", "gauss_legendre"), "em": ("power_sum", "tangent")}
 ROUTE_TOL = 1e-10
 
 _EPS = 2.3e-16
@@ -179,8 +182,10 @@ def zeta_em(s: complex) -> complex:
     ``_dirichlet_cutoff``; N >= 30 for Re s >= 0 and J = 14. For Re s >= 0
     the error relative to max(1, |zeta(s)|) is about 1e-13 at small |Im s|
     and grows with the round-off of each term's phase, to at most 4.1e-11
-    at |Im s| <= 1e4 in scans against mpmath; to the left, double-precision cancellation against
-    the N^{1-s} term progressively costs digits (about 1e-10 at s = -10.5).
+    at |Im s| <= 1e4 in scans against mpmath. To the left, cancellation
+    against the N^{1-s} term costs digits unrefused, sooner off the axis:
+    9.8e-11 at s = -10.5, 1.1e-8 at -6+20i, 2.0e-3 at -12+10i (see the
+    README's validated domains; the guard is ROADMAP item 2).
     Beyond |Im s| = 1e4 the phase round-off climbs in spikes, to 1.03e-10 at
     0.25+16611.5i, so |Im s| > 1e4 raises OutOfValidatedRange, as does a
     sum that overflows double precision.

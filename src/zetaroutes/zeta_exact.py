@@ -2,28 +2,9 @@
 
 Classical points are the nonpositive integers, where zeta(K) is a
 ``Fraction``, and the positive even integers, where it is a ``PiValue``
-q*pi^K. Each route value, the function behind it and the primitive it reads:
-
-route    function                    primitive
--------  --------------------------  -----------------------------------------
-closed   zeta_nonpositive (K <= 0)   the cached integer tangent-number table,
-         zeta_even_positive (K >= 2) bernoulli_via_recurrence
-residue  zeta_neg_via_residue        the cached series-inversion table of
-                                     (e^z - 1)/z, bernoulli_via_series
-genfun   zeta_neg_via_G              the inversion of (e^{-z} - 1)/z
-abel     abel.zeta_neg_via_abel      the integer theta = x d/dx chain, checked
-                                     against the tangent-number table
-funceq   zeta_even_via_funceq        the cached series-inversion table of
-                                     (e^z - 1)/z, bernoulli_via_series,
-                                     through zeta(1 - 2n)
-
-At K <= 0 the four routes read three different primitives, and at K >= 2
-the two routes read two. funceq_exact_check restates the funceq transport up
-to a nonzero exact factor: it compares zeta(2n) on the tangent table with
-zeta_even_via_funceq's value from the series table. ``verify funceq`` reports
-each comparison twice, as the functional equation at s = 2n and as Euler's
-odd-argument form at m = n - 1. The generating-function identities these
-routes read from are checked in the tests, in ``genfun_identities.py``.
+q*pi^K. ``ROUTES`` names each route's functions and the primitives it
+reads. The generating-function identities the routes read from are checked
+in the tests, in ``genfun_identities.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +13,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from . import abel
+from .abel import zeta_neg_via_abel
 from .bernoulli import _series_entry, _tangent_entry
 from .errors import ArgumentNotEvenPositive, DomainError, PoleArgument, require_index
 from .exact import PiValue
@@ -45,6 +26,20 @@ class Route(str, Enum):
     GENERATING_FUNCTION = "genfun"
     ABEL_SUMMATION = "abel"
     FUNCTIONAL_EQUATION = "funceq"
+
+
+# Each route: its function at K <= 0, called with m = -K, its function at
+# even K >= 2, called with n = K/2 (None where it does not apply), and the
+# primitives it reads: the "tangent" and "series" Bernoulli tables,
+# series.invert_exponential ("invert") and abel's "theta" chain. Functions
+# are named, not held, and looked up when called, so a rebound one is.
+ROUTES = {
+    Route.CLOSED_FORM: ("zeta_nonpositive", "zeta_even_positive", ("tangent",)),
+    Route.RESIDUE_SERIES: ("zeta_neg_via_residue", None, ("series",)),
+    Route.GENERATING_FUNCTION: ("_zeta_neg_via_genfun", None, ("invert",)),
+    Route.ABEL_SUMMATION: ("zeta_neg_via_abel", None, ("theta", "tangent")),
+    Route.FUNCTIONAL_EQUATION: (None, "zeta_even_via_funceq", ("series",)),
+}
 
 
 # -- nonpositive integers ----------------------------------------------------
@@ -137,13 +132,18 @@ def funceq_exact_check(s: int) -> bool:
 
 # -- route dispatch (CLI-facing) ----------------------------------------------
 
-NEGATIVE_ROUTES = (
-    Route.CLOSED_FORM,
-    Route.RESIDUE_SERIES,
-    Route.GENERATING_FUNCTION,
-    Route.ABEL_SUMMATION,
-)
-POSITIVE_ROUTES = (Route.CLOSED_FORM, Route.FUNCTIONAL_EQUATION)
+
+def _zeta_neg_via_genfun(m: int) -> Fraction:
+    return zeta_neg_via_G(m + 1)[m]
+
+
+def _half(argument: int) -> int:
+    """The ``ROUTES`` column of a classical argument: 0 at K <= 0, 1 at even K >= 2."""
+    if require_index("argument", argument, least=None) == 1:
+        raise PoleArgument("zeta(1) is a pole")
+    if argument > 0 and argument % 2:
+        raise DomainError("positive classical arguments must be even")
+    return int(argument > 0)
 
 
 def zeta_classical(argument: int, route: Route) -> Fraction | PiValue:
@@ -153,23 +153,14 @@ def zeta_classical(argument: int, route: Route) -> Fraction | PiValue:
         route = Route(route)
     except ValueError:
         raise DomainError(f"unknown route {route!r}") from None
-    if require_index("argument", argument, least=None) == 1:
-        raise PoleArgument("zeta(1) is a pole")
-    if argument > 0 and argument % 2:
-        raise DomainError("positive classical arguments must be even")
-    if route not in routes_for_argument(argument):
+    half = _half(argument)
+    name = ROUTES[route][half]
+    if name is None:
         raise DomainError(f"route {route.value} does not apply at argument {argument}")
-    m, n = -argument, argument // 2
-    if route is Route.CLOSED_FORM:
-        return zeta_nonpositive(m) if argument <= 0 else zeta_even_positive(n)
-    if route is Route.RESIDUE_SERIES:
-        return zeta_neg_via_residue(m)
-    if route is Route.GENERATING_FUNCTION:
-        return zeta_neg_via_G(m + 1)[m]
-    if route is Route.ABEL_SUMMATION:
-        return abel.zeta_neg_via_abel(m)
-    return zeta_even_via_funceq(n)
+    return globals()[name](argument // 2 if half else -argument)
 
 
 def routes_for_argument(argument: int) -> tuple[Route, ...]:
-    return NEGATIVE_ROUTES if argument <= 0 else POSITIVE_ROUTES
+    """The routes that apply at a classical argument, in ``ROUTES`` order."""
+    half = _half(argument)
+    return tuple(route for route, row in ROUTES.items() if row[half] is not None)

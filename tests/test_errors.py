@@ -98,6 +98,9 @@ ARGUMENT_CASES = [
     (zeta_exact.zeta_classical, 4, "residue"),
     (zeta_exact.zeta_classical, 4, "bogus"),
     (zeta_exact.zeta_classical, 4, None),
+    (zeta_exact.routes_for_argument, 1),
+    (zeta_exact.routes_for_argument, 3),
+    (zeta_exact.routes_for_argument, 2.5),
     (abel.abel_closed_form, -1),
     (abel.abel_closed_form, 3.0),
     (abel.abel_sum_exact, -1),

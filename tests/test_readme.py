@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from zetaroutes import zeta_exact
 from zetaroutes.cli import run
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -81,3 +82,22 @@ def test_readme_library_block_returns_its_commented_values():
     assert len(checked) == 5
     for code, comment in checked:
         assert _shows(comment, eval(code, namespace)), code
+
+
+def _names(text):
+    return re.findall(r"`(\w+)`", text)
+
+
+def test_exact_route_table_is_zeta_exact_routes():
+    # Each row's route and its `reads` cell, in the order of zeta_exact.ROUTES.
+    section = README.split("**Exact (rational arithmetic, zero tolerance)**\n", 1)[1]
+    rows = section.strip().split("\n\n", 1)[0].splitlines()[2:]
+    table = [[_names(cell) for cell in row.strip("|").split("|")[:2]] for row in rows]
+    assert table == [
+        [[route.value], list(reads)] for route, (*_, reads) in zeta_exact.ROUTES.items()
+    ]
+
+
+def test_route_option_sentence_names_the_routes():
+    sentence = README.split("`zeta exact --route` takes ", 1)[1].split(";", 1)[0]
+    assert _names(sentence) == [*(route.value for route in zeta_exact.ROUTES), "all"]

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from zetaroutes import abel, bernoulli, cli, series
+from test_primitives import CORRUPT
+from zetaroutes import abel, bernoulli, cli
 from zetaroutes.abel import zeta_neg_via_abel
 from zetaroutes.errors import DomainError, InternalInconsistency
 from zetaroutes.exact import PiValue
@@ -167,6 +168,8 @@ class TestDispatch:
     def test_pole(self):
         with pytest.raises(PoleArgument):
             zeta_classical(1, Route.CLOSED_FORM)
+        with pytest.raises(PoleArgument):
+            routes_for_argument(1)
 
     def test_odd_positive(self):
         with pytest.raises(ValueError):
@@ -198,52 +201,25 @@ class TestDispatch:
 
 
 # -- route -> primitive ---------------------------------------------------------
+# tests/test_primitives.py checks every route's declared primitives on one
+# sample; these check the CLI's comparison under its exact corrupters.
 
 
-def _tripled_past_one(values):
-    return [v * 3 if i > 1 else v for i, v in enumerate(values)]
-
-
-def _corrupt_tangent(monkeypatch):
-    table = _tripled_past_one(bernoulli.bernoulli_via_recurrence(64))
-    monkeypatch.setattr(bernoulli, "_TANGENT_PREFIX", table)
-
-
-def _corrupt_series(monkeypatch):
-    table = _tripled_past_one(bernoulli.bernoulli_via_series(64))
+def _corrupt_series_prefix(monkeypatch):
+    # the cached table itself, where CORRUPT["series"] corrupts its recurrence
+    table = [v * 3 if i > 1 else v for i, v in enumerate(bernoulli.bernoulli_via_series(64))]
     monkeypatch.setattr(bernoulli, "_SERIES_PREFIX", table)
-
-
-def _corrupt_invert(monkeypatch):
-    invert = series.invert_exponential
-
-    def wrong(alpha):
-        return _tripled_past_one(invert(alpha))
-
-    # the kernel where genfun looks it up, through LaurentSeries.invert
-    monkeypatch.setattr(series, "invert_exponential", wrong)
-
-
-def _corrupt_series_kernel(monkeypatch):
-    build = bernoulli._series_table
-
-    def wrong(order):
-        return _tripled_past_one(build(order))
-
-    # the series table's own recurrence, and an empty table, so that it is
-    # rebuilt on the corrupt recurrence
-    monkeypatch.setattr(bernoulli, "_series_table", wrong)
-    monkeypatch.setattr(bernoulli, "_SERIES_PREFIX", [])
-
-
-def _corrupt_theta(monkeypatch):
-    chain = [[3 * c for c in abel._theta_numerator(m)] for m in range(64)]
-    monkeypatch.setattr(abel, "_THETA_NUMERATORS", [[1]] + chain[1:])
 
 
 EACH_PRIMITIVE = pytest.mark.parametrize(
     "corrupt",
-    [_corrupt_tangent, _corrupt_series, _corrupt_series_kernel, _corrupt_invert, _corrupt_theta],
+    [
+        CORRUPT["tangent"],
+        _corrupt_series_prefix,
+        CORRUPT["series"],
+        CORRUPT["invert"],
+        CORRUPT["theta"],
+    ],
     ids=["tangent", "series", "series_kernel", "invert", "theta"],
 )
 
@@ -284,8 +260,8 @@ def test_route_all_exit_status_is_the_comparison(monkeypatch, capsys, k, corrupt
 @pytest.mark.parametrize(
     "corrupt, k, printed",
     [
-        (_corrupt_tangent, 4, ["1/30*pi^4", "1/90*pi^4"]),
-        (_corrupt_series, -3, ["1/120", "1/40", "1/120", "1/120"]),
+        (CORRUPT["tangent"], 4, ["1/30*pi^4", "1/90*pi^4"]),
+        (CORRUPT["series"], -3, ["1/120", "1/40", "1/120", "1/120"]),
     ],
     ids=["tangent", "series"],
 )
@@ -297,7 +273,7 @@ def test_route_all_disagreement_exits_1(monkeypatch, capsys, corrupt, k, printed
     assert (out.splitlines(), err) == (printed, "")
 
 
-@pytest.mark.parametrize("corrupt", [_corrupt_tangent, _corrupt_series], ids=["tangent", "series"])
+@pytest.mark.parametrize("corrupt", [CORRUPT["tangent"], CORRUPT["series"]], ids=["tangent", "series"])
 def test_bernoulli_both_exits_1_when_the_methods_disagree(monkeypatch, capsys, corrupt):
     argv = ["bernoulli", "--max", "64", "--method", "both"]
     assert cli.run(argv) == 0
