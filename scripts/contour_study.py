@@ -16,9 +16,11 @@ default_contour(s) picks: its ray is cut at the least rung end x_max =
 peak. The contour is not a parameter of zeta_hankel, so both sweeps reach
 into the module: the level sweep evaluates single levels with
 _weighted_terms, and the radius sweep runs zeta_hankel's refinement loop,
-_hankel, on each radius with the same rungs. A radius whose loop refuses
-(QuadratureNotConverged, say where its round-off floor exceeds ROUTE_TOL)
-prints the refusal in place of an error.
+_hankel, on each radius with the same rungs. Every refusal, of the
+reference, of a level (a ray past the ladder's 15 rungs, say) or of a
+radius's loop (QuadratureNotConverged where its round-off floor exceeds
+ROUTE_TOL), prints as one line and the sweep goes on; with no reference,
+the sweeps print values in place of errors.
 """
 
 import argparse
@@ -40,6 +42,24 @@ from zetaroutes.numeric import (
 )
 
 
+def report(label: str, compute, reference) -> None:
+    """One line: compute()'s error against the reference, its value when
+    there is none, or its refusal."""
+    try:
+        value = compute()
+        result = f"value {value:.15g}" if reference is None else f"error {abs(value - reference):.3e}"
+    except (DomainError, OverflowError) as exc:
+        result = f"refused, {type(exc).__name__}: {exc}"
+    print(f"  {label}: {result}")
+
+
+def level_value(s: complex, spec: ContourSpec, level: int) -> complex:
+    """-Gamma(1-s)/(2 pi i) times the sum of the terms of one level."""
+    prefactor = -gamma_complex(1 - s) / (2j * math.pi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return prefactor * complex(np.sum(_weighted_terms(s, spec, level)))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--re", type=float, default=-0.5)
@@ -47,29 +67,30 @@ def main() -> None:
     args = parser.parse_args()
     s = complex(args.re, args.im)
 
-    reference = zeta_em(s)
-    print(f"s = {s}, Euler-Maclaurin reference = {reference:.15g}\n")
+    try:
+        reference = zeta_em(s)
+        print(f"s = {s}, Euler-Maclaurin reference = {reference:.15g}\n")
+    except DomainError as exc:
+        reference = None
+        print(f"s = {s}, Euler-Maclaurin reference refused, {type(exc).__name__}: {exc}\n")
 
-    spec = default_contour(s)
+    try:
+        spec = default_contour(s)
+    except DomainError as exc:
+        print(f"default contour refused, {type(exc).__name__}: {exc}")
+        return
     print(
         f"level refinement (radius pi, {spec.rungs} rungs, x_max = {spec.x_max:.4g}, "
         f"{len(_GAUSS_X)} nodes/panel):"
     )
-    prefactor = -gamma_complex(1 - s) / (2j * math.pi)
     for level in range(_REFINEMENTS + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = prefactor * complex(np.sum(_weighted_terms(s, spec, level)))
         panels = (_PANELS_RAY + spec.rungs) << level
-        print(f"  level {level}, {panels:>4} ray panels: error {abs(value - reference):.3e}")
+        report(f"level {level}, {panels:>4} ray panels", lambda: level_value(s, spec, level), reference)
 
     print("\ncontour independence (refinement loop, converged):")
     for radius in (math.pi / 2, 2.0, math.pi, 4.0, 5.5):
-        try:
-            value = _hankel(s, ContourSpec(radius=radius, rungs=spec.rungs))
-        except DomainError as exc:
-            print(f"  radius {radius:5.3f}: refused, {type(exc).__name__}: {exc}")
-            continue
-        print(f"  radius {radius:5.3f}: error {abs(value - reference):.3e}")
+        spec_r = ContourSpec(radius=radius, rungs=spec.rungs)
+        report(f"radius {radius:5.3f}", lambda: _hankel(s, spec_r), reference)
 
 
 if __name__ == "__main__":

@@ -10,15 +10,15 @@ interpreter with PYTHONPATH=ROOT/src, and reports two halves:
   this repository's perfbench/workloads.py), and at 32 fixed `far` points
   beyond the grid's |Im s| <= 1e4 (Re s in {0, 0.5, 1.5, 3} at 8 log-spaced
   |Im s| from 1e4 to 5e5), zeta_<name> for every name in that tree's own
-  numeric.ROUTES, as float.hex of the real and imaginary parts or the class
-  of the exception raised;
+  numeric.ROUTES, as float.hex of the real and imaginary parts or, for an
+  exception, its class and message (`Class: message`);
 - exact: the sha256 of repr(bernoulli._series_table(n)) and of
   repr(bernoulli._tangent_table(n)) for every n <= 64 and at n = N, and the
-  exit status and the sha256 of stdout of these commands, run in order
-  through cli.run in one process: ``bernoulli --max N --method both``,
-  ``table classical --max N/2``, ``zeta exact K --route all`` for every
-  classical K with |K| <= 60, ``verify funceq --exact-max N/4``, and the
-  identity checks ``verify contour-inversion`` (s = -2.5 at 10^5 poles,
+  exit status and the sha256 of stdout and of stderr of these commands,
+  run in order through cli.run in one process: ``bernoulli --max N
+  --method both``, ``table classical --max N/2``, ``zeta exact K --route
+  all`` for every classical K with |K| <= 60, ``verify funceq --exact-max
+  N/4``, and the identity checks ``verify contour-inversion`` (s = -2.5 at 10^5 poles,
   -0.5-2i at 10^3, and the refusals -2 and -27.5) and ``verify cotangent``
   (x = 1/4 and 1/3 at 10^4 terms, and the refusal 1/1000), each with
   ``--format json``.
@@ -44,8 +44,8 @@ FAR = tuple(complex(re, 1e4 * 50 ** (i / 7)) for re in (0.0, 0.5, 1.5, 3.0) for 
 
 # Runs in the tree's interpreter: the work arrives on stdin as JSON, and goes
 # out as {"numeric": {route: [outcome per point]}, "exact": [outcome per item]},
-# an exact outcome being "<exit status> <sha256 of the output>" ("-" for the
-# status of a table).
+# an exact outcome being "<exit status> <sha256 of stdout> <sha256 of stderr>"
+# ("- <sha256 of the repr>" for a table).
 CHILD = """
 import contextlib, hashlib, io, json, sys
 from pathlib import Path
@@ -61,7 +61,7 @@ def outcome(route, s):
         with np.errstate(all="ignore"):
             z = route(s)
     except Exception as exc:
-        return type(exc).__name__
+        return f"{type(exc).__name__}: {exc}"
     return f"{z.real.hex()} {z.imag.hex()}"
 
 def digest(text):
@@ -76,8 +76,9 @@ for name, order in work["tables"]:
     out["exact"].append("- " + digest(repr(getattr(bernoulli, name)(order))))
 for argv in work["commands"]:
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
-        code = cli.run(argv)
-    out["exact"].append(f"{code} " + digest(stdout.getvalue()))
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = cli.run(argv)
+    out["exact"].append(f"{code} {digest(stdout.getvalue())} {digest(stderr.getvalue())}")
 json.dump(out, sys.stdout)
 """
 

@@ -41,13 +41,19 @@ def refuse_pole(z: complex) -> None:
 @finite_or_out_of_range
 def gamma_complex(z: complex) -> complex:
     refuse_pole(z)
-    if z.real < 0.5:
-        # The reflection reads the unwrapped kernel, so that a refusal names
-        # this z; an infinite Gamma(1 - z) would otherwise return pi/inf = 0.
-        reflected = gamma_complex.__wrapped__(1 - z)
-        if not cmath.isfinite(reflected):
-            raise OverflowError(f"Gamma(1 - z) overflows at z = {z}")
-        return math.pi / (cmath.sin(math.pi * z) * reflected)
+    if z.real >= 0.5:
+        return _lanczos(z)
+    # The reflection calls the kernel, not the module's gamma_complex, which
+    # a tracer may rebind: so a refusal names this z. An infinite
+    # Gamma(1 - z) would otherwise return pi/inf = 0.
+    reflected = _lanczos(1 - z)
+    if not cmath.isfinite(reflected):
+        raise OverflowError(f"Gamma(1 - z) overflows at z = {z}")
+    return math.pi / (cmath.sin(math.pi * z) * reflected)
+
+
+def _lanczos(z: complex) -> complex:
+    """Gamma(z) by the Lanczos form, for Re z >= 1/2."""
     z -= 1
     acc = _LANCZOS_COEFFS[0]
     for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):

@@ -21,8 +21,8 @@ measure the remaining identities in floating point.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -278,18 +278,18 @@ def _panels(edges):
     return t, w
 
 
-def _ray_nodes(radius: float, level: int, first: int, last: int):
-    """Nodes t + i r and real weights of the upper ray's rungs first..last-1
-    at `level`, led by [0, 40] in 16 * 2^level equal panels when first is 0.
-    Rung k, [40 * 1.21^k, 40 * 1.21^(k+1)], has 2^level equal panels. A
-    panel's nodes depend on its two edges alone, so a ray laid in pieces has
-    the bits of one laid whole. The rule runs the ray inward, and the lower
-    ray is its conjugate run outward."""
+def _ray_nodes(radius: float, level: int, rungs: int):
+    """Nodes t + i r and real weights of the upper ray at `level`: [0, 40] in
+    16 * 2^level equal panels, then its first `rungs` rungs, rung k,
+    [40 * 1.21^k, 40 * 1.21^(k+1)], in 2^level equal panels. A panel's nodes
+    depend on its two edges alone, so a ray's nodes are a prefix of a
+    longer ray's. The rule runs the ray inward, and the lower ray is its
+    conjugate run outward."""
     per_rung = 1 << level
-    ends = np.array([_rung_end(k) for k in range(first, last + 1)])
+    ends = np.array([_rung_end(k) for k in range(rungs + 1)])
     # One call lays every rung's edges as a call per rung would, to the bit.
     rung_edges = np.linspace(ends[:-1], ends[1:], per_rung + 1, axis=1)[:, 1:]
-    lead = np.linspace(0.0, _RAY_BASE, _PANELS_RAY * per_rung + 1) if first == 0 else ends[:1]
+    lead = np.linspace(0.0, _RAY_BASE, _PANELS_RAY * per_rung + 1)
     t, wt = _panels(np.concatenate([lead, rung_edges.ravel()]))
     return t + 1j * radius, wt
 
@@ -301,55 +301,36 @@ def _arc_nodes(radius: float, panels: int):
     return x, 1j * x * wth
 
 
-# The ray ladder: one entry per (radius, level) holds the arc's and the
-# upper ray's ``_factors``, read-only, the ray laid to a power of two of
-# rungs; every contour of that radius reads its ray as a prefix. An entry
-# too short for a contour is laid on under the lock, so a sweep grows it at
-# most log2 K + 1 times, and swapped in whole: callers read it outside the
-# lock. Its size rests on the order of ``_hankel``, which refuses a
-# Gamma(1-s) that overflows or underflows before it reads a ladder: on a
-# scan no contour that passes has more than 18 rungs (x_max = 1.24e3, at
-# -113.25+498.36i), so no ladder holds more than 32, 37 KB at level 0.
-_LADDERS: dict = {}
-_LADDER_LOCK = threading.Lock()
+# The ray ladder ends at rung 15, x_max = 40 * 1.21^15 = 698. On rung 16
+# x passes ln(DBL_MAX) = 709.78, e^x - 1 overflows to -inf + inf i and the
+# terms there are nan, so ``_weighted_terms`` refuses a longer ray unread.
+_LADDER_RUNGS = 15
 
 
 def _factors(x, w):
     """w, then the ``_s_free_factors`` at the nodes x."""
-    with np.errstate(over="ignore"):  # e^x - 1 is inf far out on the ray
-        return (w, *_s_free_factors(x))
+    return (w, *_s_free_factors(x))
 
 
-def _ladder(radius: float, level: int, rungs: int):
-    """(rungs laid, arc, ray) at `level` with at least `rungs` rungs laid,
-    where arc and ray are the ``_factors`` of the arc and the upper ray."""
-    entry = _LADDERS.get((radius, level))
-    if entry is None or entry[0] < rungs:
-        with _LADDER_LOCK:
-            entry = _LADDERS.get((radius, level))
-            if entry is None or entry[0] < rungs:
-                entry = _LADDERS[(radius, level)] = _grown(entry, radius, level, rungs)
-    return entry
-
-
-def _grown(entry, radius: float, level: int, rungs: int):
-    """`entry`, or a new one if it is None, laid on to the least power of two
-    of rungs that holds `rungs`."""
-    laid = 1 << (max(rungs, 1) - 1).bit_length()
-    if entry is None:
-        entry = (0, _factors(*_arc_nodes(radius, (_PANELS_RAY // 2) << level)), ())
-    have, arc, ray = entry
-    more = _factors(*_ray_nodes(radius, level, have, laid))
-    ray = tuple(map(np.concatenate, zip(ray, more))) if ray else more
+@functools.cache
+def _ladder(radius: float, level: int):
+    """(arc, ray) at `level`: the ``_factors`` of the arc and of the upper ray
+    laid to all 15 rungs, read-only. Every contour of that radius reads its
+    ray as a prefix. Two first callers may both lay it, with the same bits."""
+    arc = _factors(*_arc_nodes(radius, (_PANELS_RAY // 2) << level))
+    ray = _factors(*_ray_nodes(radius, level, _LADDER_RUNGS))
     for a in (*arc, *ray):
         a.flags.writeable = False
-    return laid, arc, ray
+    return arc, ray
 
 
 def _weighted_terms(s: complex, spec: ContourSpec, level: int):
     """The terms w f(x) of the rule at `level`: in along the upper ray,
-    around the arc, out along the lower ray."""
-    _, (w_arc, *arc), ray = _ladder(spec.radius, level, spec.rungs)
+    around the arc, out along the lower ray. A ray past the ladder's 15
+    rungs is refused as its sum would be: not finite."""
+    if spec.rungs > _LADDER_RUNGS:
+        raise QuadratureNotConverged(f"contour integral at s = {s} is not finite")
+    (w_arc, *arc), ray = _ladder(spec.radius, level)
     n = ((_PANELS_RAY + spec.rungs) << level) * len(_GAUSS_X)  # the prefix
     wt, *ray = (a[:n] for a in ray)
     f = _integrand(s, ray, arc)
@@ -373,9 +354,10 @@ def zeta_hankel(s: complex) -> complex:
     the round-off floor of the first level's terms; otherwise
     QuadratureNotConverged is raised. It is raised before the first level
     where Gamma(1-s) underflows to 0, and on the first level when the sum is
-    not finite, or when 4F is not finite or exceeds ROUTE_TOL: no
-    refinement gets below the floor. Within 0.1 of a
-    positive integer TooCloseToPositiveIntegerPole is raised: Gamma(1-s)
+    not finite, as on every ray past the ladder's 15 rungs, or when 4F is
+    not finite or exceeds ROUTE_TOL: no refinement gets below the floor.
+    Where Gamma(1-s) overflows, OutOfValidatedRange is raised. Within 0.1 of
+    a positive integer TooCloseToPositiveIntegerPole is raised: Gamma(1-s)
     blows up against a vanishing integral. The contour is default_contour(s).
     """
     nearest = max(1, round(s.real))
@@ -388,7 +370,10 @@ def zeta_hankel(s: complex) -> complex:
 
 def _hankel(s: complex, spec: ContourSpec) -> complex:
     """The refinement loop of ``zeta_hankel`` on the contour `spec`."""
-    prefactor = -gamma_complex(1 - s) / (2j * math.pi)
+    try:
+        prefactor = -gamma_complex(1 - s) / (2j * math.pi)
+    except OutOfValidatedRange:
+        raise OutOfValidatedRange(f"Gamma(1 - s) overflows at s = {s}") from None
     if prefactor == 0:  # from |Im s| ~ 450, where e^{pi |Im s|} overflows
         raise QuadratureNotConverged(
             f"Gamma(1 - s) underflows to 0 at s = {s}, where the contour integral is not finite"

@@ -602,6 +602,10 @@ def test_usage_error_exit_code(capsys):
         # Gamma(1 - s) overflows inside the reflection, which names s itself.
         (("verify", "contour-inversion", "--s=-999999.5", "--poles", "10"),
          "gamma_complex exceeds double precision at s = (-999999.5+0j)\n"),
+        # Hankel names the caller's s where Gamma(1 - s) overflows, as where
+        # it underflows.
+        (("zeta", "numeric", "--method", "hankel", "--", "-160", "3"),
+         "error: Gamma(1 - s) overflows at s = (-160+3j)\n"),
     ],
 )
 def test_domain_error_exits_2(capsys, argv, reason):

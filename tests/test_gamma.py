@@ -1,10 +1,13 @@
 import cmath
+import functools
 import math
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from zetaroutes import gammafn
+from zetaroutes.errors import OutOfValidatedRange
 from zetaroutes.gammafn import PoleAtNonpositiveInteger, gamma_complex
 
 
@@ -43,6 +46,23 @@ class TestKnownValues:
         with pytest.raises(PoleAtNonpositiveInteger) as info:
             gamma_complex(z)
         assert str(info.value) == f"Gamma pole at z = {name}"
+
+    def test_overflow_names_z_with_gamma_complex_rebound(self, monkeypatch):
+        # The benchmark's tracer rebinds the module's gamma_complex to a
+        # functools.wraps wrapper; the reflection still names the caller's z,
+        # not 1 - z, as the untraced call does.
+        original = gammafn.gamma_complex
+
+        @functools.wraps(original)
+        def traced(z):
+            return original(z)
+
+        message = "gamma_complex exceeds double precision at s = -200.5"
+        for gamma in (original, traced):
+            monkeypatch.setattr(gammafn, "gamma_complex", gamma)
+            with pytest.raises(OutOfValidatedRange) as info:
+                gammafn.gamma_complex(-200.5)
+            assert str(info.value) == message
 
 
 class TestIdentities:

@@ -1,10 +1,10 @@
 import cmath
+import functools
 import inspect
 import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -163,13 +163,27 @@ def _integrand_at(x, s):
 
 def _rule_nodes(spec, level):
     """Every node the rule evaluates: the upper ray, the arc, the lower ray."""
-    x, _ = _ray_nodes(spec.radius, level, 0, spec.rungs)
+    x, _ = _ray_nodes(spec.radius, level, spec.rungs)
     arc, _ = _arc_nodes(spec.radius, 8 << level)
     return np.concatenate([x, arc, np.conj(x)])
 
 
-# The longest contour zeta_hankel reads: Gamma(1-s) refuses beyond it.
-LONGEST = ContourSpec(rungs=18)
+# The longest contour zeta_hankel reads: a longer ray is refused unread.
+LONGEST = ContourSpec(rungs=numeric_module._LADDER_RUNGS)
+
+
+def _empty_ladder(monkeypatch):
+    """An empty ladder cache in place of the module's; returns the list of
+    the (radius, level) of every entry it lays, in order."""
+    laid = []
+    lay = numeric_module._ladder.__wrapped__
+
+    def counted(radius, level):
+        laid.append((radius, level))
+        return lay(radius, level)
+
+    monkeypatch.setattr(numeric_module, "_ladder", functools.cache(counted))
+    return laid
 
 
 LEVELS = range(numeric_module._REFINEMENTS + 1)
@@ -190,7 +204,7 @@ class TestHankelIntegrand:
     def test_cached_arc_is_the_arc_nodes(self, level):
         # The cached factors are those of the nodes the pole and cut checks see.
         arc, w = _arc_nodes(math.pi, 8 << level)
-        _, cached, _ = _ladder(math.pi, level, 0)
+        cached, _ = _ladder(math.pi, level)
         fresh = (w, *_s_free_factors(arc))
         assert [a.tobytes() for a in cached] == [a.tobytes() for a in fresh]
 
@@ -250,7 +264,7 @@ class TestHankelTermsBitForBit:
         # at two radii, interleaved, give the bits of calls on empty caches.
         s = -0.5 + 1j
         narrow, wide = (ContourSpec(radius=r) for r in (math.pi / 2, 3.0))
-        monkeypatch.setattr(numeric_module, "_LADDERS", {})
+        laid = _empty_ladder(monkeypatch)
         wide_alone = _hankel(s, wide)
         first = _hankel(s, narrow)
         between = _hankel(s, wide)
@@ -258,52 +272,44 @@ class TestHankelTermsBitForBit:
         assert repr(third) == repr(first)
         assert repr(between) == repr(wide_alone)
         assert first != between
-        assert sorted(numeric_module._LADDERS) == [
-            (r, level) for r in (math.pi / 2, 3.0) for level in (0, 1)
-        ]
+        assert sorted(laid) == [(r, level) for r in (math.pi / 2, 3.0) for level in (0, 1)]
 
     @pytest.mark.parametrize("panels", [16, 32])
     def test_cached_ray_is_the_upper_ray_and_read_only(self, panels):
         # 16 and 32 panels on [0, 40]: levels 0 and 1, the two where nearly
         # every converging point stops.
         level = panels.bit_length() - 5
-        _, arc, ray = _ladder(math.pi, level, LONGEST.rungs)
-        fresh = _factors(*_ray_nodes(math.pi, level, 0, LONGEST.rungs))
-        n = len(fresh[0])
-        assert [a[:n].tobytes() for a in ray] == [a.tobytes() for a in fresh]
+        arc, ray = _ladder(math.pi, level)
+        fresh = _factors(*_ray_nodes(math.pi, level, LONGEST.rungs))
+        assert [a.tobytes() for a in ray] == [a.tobytes() for a in fresh]
         assert not any(a.flags.writeable for a in (*arc, *ray))
         with pytest.raises(ValueError):
             ray[1][0] = 0.0
 
     @pytest.mark.parametrize("level", LEVELS)
-    def test_every_contour_reads_a_prefix_of_the_ladder(self, monkeypatch, level):
-        # Laid on in pieces, as contours of growing length ask for it, the
-        # ladder holds the bits of a ray laid whole to its length, and each
-        # contour reads the first 16 (16 + K) 2^level of them.
-        monkeypatch.setattr(numeric_module, "_LADDERS", {})
-        laid = [_ladder(math.pi, level, rungs)[0] for rungs in (0, 1, 3, 5, 18, 2)]
-        assert laid == [1, 1, 4, 8, 32, 32]
-        _, _, ray = _ladder(math.pi, level, 0)
-        x, w = _ray_nodes(math.pi, level, 0, 32)
-        assert [a.tobytes() for a in ray] == [a.tobytes() for a in _factors(x, w)]
-        for rungs in (0, 1, 5, 18):
-            t, _ = _ray_nodes(math.pi, level, 0, rungs)
+    def test_every_contour_reads_a_prefix_of_the_ladder(self, level):
+        # The ladder holds the bits of a ray laid whole to 15 rungs, and a
+        # contour of K rungs reads the first 16 (16 + K) 2^level of them,
+        # the nodes of a ray laid to K.
+        _, ray = _ladder(math.pi, level)
+        x, _ = _ray_nodes(math.pi, level, LONGEST.rungs)
+        assert len(ray[0]) == len(x) == (16 + 15) * 16 << level
+        for rungs in (0, 1, 5, 14):
+            t, _ = _ray_nodes(math.pi, level, rungs)
             assert len(t) == (16 + rungs) * 16 << level
             assert t.tobytes() == x[: len(t)].tobytes()
 
-    def test_concurrent_growth_keeps_every_prefix(self, monkeypatch, concurrently):
-        # Threads that grow one ladder at once each get an entry long enough
-        # for them, with the bits of a ray laid whole; no shorter entry
-        # overwrites a longer one.
-        whole = _factors(*_ray_nodes(math.pi, 1, 0, 32))
-        rungs = [18, 0, 5, 1, 16, 3, 9, 2]
+    def test_concurrent_cold_reads_get_the_bits_of_one_build(self, monkeypatch, concurrently):
+        # Threads that read an empty ladder cache at once may each lay the
+        # entry; every one of them gets the bits of a single build.
+        lay = numeric_module._ladder.__wrapped__
+        whole = [a.tobytes() for part in lay(math.pi, 1) for a in part]
         for _ in range(20):
-            monkeypatch.setattr(numeric_module, "_LADDERS", {})
-            entries = concurrently(lambda k: _ladder(math.pi, 1, k), rungs)
-            for k, (laid, _, ray) in zip(rungs, entries):
-                assert laid >= k
-                assert [a.tobytes() for a in ray] == [a[: len(ray[0])].tobytes() for a in whole]
-            assert numeric_module._LADDERS[math.pi, 1][0] == 32
+            monkeypatch.setattr(numeric_module, "_ladder", functools.cache(lay))
+            entries = concurrently(lambda _: numeric_module._ladder(math.pi, 1), range(8))
+            entries.append(numeric_module._ladder(math.pi, 1))
+            for entry in entries:
+                assert [a.tobytes() for part in entry for a in part] == whole
 
     @pytest.mark.parametrize(
         "specs",
@@ -320,42 +326,14 @@ class TestHankelTermsBitForBit:
         s = -0.5 + 1j
         cold = []
         for spec in specs:
-            monkeypatch.setattr(numeric_module, "_LADDERS", {})
+            _empty_ladder(monkeypatch)
             cold.append(repr(_hankel(s, spec)))
-        monkeypatch.setattr(numeric_module, "_LADDERS", {})
+        laid = _empty_ladder(monkeypatch)
         warm = [repr(_hankel(s, spec)) for spec in specs[::-1] + specs]
         assert warm == cold[::-1] + cold
         assert cold[0] != cold[1]
         radii = sorted({spec.radius for spec in specs})
-        assert sorted(numeric_module._LADDERS) == [(r, level) for r in radii for level in (0, 1)]
-
-    def test_seed_0_pass_grows_a_ladder_at_most_log2_k_plus_1(self, monkeypatch):
-        # One pass on empty caches, as each benchmark sample makes it.
-        monkeypatch.setattr(numeric_module, "_LADDERS", {})
-        grown, read = Counter(), []
-        grow = numeric_module._grown
-
-        def counted(entry, radius, level, rungs):
-            grown[radius, level] += 1
-            return grow(entry, radius, level, rungs)
-
-        ladder = numeric_module._ladder
-
-        def reading(radius, level, rungs):
-            read.append(rungs)
-            return ladder(radius, level, rungs)
-
-        monkeypatch.setattr(numeric_module, "_grown", counted)
-        monkeypatch.setattr(numeric_module, "_ladder", reading)
-        for _, s in grid_points(0):
-            try:
-                zeta_hankel(s)
-            except DomainError:
-                pass
-        k_max = max(read)
-        assert k_max == 16
-        assert set(grown) == {(math.pi, level) for level in range(3)}
-        assert max(grown.values()) <= math.ceil(math.log2(k_max)) + 1
+        assert sorted(laid) == [(r, level) for r in radii for level in (0, 1)]
 
     @pytest.mark.parametrize(
         "s, exc",
@@ -370,14 +348,40 @@ class TestHankelTermsBitForBit:
         # Gamma(1-s) underflows to 0 at the first two and overflows at the
         # others; _hankel refuses there before it reads a ladder, though
         # default_contour(s) would ask for 57, 3609, 12 and 3609 rungs.
-        monkeypatch.setattr(numeric_module, "_LADDERS", {})
+        laid = _empty_ladder(monkeypatch)
         with pytest.raises(exc):
             zeta_hankel(s)
-        assert numeric_module._LADDERS == {}
+        assert laid == []
 
-    def test_no_contour_past_gamma_needs_more_than_18_rungs(self, monkeypatch):
-        # Where Gamma(1-s) is finite and nonzero, no contour is longer than
-        # 18 rungs (x_max = 1.24e3), so no ladder holds more than 32.
+    def test_the_ladder_ends_where_e_to_the_x_overflows(self):
+        # Every node of rung 15 lies below ln(DBL_MAX), where e^x - 1 is
+        # finite, and at every level some node of rung 16 lies above it.
+        ln_max = math.log(sys.float_info.max)
+        for level in LEVELS:
+            ray, _ = _ray_nodes(math.pi, level, LONGEST.rungs)
+            longer, _ = _ray_nodes(math.pi, level, LONGEST.rungs + 1)
+            assert ray.real.max() < ln_max < longer.real.max(), level
+            assert np.all(np.isfinite(_s_free_factors(ray)[1])), level
+
+    @pytest.mark.parametrize("radius", [math.pi, 2.5])
+    @pytest.mark.parametrize("s", [0.5 + 3j, -0.5 + 1j, -6.3 + 9.2j, 8.9 + 18.0j])
+    def test_a_ray_past_the_ladder_has_no_finite_sum(self, s, radius):
+        # On the direct expression, a contour of 16 rungs sums to a value
+        # that is not finite at every level; _weighted_terms refuses it with
+        # the bytes of the refusal of that sum.
+        spec = ContourSpec(radius=radius, rungs=LONGEST.rungs + 1)
+        for level in LEVELS:
+            assert not cmath.isfinite(complex(np.sum(_direct_terms(s, spec, level)))), level
+            with pytest.raises(QuadratureNotConverged) as refused:
+                _weighted_terms(s, spec, level)
+            assert str(refused.value) == f"contour integral at s = {s} is not finite"
+
+    def test_every_contour_past_15_rungs_is_refused_unread(self, monkeypatch):
+        # Where Gamma(1-s) is finite and nonzero, contours run to 18 rungs
+        # (x_max = 1.24e3); every one past 15 is refused as not finite, and
+        # none reads a ladder.
+        laid = _empty_ladder(monkeypatch)
+        past = []
         for re in range(-176, 177, 4):
             for im in range(0, 600, 8):
                 s = complex(re, im)
@@ -386,13 +390,18 @@ class TestHankelTermsBitForBit:
                         continue
                 except DomainError:
                     continue
-                assert default_contour(s).rungs <= 18, s
+                rungs = default_contour(s).rungs
+                assert rungs <= 18, s
+                if rungs > LONGEST.rungs:
+                    past.append(s)
         s = -113.25 + 498.36j  # near the edge where Gamma(1-s) underflows
         assert default_contour(s).rungs == 18
-        monkeypatch.setattr(numeric_module, "_LADDERS", {})
-        with pytest.raises(QuadratureNotConverged):
-            zeta_hankel(s)
-        assert {laid for laid, _, _ in numeric_module._LADDERS.values()} == {32}
+        for s in (*past, s):
+            with pytest.raises(QuadratureNotConverged) as refused:
+                zeta_hankel(s)
+            assert str(refused.value) == f"contour integral at s = {s} is not finite"
+        assert len(past) == 578
+        assert laid == []
 
 
 class TestZetaHankel:

@@ -55,7 +55,6 @@ def _rebind(monkeypatch, original, replacement):
 
 
 def _scaled(monkeypatch, original):
-    @functools.wraps(original)  # gamma_complex's reflection reads __wrapped__
     def scaled(*args):
         return original(*args) * SCALE
 
@@ -99,8 +98,9 @@ def _corrupt_theta(monkeypatch):
 
 def _corrupt_gauss_legendre(monkeypatch):
     monkeypatch.setattr(numeric, "_GAUSS_W", numeric._GAUSS_W * SCALE)
-    # the ladder holds nodes and weights laid by the intact rule
-    monkeypatch.setattr(numeric, "_LADDERS", {})
+    # A fresh ladder cache, laid by the corrupt rule and dropped with it: the
+    # module's holds the intact rule's nodes and weights.
+    monkeypatch.setattr(numeric, "_ladder", functools.cache(numeric._ladder.__wrapped__))
 
 
 CORRUPT = {

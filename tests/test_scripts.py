@@ -22,6 +22,10 @@ ROOT = Path(__file__).resolve().parents[1]
         ("contour_study.py", []),
         # radius pi/2 refuses this point by its round-off floor, F = 4.5e-11
         ("contour_study.py", ["--re", "4.5", "--im", "16.9"]),
+        # zeta_em refuses the reference; the sweeps print values instead
+        ("contour_study.py", ["--re", "-60", "--im", "100"]),
+        # 17 rungs: every level and every radius refuses, one line each
+        ("contour_study.py", ["--re", "0.5", "--im", "420"]),
     ],
 )
 def test_script_runs(script, args):
@@ -143,6 +147,42 @@ def test_tree_diff_names_a_moved_route_and_exits_1(tmp_path):
     assert moved and all(line.startswith("seed 0 ") and " zeta_hankel: " in line for line in moved)
     assert numeric == f"{len(moved)} of 544 numeric outcomes differ (seeds 0, far)"
     assert exact == "0 of 231 exact items differ (--max 20)"
+
+
+@pytest.mark.parametrize(
+    "file, old, new, moved",
+    [
+        # a numeric refusal: the 28 far points past |Im s| = 1e4, where
+        # zeta_em refuses
+        ("numeric.py", "the Dirichlet cutoff is validated", "the Dirichlet cutoff holds", 28),
+        # a CLI refusal, written to stderr: `verify cotangent --x 1/1000`
+        ("numeric.py", "x must lie in 1/100..99/100", "x must lie in [1/100, 99/100]", 1),
+    ],
+    ids=["numeric", "cli"],
+)
+def test_tree_diff_names_a_changed_refusal_message_and_exits_1(tmp_path, file, old, new, moved):
+    # Only the message changes, not the class nor any value.
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "zetaroutes" / file
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    proc = _tree_diff(ROOT, tmp_path, "--seeds", "0", "--max", "20")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    *lines, numeric, exact = proc.stdout.splitlines()
+    assert len(lines) == moved
+    if moved == 1:
+        assert lines[0].startswith("verify cotangent --x 1/1000 ")
+        assert (numeric, exact) == (
+            "0 of 544 numeric outcomes differ (seeds 0, far)",
+            "1 of 231 exact items differ (--max 20)",
+        )
+    else:
+        for line in lines:
+            assert line.startswith("far ") and " zeta_em: OutOfValidatedRange: " in line
+            assert f"{old} for |Im s| <= 1e4 only -> " in line and new in line
+        assert numeric == f"{moved} of 544 numeric outcomes differ (seeds 0, far)"
+        assert exact == "0 of 231 exact items differ (--max 20)"
 
 
 def test_tree_diff_exits_2_for_a_root_without_the_package(tmp_path):
