@@ -6,12 +6,17 @@
 Each root is a checkout of this repository. Each tree runs once, in its own
 interpreter with PYTHONPATH=ROOT/src, and reports two halves:
 
-- numeric: at the benchmark's numeric_grid points of every seed (read from
-  this repository's perfbench/workloads.py), and at 32 fixed `far` points
-  beyond the grid's |Im s| <= 1e4 (Re s in {0, 0.5, 1.5, 3} at 8 log-spaced
-  |Im s| from 1e4 to 5e5), zeta_<name> for every name in that tree's own
-  numeric.ROUTES, as float.hex of the real and imaginary parts or, for an
-  exception, its class and message (`Class: message`);
+- numeric: zeta_<name> for every name in that tree's own numeric.ROUTES,
+  as float.hex of the real and imaginary parts or, for an exception, its
+  class and message (`Class: message`). It runs at the benchmark's
+  numeric_grid points of every seed (read from this repository's
+  perfbench/workloads.py); at 32 fixed `far` points beyond the grid's
+  |Im s| <= 1e4 (Re s in {0, 0.5, 1.5, 3} at 8 log-spaced |Im s| from 1e4
+  to 5e5); and at 28 fixed `edge` points: on each side of every static
+  bound that numeric.ROUTES declares (1 +- 9e-7 and 1 +- 1.1e-6; k +- 0.0999
+  and k +- 0.1001 for k = 1..4, and 2 + 0.0999i; -27 and -26.999;
+  0.5 + 1e4 i and 0.5 + 1.0001e4 i), and at 2^53 and +-1e300, where every
+  double is an integer;
 - exact: the sha256 of repr(bernoulli._series_table(n)) and of
   repr(bernoulli._tangent_table(n)) for every n <= 64 and at n = N, and the
   exit status and the sha256 of stdout and of stderr of these commands,
@@ -41,6 +46,18 @@ ROOT = Path(__file__).resolve().parents[1]
 CLASSICAL = (*range(-60, 1), *range(2, 61, 2))
 CONTOUR = (("-2.5", "100000"), ("-0.5,-2", "1000"), ("-2", "10"), ("-27.5", "10"))
 FAR = tuple(complex(re, 1e4 * 50 ** (i / 7)) for re in (0.0, 0.5, 1.5, 3.0) for i in range(8))
+EDGE = tuple(map(complex, (
+    *(1 + d for d in (-1.1e-6, -9e-7, 9e-7, 1.1e-6)),
+    *(k + d for k in range(1, 5) for d in (-0.1001, -0.0999, 0.0999, 0.1001)),
+    2 + 0.0999j,
+    -27.0,
+    -26.999,
+    0.5 + 1e4j,
+    0.5 + 1.0001e4j,
+    2.0**53,
+    1e300,
+    -1e300,
+)))
 
 # Runs in the tree's interpreter: the work arrives on stdin as JSON, and goes
 # out as {"numeric": {route: [outcome per point]}, "exact": [outcome per item]},
@@ -92,13 +109,14 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def numeric_points(seeds: list[int]) -> list[tuple[str, complex]]:
-    """(where, s): the grid points of every seed, then the far points."""
+    """(where, s): the grid points of every seed, then the far and the edge
+    points."""
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     grid = [(f"seed {seed} {region}", s) for seed in seeds for region, s in workloads.grid_points(seed)]
-    return grid + [("far", s) for s in FAR]
+    return grid + [("far", s) for s in FAR] + [("edge", s) for s in EDGE]
 
 
 def exact_items(n: int) -> dict[str, list]:
@@ -165,7 +183,8 @@ def main() -> int:
             differ[half] += 1
             print(f"{label}: {a} -> {b}")
     seeds = ",".join(map(str, args.seeds))
-    print(f"{differ[0]} of {len(points) * len(routes)} numeric outcomes differ (seeds {seeds}, far)")
+    total = len(points) * len(routes)
+    print(f"{differ[0]} of {total} numeric outcomes differ (seeds {seeds}, far, edge)")
     print(f"{differ[1]} of {len(names)} exact items differ (--max {args.n})")
     return 1 if any(differ) else 0
 

@@ -71,20 +71,51 @@ class ContourSpec:
         return _rung_end(self.rungs)
 
 
-# The numeric routes: each name n is the function zeta_<n>, and the last is
-# the reference that the others are compared with. Each route states the
-# mixed tolerance |value - zeta(s)| / max(1, |zeta(s)|) <= ROUTE_TOL, and
-# reads the primitives it maps to, named as in zeta_exact.ROUTES: "gamma" is
-# gamma_complex, "gauss_legendre" the rule _GAUSS_X, _GAUSS_W, "power_sum"
-# _power_sum and "tangent" the table behind _B2J_OVER_FACT.
-ROUTES = {"hankel": ("gamma", "gauss_legendre"), "em": ("power_sum", "tangent")}
-ROUTE_TOL = 1e-10
-
 _EPS = 2.3e-16
 _MAX_TERMS = 10**6  # cap on the terms of the identity checks: poles, pairs
 _EM_FLOOR_N = 30  # least Dirichlet cutoff for Re s >= 0
 _EM_TERMS_J = 14  # Bernoulli correction terms in zeta_em
-_EM_MAX_IM = 1e4  # zeta_em refuses beyond this |Im s|: its round-off reaches ROUTE_TOL by 1.7e4
+
+# The numeric routes: each name n is the function zeta_<n>, the last the
+# reference that the others are compared with, and each meets the mixed
+# tolerance |value - zeta(s)| / max(1, |zeta(s)|) <= ROUTE_TOL. A row names
+# the primitives the route reads, as zeta_exact.ROUTES does ("gamma" is
+# gamma_complex, "gauss_legendre" _GAUSS_X and _GAUSS_W, "power_sum"
+# _power_sum, "tangent" the table of _B2J_OVER_FACT), then the static domain
+# that ``_refuse_outside`` enforces: (lo, hi, radius, class, message) raises
+# the class within radius of an integer lo..hi, and (re_min, message) and
+# (im_max, message), or None, raise OutOfValidatedRange at Re s <= re_min
+# and |Im s| > im_max. Messages are formatted with s and pole.
+ROUTES = {
+    "hankel": (
+        ("gamma", "gauss_legendre"),
+        (1, math.inf, 0.1, TooCloseToPositiveIntegerPole,
+         "s = {s} is within 0.1 of the positive integer {pole}"),
+        None,
+        None,
+    ),
+    "em": (
+        ("power_sum", "tangent"),
+        (1, 1, 1e-6, NearPole, "zeta pole at s = {pole}"),
+        (-(2 * _EM_TERMS_J - 1), "Re(s) = {s.real} needs more than 14 correction terms"),
+        (1e4, "s = {s}: the Dirichlet cutoff is validated for |Im s| <= 1e4 only"),
+    ),
+}
+ROUTE_TOL = 1e-10
+
+
+def _refuse_outside(name: str, s: complex) -> None:
+    """Raise what the ``ROUTES`` row of `name` declares for s outside it; from
+    2^53 in size a pole is named by its double (1e+300), as in refuse_pole."""
+    _, (lo, hi, radius, refusal, message), re_min, im_max = ROUTES[name]
+    pole = min(max(lo, round(s.real)), hi)
+    if abs(s - pole) < radius:
+        raise refusal(message.format(s=s, pole=pole if abs(pole) < 2**53 else s.real))
+    if re_min is not None and s.real <= re_min[0]:
+        raise OutOfValidatedRange(re_min[1].format(s=s))
+    if im_max is not None and abs(s.imag) > im_max[0]:
+        raise OutOfValidatedRange(im_max[1].format(s=s))
+
 
 # B_{2j}/(2j)! as floats, j = 1..J+1 (the first omitted term sizes the
 # cutoff), from the exact table.
@@ -107,12 +138,10 @@ def _dirichlet_cutoff(s: complex) -> int:
     against the N^{1-s} continuation term costs ~ N^{1-Re s} eps; balancing
     that against the first omitted Bernoulli term picks a smaller N, capped
     at max(30, ceil(2|Im s|)). At negative integer s the rising product
-    vanishes and the expansion terminates, so the least cutoff, N = 2, is
-    taken. That is exact in exact arithmetic only: in floating point the
-    correction terms, up to about 7e9 in size at s = -26, cancel to
-    round-off there, and ``zeta_em`` returns 4.7e-7, -6.9e-8 and -2.3e-10 at
-    the trivial zeros -26, -24 and -20 with no error raised. The round-off
-    guard of ROADMAP item 2 is to refuse them.
+    vanishes and the expansion terminates, so N = 2 is taken. In floating
+    point its correction terms, up to 7e9 at s = -26, then cancel only to
+    round-off: ``zeta_em`` returns 4.7e-7, -6.9e-8 and -2.3e-10 at the
+    trivial zeros -26, -24 and -20 unrefused (ROADMAP item 2).
     """
     sigma = s.real
     if sigma >= 0:
@@ -177,29 +206,14 @@ def default_contour(s: complex) -> ContourSpec:
 def zeta_em(s: complex) -> complex:
     """zeta(s) by Euler-Maclaurin acceleration of sum k^-s.
 
-    Partial sum to N-1, then N^{1-s}/(s-1) + N^{-s}/2 plus J Bernoulli
-    corrections B_{2j}/(2j)! times rising products of s, with N picked by
-    ``_dirichlet_cutoff``; N >= 30 for Re s >= 0 and J = 14. For Re s >= 0
-    the error relative to max(1, |zeta(s)|) is about 1e-13 at small |Im s|
-    and grows with the round-off of each term's phase, to at most 4.1e-11
-    at |Im s| <= 1e4 in scans against mpmath. To the left, cancellation
-    against the N^{1-s} term costs digits unrefused, sooner off the axis:
-    9.8e-11 at s = -10.5, 1.1e-8 at -6+20i, 2.0e-3 at -12+10i (see the
-    README's validated domains; the guard is ROADMAP item 2).
-    Beyond |Im s| = 1e4 the phase round-off climbs in spikes, to 1.03e-10 at
-    0.25+16611.5i, so |Im s| > 1e4 raises OutOfValidatedRange, as does a
-    sum that overflows double precision.
+    Partial sum to N-1, then N^{1-s}/(s-1) + N^{-s}/2 plus J = 14 Bernoulli
+    corrections B_{2j}/(2j)! times rising products of s, with N from
+    ``_dirichlet_cutoff``. At Re s >= 0 the mixed error, about 1e-13 at small
+    |Im s|, grows with the phase round-off to 4.1e-11 inside its ``ROUTES``
+    row; left of Re s = 0 it loses digits unrefused (README; ROADMAP item 2).
+    Outside its row, or where the sum overflows, it raises.
     """
-    if abs(s - 1) < 1e-6:
-        raise NearPole("zeta pole at s = 1")
-    if s.real <= -(2 * _EM_TERMS_J - 1):
-        raise OutOfValidatedRange(
-            f"Re(s) = {s.real} needs more than {_EM_TERMS_J} correction terms"
-        )
-    if abs(s.imag) > _EM_MAX_IM:
-        raise OutOfValidatedRange(
-            f"s = {s}: the Dirichlet cutoff is validated for |Im s| <= 1e4 only"
-        )
+    _refuse_outside("em", s)
     n = _dirichlet_cutoff(s)
     value = _power_sum(-s, n - 1) + n ** (1 - s) / (s - 1) + 0.5 * n ** (-s)
     rising = s
@@ -244,16 +258,11 @@ _TOL = 1e-12  # two successive levels agreeing to this much is convergence
 _FLOOR_FACTOR = 4.0
 
 
-def _s_free_factors(x):
-    """log(-x) and e^x - 1 at the nodes x: the factors that do not depend on s."""
-    return np.log(-x), np.exp(x) - 1.0
-
-
 def _integrand(s: complex, ray, arc):
     """(-x)^{s-1}/(e^x - 1) = exp((s-1) log(-x))/(e^x - 1) at the nodes in
-    contour order (upper ray, arc, lower ray) from the ``_s_free_factors`` of
-    the upper ray and the arc; the lower ray's are the conjugates of the
-    upper ray's. The one copy of the expression.
+    contour order (upper ray, arc, lower ray) from the log(-x) and e^x - 1
+    ``_factors`` of the upper ray and the arc; the lower ray's are the
+    conjugates of the upper ray's. The one copy of the expression.
     """
     (log_ray, expm1_ray), (log_arc, expm1_arc) = ray, arc
     # s - 1 multiplies the concatenation while no name holds it: numpy then
@@ -308,8 +317,8 @@ _LADDER_RUNGS = 15
 
 
 def _factors(x, w):
-    """w, then the ``_s_free_factors`` at the nodes x."""
-    return (w, *_s_free_factors(x))
+    """w, then the factors free of s at the nodes x: log(-x) and e^x - 1."""
+    return w, np.log(-x), np.exp(x) - 1.0
 
 
 @functools.cache
@@ -342,29 +351,20 @@ def _weighted_terms(s: complex, spec: ContourSpec, level: int):
 
 @finite_or_out_of_range
 def zeta_hankel(s: complex) -> complex:
-    """zeta(s) = -Gamma(1-s) I(s) / (2 pi i) with I over the Hankel contour.
+    """zeta(s) = -Gamma(1-s) I(s) / (2 pi i), I over default_contour(s).
 
     Orientation: in above the cut from x_max, counterclockwise around the
     origin, out below the cut (validated by the Re s > 1 limit, where the
     loop reproduces (e^{-pi s i} - e^{pi s i}) times the real-axis integral).
-    The rule is fixed: 16-point Gauss-Legendre panels, 16 on the ray's
-    [0, 40], one on each rung of the ray ladder past it and 8 on the arc to
-    start, doubled up to six times until two successive results agree to
-    max(_TOL, 4F), where _TOL = 1e-12 and F = eps |prefactor| sum |w f| is
-    the round-off floor of the first level's terms; otherwise
-    QuadratureNotConverged is raised. It is raised before the first level
-    where Gamma(1-s) underflows to 0, and on the first level when the sum is
-    not finite, as on every ray past the ladder's 15 rungs, or when 4F is
-    not finite or exceeds ROUTE_TOL: no refinement gets below the floor.
-    Where Gamma(1-s) overflows, OutOfValidatedRange is raised. Within 0.1 of
-    a positive integer TooCloseToPositiveIntegerPole is raised: Gamma(1-s)
-    blows up against a vanishing integral. The contour is default_contour(s).
+    The fixed rule (see _GAUSS_X) is doubled up to six times until two
+    successive levels agree to max(_TOL, 4F), F the round-off floor of level 0
+    (see _FLOOR_FACTOR). It raises QuadratureNotConverged where none do, where
+    Gamma(1-s) underflows to 0, and where level 0's sum is not finite (as past
+    the ladder's 15 rungs) or 4F exceeds ROUTE_TOL, and OutOfValidatedRange
+    where Gamma(1-s) overflows. Its ``ROUTES`` row refuses s near the positive
+    integers, where Gamma(1-s) blows up against a vanishing integral.
     """
-    nearest = max(1, round(s.real))
-    if abs(s - nearest) < 0.1:
-        raise TooCloseToPositiveIntegerPole(
-            f"s = {s} is within 0.1 of the positive integer {nearest}"
-        )
+    _refuse_outside("hankel", s)
     return _hankel(s, default_contour(s))
 
 

@@ -606,6 +606,9 @@ def test_usage_error_exit_code(capsys):
         # it underflows.
         (("zeta", "numeric", "--method", "hankel", "--", "-160", "3"),
          "error: Gamma(1 - s) overflows at s = (-160+3j)\n"),
+        # Hankel names a pole from 2^53 in size by its repr, as Gamma does.
+        (("zeta", "numeric", "--method", "hankel", "1e300", "0"),
+         "within 0.1 of the positive integer 1e+300\n"),
     ],
 )
 def test_domain_error_exits_2(capsys, argv, reason):

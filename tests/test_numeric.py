@@ -30,7 +30,6 @@ from zetaroutes.numeric import (
     _panels,
     _ray_nodes,
     _rung_end,
-    _s_free_factors,
     _weighted_terms,
     cotangent_check,
     default_contour,
@@ -157,8 +156,8 @@ def _integrand_at(x, s):
     """The integrand at the nodes x through the module's one expression, with
     x as an upper ray and no arc; the values at the conjugate nodes, the
     lower ray, are dropped."""
-    no_arc = _s_free_factors(np.empty(0, dtype=complex))
-    return _integrand(s, _s_free_factors(np.asarray(x, dtype=complex)), no_arc)[: len(x)]
+    no_arc = _factors(np.empty(0, dtype=complex), None)[1:]
+    return _integrand(s, _factors(np.asarray(x, dtype=complex), None)[1:], no_arc)[: len(x)]
 
 
 def _rule_nodes(spec, level):
@@ -205,7 +204,7 @@ class TestHankelIntegrand:
         # The cached factors are those of the nodes the pole and cut checks see.
         arc, w = _arc_nodes(math.pi, 8 << level)
         cached, _ = _ladder(math.pi, level)
-        fresh = (w, *_s_free_factors(arc))
+        fresh = _factors(arc, w)
         assert [a.tobytes() for a in cached] == [a.tobytes() for a in fresh]
 
     def test_branch_cut_rejected(self):
@@ -358,10 +357,10 @@ class TestHankelTermsBitForBit:
         # finite, and at every level some node of rung 16 lies above it.
         ln_max = math.log(sys.float_info.max)
         for level in LEVELS:
-            ray, _ = _ray_nodes(math.pi, level, LONGEST.rungs)
+            ray, w = _ray_nodes(math.pi, level, LONGEST.rungs)
             longer, _ = _ray_nodes(math.pi, level, LONGEST.rungs + 1)
             assert ray.real.max() < ln_max < longer.real.max(), level
-            assert np.all(np.isfinite(_s_free_factors(ray)[1])), level
+            assert np.all(np.isfinite(_factors(ray, w)[2])), level
 
     @pytest.mark.parametrize("radius", [math.pi, 2.5])
     @pytest.mark.parametrize("s", [0.5 + 3j, -0.5 + 1j, -6.3 + 9.2j, 8.9 + 18.0j])

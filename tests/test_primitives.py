@@ -37,7 +37,7 @@ SAMPLE = {
 }
 DECLARED = {
     **{("exact", route.value): reads for route, (*_, reads) in zeta_exact.ROUTES.items()},
-    **{("numeric", name): reads for name, reads in numeric.ROUTES.items()},
+    **{("numeric", name): row[0] for name, row in numeric.ROUTES.items()},
 }
 SCALE = 1 + 1e-8
 

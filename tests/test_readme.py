@@ -1,15 +1,17 @@
 """The README's examples run as written: each command of the "Command line"
 block exits 0 and prints what its comment says, and each call of the
 "Library" block returns its commented value. An option or parameter that
-the code drops cannot stay in the docs."""
+the code drops cannot stay in the docs, and the route tables and validated
+domains it states are the code's."""
 
+import math
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from zetaroutes import zeta_exact
+from zetaroutes import numeric, zeta_exact
 from zetaroutes.cli import run
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -101,3 +103,31 @@ def test_exact_route_table_is_zeta_exact_routes():
 def test_route_option_sentence_names_the_routes():
     sentence = README.split("`zeta exact --route` takes ", 1)[1].split(";", 1)[0]
     assert _names(sentence) == [*(route.value for route in zeta_exact.ROUTES), "all"]
+
+
+# How a "Validated domains" bullet names the integers a row excludes, and
+# its Re s and |Im s| bounds.
+_EXCLUDED = {"s = 1": (1, 1), "every positive integer": (1, math.inf)}
+_BOUNDS = {"Re s ≤": "re_min", "|Im s| >": "im_max"}
+
+
+def _number(text):
+    return float(text.replace("−", "-"))
+
+
+@pytest.mark.parametrize("name", numeric.ROUTES)
+def test_validated_domain_bullet_is_the_routes_row(name):
+    # The bullet's first line, read back into the row's static domain.
+    line = README.split(f"\n- `zeta_{name}(s)`, refused by its `numeric.ROUTES` row: ", 1)[1]
+    poles, *bounds = line.split("\n", 1)[0].removesuffix(".").split("; ")
+    refusal, radius, excluded = re.fullmatch(r"`(\w+)` within (\S+) of (.+)", poles).groups()
+    read = dict.fromkeys(_BOUNDS.values())
+    for bound in bounds:
+        phrase, value = re.fullmatch(r"`OutOfValidatedRange` at (.+) (\S+)", bound).groups()
+        read[_BOUNDS[phrase]] = _number(value)
+    _, (lo, hi, row_radius, row_refusal, _), re_min, im_max = numeric.ROUTES[name]
+    assert (refusal, _number(radius), _EXCLUDED[excluded]) == (
+        row_refusal.__name__, row_radius, (lo, hi)
+    )
+    declared = {"re_min": re_min, "im_max": im_max}
+    assert read == {key: None if row is None else row[0] for key, row in declared.items()}

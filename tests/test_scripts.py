@@ -129,7 +129,8 @@ def test_tree_diff_finds_no_difference_between_a_tree_and_itself():
     proc = _tree_diff(ROOT, ROOT, "--seeds", "1", "--max", "20")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == (
-        "0 of 544 numeric outcomes differ (seeds 1, far)\n0 of 231 exact items differ (--max 20)\n"
+        "0 of 600 numeric outcomes differ (seeds 1, far, edge)\n"
+        "0 of 231 exact items differ (--max 20)\n"
     )
 
 
@@ -145,16 +146,16 @@ def test_tree_diff_names_a_moved_route_and_exits_1(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     *moved, numeric, exact = proc.stdout.splitlines()
     assert moved and all(line.startswith("seed 0 ") and " zeta_hankel: " in line for line in moved)
-    assert numeric == f"{len(moved)} of 544 numeric outcomes differ (seeds 0, far)"
+    assert numeric == f"{len(moved)} of 600 numeric outcomes differ (seeds 0, far, edge)"
     assert exact == "0 of 231 exact items differ (--max 20)"
 
 
 @pytest.mark.parametrize(
     "file, old, new, moved",
     [
-        # a numeric refusal: the 28 far points past |Im s| = 1e4, where
-        # zeta_em refuses
-        ("numeric.py", "the Dirichlet cutoff is validated", "the Dirichlet cutoff holds", 28),
+        # a numeric refusal: the 28 far points and the one edge point past
+        # |Im s| = 1e4, where zeta_em refuses
+        ("numeric.py", "the Dirichlet cutoff is validated", "the Dirichlet cutoff holds", 29),
         # a CLI refusal, written to stderr: `verify cotangent --x 1/1000`
         ("numeric.py", "x must lie in 1/100..99/100", "x must lie in [1/100, 99/100]", 1),
     ],
@@ -174,14 +175,14 @@ def test_tree_diff_names_a_changed_refusal_message_and_exits_1(tmp_path, file, o
     if moved == 1:
         assert lines[0].startswith("verify cotangent --x 1/1000 ")
         assert (numeric, exact) == (
-            "0 of 544 numeric outcomes differ (seeds 0, far)",
+            "0 of 600 numeric outcomes differ (seeds 0, far, edge)",
             "1 of 231 exact items differ (--max 20)",
         )
     else:
         for line in lines:
-            assert line.startswith("far ") and " zeta_em: OutOfValidatedRange: " in line
+            assert line.startswith(("far ", "edge ")) and " zeta_em: OutOfValidatedRange: " in line
             assert f"{old} for |Im s| <= 1e4 only -> " in line and new in line
-        assert numeric == f"{moved} of 544 numeric outcomes differ (seeds 0, far)"
+        assert numeric == f"{moved} of 600 numeric outcomes differ (seeds 0, far, edge)"
         assert exact == "0 of 231 exact items differ (--max 20)"
 
 
