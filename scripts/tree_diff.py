@@ -12,11 +12,12 @@ interpreter with PYTHONPATH=ROOT/src, and reports two halves:
   numeric_grid points of every seed (read from this repository's
   perfbench/workloads.py); at 32 fixed `far` points beyond the grid's
   |Im s| <= 1e4 (Re s in {0, 0.5, 1.5, 3} at 8 log-spaced |Im s| from 1e4
-  to 5e5); and at 28 fixed `edge` points: on each side of every static
+  to 5e5); and at 30 fixed `edge` points: on each side of every static
   bound that numeric.ROUTES declares (1 +- 9e-7 and 1 +- 1.1e-6; k +- 0.0999
   and k +- 0.1001 for k = 1..4, and 2 + 0.0999i; -27 and -26.999;
-  0.5 + 1e4 i and 0.5 + 1.0001e4 i), and at 2^53 and +-1e300, where every
-  double is an integer;
+  0.5 + 1e4 i and 0.5 + 1.0001e4 i); at 2.6e11 and 2.62e11, on each side of
+  where zeta_em's rising product overflows while N^{-s-1} underflows to 0;
+  and at 2^53 and +-1e300, where every double is an integer;
 - exact: the sha256 of repr(bernoulli._series_table(n)) and of
   repr(bernoulli._tangent_table(n)) for every n <= 64 and at n = N, and the
   exit status and the sha256 of stdout and of stderr of these commands,
@@ -54,6 +55,8 @@ EDGE = tuple(map(complex, (
     -26.999,
     0.5 + 1e4j,
     0.5 + 1.0001e4j,
+    2.6e11,
+    2.62e11,
     2.0**53,
     1e300,
     -1e300,

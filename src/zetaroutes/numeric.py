@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +35,6 @@ from .errors import (
     QuadratureNotConverged,
     TooCloseToPositiveIntegerPole,
     finite_or_out_of_range,
-    require_complex,
     require_index,
     require_rational,
 )
@@ -45,30 +43,15 @@ from .gammafn import gamma_complex, refuse_pole
 
 _RAY_BASE = 40.0  # the ray's first segment is [0, 40]
 _RUNG_RATIO = 1.21  # each later rung of the ray ladder is this much longer
+# The contour's rays run at Im x = +-radius, joined by an arc: strictly
+# between the origin and the first nonreal poles at +-2 pi i, pi maximizes
+# the distance to both.
+_RADIUS = math.pi
 
 
 def _rung_end(k: int) -> float:
     """The far end 40 * 1.21^k of the ray ladder's first k rungs."""
     return _RAY_BASE * _RUNG_RATIO**k
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Hankel contour geometry: rays at Im x = +-radius joined by an arc.
-
-    The radius sits strictly between the origin and the first nonreal poles
-    at +-2 pi i; pi maximizes the distance to both. Each ray runs from 0 to
-    x_max = 40 * 1.21^rungs: the segment [0, 40] and the first `rungs` rungs
-    of the ray ladder (see ``_ladder``). Only ``default_contour`` builds one
-    for ``zeta_hankel``.
-    """
-
-    radius: float = math.pi
-    rungs: int = 0
-
-    @property
-    def x_max(self) -> float:
-        return _rung_end(self.rungs)
 
 
 _EPS = 2.3e-16
@@ -163,42 +146,6 @@ def _power_sum(w: complex, n: int) -> complex:
         return complex(np.sum(np.exp(w * np.log(k))))
 
 
-_TAIL_DROP = 35.0  # the ray's cut sits at least e^-35 below the integrand's peak
-
-
-def default_contour(s: complex) -> ContourSpec:
-    """Radius pi; the ray is cut at the least rung end x_max = 40 * 1.21^K of
-    the ray ladder that keeps the tail tiny.
-
-    x_max is at least max(40, 10 + 2|s|), and (x - p) - a log(x/p) >=
-    35 + pi |Im s|/2 holds there, where a = Re s - 1 and p = max(a, 1). The
-    ray integrand x^a e^{-x} peaks at x = a for a > 1 and only decreases past
-    x = 1 otherwise, so p is the point the cut is measured from. On the upper
-    ray (-x)^{s-1} carries a further e^{pi |Im s|} that Gamma(1-s) ~
-    e^{-pi |Im s|/2} only half cancels: the pi |Im s|/2 covers the other
-    half. x_max = 40 holds at Im s = 0 for -15 <= Re s <= 2, and on the
-    critical line up to |Im s| = 3.7.
-    """
-    s = require_complex("s", s)
-    try:
-        start = max(_RAY_BASE, 10.0 + 2.0 * abs(s))
-    except OverflowError:  # |s| beyond double range
-        start = math.inf
-    if not math.isfinite(start):  # also when 2|s| rounds to inf
-        raise OutOfValidatedRange(f"|s| exceeds double precision at s = {s}")
-    a = s.real - 1.0
-    p = max(a, 1.0)
-    drop = _TAIL_DROP + 0.5 * math.pi * abs(s.imag)
-    # One rung short of the logarithm's estimate, so that its round-off
-    # cannot skip the least rung; both conditions only improve with x.
-    rungs = max(0, int(math.log(start / _RAY_BASE) / math.log(_RUNG_RATIO)) - 1)
-    x_max = _rung_end(rungs)
-    while x_max < start or (x_max - p) - a * math.log(x_max / p) < drop:
-        rungs += 1
-        x_max = _rung_end(rungs)
-    return ContourSpec(rungs=rungs)
-
-
 # -- Euler-Maclaurin route ----------------------------------------------------
 
 
@@ -222,6 +169,8 @@ def zeta_em(s: complex) -> complex:
         if j > 1:
             rising *= (s + 2 * j - 3) * (s + 2 * j - 2)
             npow /= n * n
+        if npow == 0:  # so is every later term, while rising may overflow
+            break
         value += _B2J_OVER_FACT[j - 1] * rising * npow
     return complex(value)
 
@@ -314,6 +263,33 @@ def _arc_nodes(radius: float, panels: int):
 # x passes ln(DBL_MAX) = 709.78, e^x - 1 overflows to -inf + inf i and the
 # terms there are nan, so ``_weighted_terms`` refuses a longer ray unread.
 _LADDER_RUNGS = 15
+_TAIL_DROP = 35.0  # the ray's cut sits at least e^-35 below the integrand's peak
+
+
+def _ray_rungs(s: complex) -> int:
+    """The least K in 0..15 whose rung end x = 40 * 1.21^K keeps the tail of
+    the ray tiny, or 16, past the ladder, where none does.
+
+    x is at least 10 + 2|s|, and (x - p) - a log(x/p) >= 35 + pi |Im s|/2
+    holds there, where a = Re s - 1 and p = max(a, 1). The ray integrand
+    x^a e^{-x} peaks at x = a for a > 1 and only decreases past x = 1
+    otherwise, so p is the point the cut is measured from. On the upper ray
+    (-x)^{s-1} carries a further e^{pi |Im s|} that Gamma(1-s) ~
+    e^{-pi |Im s|/2} only half cancels: the pi |Im s|/2 covers the other
+    half. K = 0 holds at Im s = 0 for -15 <= Re s <= 2, and on the critical
+    line up to |Im s| = 3.7.
+    """
+    start = 10.0 + 2.0 * math.hypot(s.real, s.imag)
+    if not math.isfinite(start):
+        raise OutOfValidatedRange(f"|s| exceeds double precision at s = {s}")
+    a = s.real - 1.0
+    p = max(a, 1.0)
+    drop = _TAIL_DROP + 0.5 * math.pi * abs(s.imag)
+    for k in range(_LADDER_RUNGS + 1):
+        x = _rung_end(k)
+        if x >= start and (x - p) - a * math.log(x / p) >= drop:
+            return k
+    return _LADDER_RUNGS + 1
 
 
 def _factors(x, w):
@@ -333,14 +309,15 @@ def _ladder(radius: float, level: int):
     return arc, ray
 
 
-def _weighted_terms(s: complex, spec: ContourSpec, level: int):
-    """The terms w f(x) of the rule at `level`: in along the upper ray,
-    around the arc, out along the lower ray. A ray past the ladder's 15
-    rungs is refused as its sum would be: not finite."""
-    if spec.rungs > _LADDER_RUNGS:
+def _weighted_terms(s: complex, rungs: int, level: int, radius: float):
+    """The terms w f(x) of the rule at `level` on the contour of `radius`
+    whose ray runs `rungs` rungs: in along the upper ray, around the arc, out
+    along the lower ray. A ray past the ladder's 15 rungs is refused as its
+    sum would be: not finite."""
+    if rungs > _LADDER_RUNGS:
         raise QuadratureNotConverged(f"contour integral at s = {s} is not finite")
-    (w_arc, *arc), ray = _ladder(spec.radius, level)
-    n = ((_PANELS_RAY + spec.rungs) << level) * len(_GAUSS_X)  # the prefix
+    (w_arc, *arc), ray = _ladder(radius, level)
+    n = ((_PANELS_RAY + rungs) << level) * len(_GAUSS_X)  # the prefix
     wt, *ray = (a[:n] for a in ray)
     f = _integrand(s, ray, arc)
     w = np.concatenate([-wt, w_arc, wt])
@@ -351,7 +328,8 @@ def _weighted_terms(s: complex, spec: ContourSpec, level: int):
 
 @finite_or_out_of_range
 def zeta_hankel(s: complex) -> complex:
-    """zeta(s) = -Gamma(1-s) I(s) / (2 pi i), I over default_contour(s).
+    """zeta(s) = -Gamma(1-s) I(s) / (2 pi i), I over the contour of radius pi
+    whose ray runs ``_ray_rungs(s)`` rungs.
 
     Orientation: in above the cut from x_max, counterclockwise around the
     origin, out below the cut (validated by the Re s > 1 limit, where the
@@ -365,11 +343,12 @@ def zeta_hankel(s: complex) -> complex:
     integers, where Gamma(1-s) blows up against a vanishing integral.
     """
     _refuse_outside("hankel", s)
-    return _hankel(s, default_contour(s))
+    return _hankel(s, _ray_rungs(s), _RADIUS)
 
 
-def _hankel(s: complex, spec: ContourSpec) -> complex:
-    """The refinement loop of ``zeta_hankel`` on the contour `spec`."""
+def _hankel(s: complex, rungs: int, radius: float) -> complex:
+    """The refinement loop of ``zeta_hankel`` on the contour of `radius`
+    whose ray runs `rungs` rungs."""
     try:
         prefactor = -gamma_complex(1 - s) / (2j * math.pi)
     except OutOfValidatedRange:
@@ -381,7 +360,7 @@ def _hankel(s: complex, spec: ContourSpec) -> complex:
     prev = None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is typed below
         for level in range(_REFINEMENTS + 1):
-            terms = _weighted_terms(s, spec, level)
+            terms = _weighted_terms(s, rungs, level, radius)
             cur = prefactor * complex(np.sum(terms))
             if not cmath.isfinite(cur):
                 raise QuadratureNotConverged(f"contour integral at s = {s} is not finite")

@@ -44,9 +44,9 @@ def hankel_levels(monkeypatch):
     calls = []
     weighted_terms = numeric._weighted_terms
 
-    def counted(s, spec, level):
+    def counted(s, rungs, level, radius):
         calls.append(level)
-        return weighted_terms(s, spec, level)
+        return weighted_terms(s, rungs, level, radius)
 
     monkeypatch.setattr(numeric, "_weighted_terms", counted)
     return calls

@@ -17,7 +17,6 @@ from zetaroutes.abel import abel_numeric_estimate, abel_sum_exact, zeta_neg_via_
 from zetaroutes.bernoulli import bernoulli_via_recurrence, bernoulli_via_series
 from zetaroutes.exact import PiValue
 from zetaroutes.numeric import (
-    ContourSpec,
     _hankel,
     cotangent_check,
     funceq_residual,
@@ -105,8 +104,8 @@ def test_criterion_07_numeric_continuation():
         worst_exact = max(worst_exact, abs(zeta_hankel(-n) - exact))
     assert worst_exact <= 1e-8
     s = -0.5 + 1j
-    a = _hankel(s, ContourSpec(radius=math.pi / 2))
-    b = _hankel(s, ContourSpec(radius=3.0))
+    a = _hankel(s, 0, math.pi / 2)
+    b = _hankel(s, 0, 3.0)
     assert abs(a - b) <= 2e-9
     _report(
         7,

@@ -15,7 +15,7 @@ from zetaroutes import numeric as numeric_module
 from zetaroutes.gammafn import PoleAtNonpositiveInteger, gamma_complex
 from zetaroutes.numeric import (
     ROUTE_TOL,
-    ContourSpec,
+    _RADIUS,
     DomainError,
     NearPole,
     OutOfValidatedRange,
@@ -29,10 +29,10 @@ from zetaroutes.numeric import (
     _ladder,
     _panels,
     _ray_nodes,
+    _ray_rungs,
     _rung_end,
     _weighted_terms,
     cotangent_check,
-    default_contour,
     funceq_residual,
     inverted_contour_check,
     zeta_em,
@@ -77,6 +77,13 @@ class TestZetaEm:
         # conjugate symmetry: zeta(conj s) = conj zeta(s)
         s = 0.5 + 14.134725j
         assert abs(zeta_em(s) - zeta_em(s.conjugate()).conjugate()) <= 1e-12
+
+    @pytest.mark.parametrize("s", [2.62e11 + 5j, 2**53, 1e300, 1.7e308])
+    def test_is_one_where_its_corrections_underflow(self, s):
+        # From Re s ~ 2.611e11 the rising product s (s+1) ... (s+26) of the
+        # corrections overflows while N^{-s-1} underflows to 0: they stop at
+        # the 0, and zeta(s) = 1 to double precision.
+        assert zeta_em(s) == 1
 
     # Exact doubles at points the golden CLI set lacks: the N = 2 cutoff at
     # negative integers, cancellation on the left, and the cutoff grown with
@@ -160,15 +167,28 @@ def _integrand_at(x, s):
     return _integrand(s, _factors(np.asarray(x, dtype=complex), None)[1:], no_arc)[: len(x)]
 
 
-def _rule_nodes(spec, level):
+def _rule_nodes(rungs, level, radius):
     """Every node the rule evaluates: the upper ray, the arc, the lower ray."""
-    x, _ = _ray_nodes(spec.radius, level, spec.rungs)
-    arc, _ = _arc_nodes(spec.radius, 8 << level)
+    x, _ = _ray_nodes(radius, level, rungs)
+    arc, _ = _arc_nodes(radius, 8 << level)
     return np.concatenate([x, arc, np.conj(x)])
 
 
-# The longest contour zeta_hankel reads: a longer ray is refused unread.
-LONGEST = ContourSpec(rungs=numeric_module._LADDER_RUNGS)
+# The rungs of the longest ray zeta_hankel reads: a longer one is refused unread.
+LONGEST = numeric_module._LADDER_RUNGS
+
+
+def _lattice():
+    """Re s = -176..176 in steps of 4, Im s = 0..592 in steps of 8: the
+    points where Gamma(1-s) is finite and nonzero."""
+    for re in range(-176, 177, 4):
+        for im in range(0, 600, 8):
+            s = complex(re, im)
+            try:
+                if gamma_complex(1 - s) != 0:
+                    yield s
+            except DomainError:
+                pass
 
 
 def _empty_ladder(monkeypatch):
@@ -210,7 +230,7 @@ class TestHankelIntegrand:
     def test_branch_cut_rejected(self):
         # At radius 0 the rays would run along the cut; no node ever lies on it.
         for level in LEVELS:
-            x = _rule_nodes(LONGEST, level)
+            x = _rule_nodes(LONGEST, level, _RADIUS)
             assert not np.any((x.imag == 0) & (x.real > 0)), level
 
     def test_poles_rejected(self):
@@ -218,23 +238,22 @@ class TestHankelIntegrand:
         # default radius pi keeps every node pi away from 0 and +-2 pi i.
         poles = 2j * math.pi * np.arange(-1, 2)
         for level in LEVELS:
-            x = _rule_nodes(LONGEST, level)
+            x = _rule_nodes(LONGEST, level, _RADIUS)
             assert np.min(np.abs(x[:, None] - poles[None, :])) >= math.pi - 1e-9, level
 
 
-def _direct_terms(s, spec, level):
+def _direct_terms(s, rungs, level, radius):
     """w f(x) from the whole node array, every factor computed at every node.
     The ray is laid out rung by rung: [0, 40] in 16 * 2^level equal panels,
-    then [40 * 1.21^k, 40 * 1.21^(k+1)] in 2^level for k < spec.rungs."""
+    then [40 * 1.21^k, 40 * 1.21^(k+1)] in 2^level for k < rungs."""
     n = 1 << level
     edges = [np.linspace(0.0, 40.0, 16 * n + 1)]
-    for k in range(spec.rungs):
+    for k in range(rungs):
         edges.append(np.linspace(40.0 * 1.21**k, 40.0 * 1.21 ** (k + 1), n + 1)[1:])
     t, wt = _panels(np.concatenate(edges))
     theta, wth = _panels(np.linspace(0.5 * math.pi, 1.5 * math.pi, 8 * n + 1))
-    r = spec.radius
-    arc = r * np.exp(1j * theta)
-    x = np.concatenate([t + 1j * r, arc, t - 1j * r])
+    arc = radius * np.exp(1j * theta)
+    x = np.concatenate([t + 1j * radius, arc, t - 1j * radius])
     w = np.concatenate([-wt, 1j * arc * wth, wt])
     with np.errstate(over="ignore", invalid="ignore"):
         # f stays named: `w * (bare temporary)` lets numpy multiply in place
@@ -252,22 +271,22 @@ class TestHankelTermsBitForBit:
     def test_terms_match_the_direct_expression(self, s, default):
         # The cached arc, the ladder's ray prefix, the conjugated lower ray
         # and the concatenated log(-x) change no bit of any term at any level.
-        spec = default_contour(s) if default else ContourSpec(radius=2.5, rungs=5)
+        rungs, radius = (_ray_rungs(s), _RADIUS) if default else (5, 2.5)
         for level in LEVELS:
             with np.errstate(over="ignore", invalid="ignore"):
-                got = _weighted_terms(s, spec, level)
-            assert got.tobytes() == _direct_terms(s, spec, level).tobytes(), level
+                got = _weighted_terms(s, rungs, level, radius)
+            assert got.tobytes() == _direct_terms(s, rungs, level, radius).tobytes(), level
 
     def test_arc_cache_is_keyed_on_the_radius(self, monkeypatch):
         # The arc and the ray ladder are cached per radius and level: calls
         # at two radii, interleaved, give the bits of calls on empty caches.
         s = -0.5 + 1j
-        narrow, wide = (ContourSpec(radius=r) for r in (math.pi / 2, 3.0))
+        narrow, wide = math.pi / 2, 3.0
         laid = _empty_ladder(monkeypatch)
-        wide_alone = _hankel(s, wide)
-        first = _hankel(s, narrow)
-        between = _hankel(s, wide)
-        third = _hankel(s, narrow)
+        wide_alone = _hankel(s, 0, wide)
+        first = _hankel(s, 0, narrow)
+        between = _hankel(s, 0, wide)
+        third = _hankel(s, 0, narrow)
         assert repr(third) == repr(first)
         assert repr(between) == repr(wide_alone)
         assert first != between
@@ -279,7 +298,7 @@ class TestHankelTermsBitForBit:
         # every converging point stops.
         level = panels.bit_length() - 5
         arc, ray = _ladder(math.pi, level)
-        fresh = _factors(*_ray_nodes(math.pi, level, LONGEST.rungs))
+        fresh = _factors(*_ray_nodes(math.pi, level, LONGEST))
         assert [a.tobytes() for a in ray] == [a.tobytes() for a in fresh]
         assert not any(a.flags.writeable for a in (*arc, *ray))
         with pytest.raises(ValueError):
@@ -291,7 +310,7 @@ class TestHankelTermsBitForBit:
         # contour of K rungs reads the first 16 (16 + K) 2^level of them,
         # the nodes of a ray laid to K.
         _, ray = _ladder(math.pi, level)
-        x, _ = _ray_nodes(math.pi, level, LONGEST.rungs)
+        x, _ = _ray_nodes(math.pi, level, LONGEST)
         assert len(ray[0]) == len(x) == (16 + 15) * 16 << level
         for rungs in (0, 1, 5, 14):
             t, _ = _ray_nodes(math.pi, level, rungs)
@@ -313,8 +332,8 @@ class TestHankelTermsBitForBit:
     @pytest.mark.parametrize(
         "specs",
         [
-            (ContourSpec(), ContourSpec(rungs=2)),
-            (ContourSpec(radius=math.pi / 2), ContourSpec(radius=3.0)),
+            ((0, math.pi), (2, math.pi)),
+            ((0, math.pi / 2), (0, 3.0)),
         ],
         ids=["x_max", "radius"],
     )
@@ -326,12 +345,12 @@ class TestHankelTermsBitForBit:
         cold = []
         for spec in specs:
             _empty_ladder(monkeypatch)
-            cold.append(repr(_hankel(s, spec)))
+            cold.append(repr(_hankel(s, *spec)))
         laid = _empty_ladder(monkeypatch)
-        warm = [repr(_hankel(s, spec)) for spec in specs[::-1] + specs]
+        warm = [repr(_hankel(s, *spec)) for spec in specs[::-1] + specs]
         assert warm == cold[::-1] + cold
         assert cold[0] != cold[1]
-        radii = sorted({spec.radius for spec in specs})
+        radii = sorted({radius for _, radius in specs})
         assert sorted(laid) == [(r, level) for r in radii for level in (0, 1)]
 
     @pytest.mark.parametrize(
@@ -346,7 +365,7 @@ class TestHankelTermsBitForBit:
     def test_extreme_s_is_refused_before_any_ladder_grows(self, monkeypatch, s, exc):
         # Gamma(1-s) underflows to 0 at the first two and overflows at the
         # others; _hankel refuses there before it reads a ladder, though
-        # default_contour(s) would ask for 57, 3609, 12 and 3609 rungs.
+        # _ray_rungs(s) asks for 16 (past the ladder), 16, 12 and 16 rungs.
         laid = _empty_ladder(monkeypatch)
         with pytest.raises(exc):
             zeta_hankel(s)
@@ -357,8 +376,8 @@ class TestHankelTermsBitForBit:
         # finite, and at every level some node of rung 16 lies above it.
         ln_max = math.log(sys.float_info.max)
         for level in LEVELS:
-            ray, w = _ray_nodes(math.pi, level, LONGEST.rungs)
-            longer, _ = _ray_nodes(math.pi, level, LONGEST.rungs + 1)
+            ray, w = _ray_nodes(math.pi, level, LONGEST)
+            longer, _ = _ray_nodes(math.pi, level, LONGEST + 1)
             assert ray.real.max() < ln_max < longer.real.max(), level
             assert np.all(np.isfinite(_factors(ray, w)[2])), level
 
@@ -368,33 +387,19 @@ class TestHankelTermsBitForBit:
         # On the direct expression, a contour of 16 rungs sums to a value
         # that is not finite at every level; _weighted_terms refuses it with
         # the bytes of the refusal of that sum.
-        spec = ContourSpec(radius=radius, rungs=LONGEST.rungs + 1)
+        rungs = LONGEST + 1
         for level in LEVELS:
-            assert not cmath.isfinite(complex(np.sum(_direct_terms(s, spec, level)))), level
+            assert not cmath.isfinite(complex(np.sum(_direct_terms(s, rungs, level, radius)))), level
             with pytest.raises(QuadratureNotConverged) as refused:
-                _weighted_terms(s, spec, level)
+                _weighted_terms(s, rungs, level, radius)
             assert str(refused.value) == f"contour integral at s = {s} is not finite"
 
     def test_every_contour_past_15_rungs_is_refused_unread(self, monkeypatch):
-        # Where Gamma(1-s) is finite and nonzero, contours run to 18 rungs
-        # (x_max = 1.24e3); every one past 15 is refused as not finite, and
-        # none reads a ladder.
+        # Where Gamma(1-s) is finite and nonzero, every contour past 15 rungs
+        # is refused as not finite, and none reads a ladder.
         laid = _empty_ladder(monkeypatch)
-        past = []
-        for re in range(-176, 177, 4):
-            for im in range(0, 600, 8):
-                s = complex(re, im)
-                try:
-                    if gamma_complex(1 - s) == 0:
-                        continue
-                except DomainError:
-                    continue
-                rungs = default_contour(s).rungs
-                assert rungs <= 18, s
-                if rungs > LONGEST.rungs:
-                    past.append(s)
+        past = [s for s in _lattice() if _ray_rungs(s) > LONGEST]
         s = -113.25 + 498.36j  # near the edge where Gamma(1-s) underflows
-        assert default_contour(s).rungs == 18
         for s in (*past, s):
             with pytest.raises(QuadratureNotConverged) as refused:
                 zeta_hankel(s)
@@ -427,7 +432,7 @@ class TestZetaHankel:
         # over (0, inf), i.e. -2i sin(pi s) Gamma(s) zeta(s); the sign pins
         # the traversal direction.
         s = 2.5
-        loop = complex(np.sum(_weighted_terms(s, default_contour(s), 0)))
+        loop = complex(np.sum(_weighted_terms(s, _ray_rungs(s), 0, _RADIUS)))
         reference = -2j * cmath.sin(math.pi * s) * gamma_complex(s) * zeta_em(s)
         assert abs(loop - reference) <= 1e-10 * abs(reference)
         assert abs(loop + reference) > abs(reference)  # flipped sign would fail
@@ -436,16 +441,14 @@ class TestZetaHankel:
         # A caller's shorter ray gave quietly wrong values (off by 5.4e-2 at
         # 0.5+3i with x_max = 4), so the route picks its own contour.
         assert list(inspect.signature(zeta_hankel).parameters) == ["s"]
-        assert "ContourSpec" not in zetaroutes.__all__
 
     def test_converged_value_matches_256_ray_panels(self):
         # A much finer fixed rule (level 4: 256 ray and 128 arc panels) must
         # agree with the refinement loop's converged value.
         s = -0.5 + 1j
-        spec = ContourSpec()
-        converged = _hankel(s, spec)
+        converged = _hankel(s, 0, _RADIUS)
         prefactor = -gamma_complex(1 - s) / (2j * math.pi)
-        fine = prefactor * complex(np.sum(_weighted_terms(s, spec, 4)))
+        fine = prefactor * complex(np.sum(_weighted_terms(s, 0, 4, _RADIUS)))
         assert abs(converged - fine) <= 1e-10
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
@@ -481,24 +484,30 @@ class TestZetaHankel:
                 assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), s
 
     def test_ray_cut_covers_the_upper_rays_growth(self):
-        # The cut is the least rung end 40 * 1.21^K past max(40, 10 + 2|s|)
-        # that lies e^-(35 + pi |Im s|/2) below the ray integrand's peak, at
-        # x = max(Re s - 1, 1): on the real axis right of Re s = 2, and with
-        # |Im s| anywhere. Short of that, it keeps 40.
-        for s in (0.5 + 3j, 0.5 + 3.7j, 2.0, -5.0, -5.0 + 9j, -15.0):
-            assert default_contour(s).x_max == 40.0
-        for s in (2.5, 7.4 + 16.5j, 40.0, 0.5 + 14.13j, 1.66 + 13.52j, -1.28 + 16.22j, -16.0):
-            spec = default_contour(s)
-            assert spec.x_max == _rung_end(spec.rungs) == 40.0 * 1.21**spec.rungs
+        # The cut is the least rung end 40 * 1.21^K, K <= 15, past
+        # 10 + 2|s| that lies e^-(35 + pi |Im s|/2) below the ray integrand's
+        # peak, at x = max(Re s - 1, 1): on the real axis right of Re s = 2,
+        # and with |Im s| anywhere; 16, past the ladder, where no K holds.
+        # Short of that, it keeps 40.
+        def holds(s, k):
+            x = 40.0 * 1.21**k
             a = s.real - 1.0
             p = max(a, 1.0)
             need = 35.0 + 0.5 * math.pi * abs(s.imag)
+            return x >= 10.0 + 2.0 * abs(s) and (x - p) - a * math.log(x / p) >= need
 
-            def holds(x):
-                return x >= 10.0 + 2.0 * abs(s) and (x - p) - a * math.log(x / p) >= need
-
-            assert spec.rungs > 0 and holds(spec.x_max)
-            assert not holds(_rung_end(spec.rungs - 1))
+        ends = range(LONGEST + 1)
+        assert [_rung_end(k) for k in ends] == [40.0 * 1.21**k for k in ends]
+        for s in (0.5 + 3j, 0.5 + 3.7j, 2.0, -5.0, -5.0 + 9j, -15.0):
+            assert _ray_rungs(s) == 0
+        moved = (2.5, 7.4 + 16.5j, 40.0, 0.5 + 14.13j, 1.66 + 13.52j, -1.28 + 16.22j, -16.0)
+        assert all(_ray_rungs(s) > 0 for s in moved)
+        for s in (*moved, *_lattice()):
+            rungs = _ray_rungs(s)
+            if rungs in ends:
+                assert holds(s, rungs) and (rungs == 0 or not holds(s, rungs - 1)), s
+            else:
+                assert rungs == LONGEST + 1 and not any(holds(s, k) for k in ends), s
 
     def test_worst_right_region_point(self):
         # A seed-0 `right` point whose ray needs a long cut: at x_max = 48.4

@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("contour_study.py", ["--re", "4.5", "--im", "16.9"]),
         # zeta_em refuses the reference; the sweeps print values instead
         ("contour_study.py", ["--re", "-60", "--im", "100"]),
-        # 17 rungs: every level and every radius refuses, one line each
+        # more than 15 rungs: every level and every radius refuses, one line each
         ("contour_study.py", ["--re", "0.5", "--im", "420"]),
     ],
 )
@@ -129,7 +129,7 @@ def test_tree_diff_finds_no_difference_between_a_tree_and_itself():
     proc = _tree_diff(ROOT, ROOT, "--seeds", "1", "--max", "20")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == (
-        "0 of 600 numeric outcomes differ (seeds 1, far, edge)\n"
+        "0 of 604 numeric outcomes differ (seeds 1, far, edge)\n"
         "0 of 231 exact items differ (--max 20)\n"
     )
 
@@ -146,7 +146,7 @@ def test_tree_diff_names_a_moved_route_and_exits_1(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     *moved, numeric, exact = proc.stdout.splitlines()
     assert moved and all(line.startswith("seed 0 ") and " zeta_hankel: " in line for line in moved)
-    assert numeric == f"{len(moved)} of 600 numeric outcomes differ (seeds 0, far, edge)"
+    assert numeric == f"{len(moved)} of 604 numeric outcomes differ (seeds 0, far, edge)"
     assert exact == "0 of 231 exact items differ (--max 20)"
 
 
@@ -175,14 +175,14 @@ def test_tree_diff_names_a_changed_refusal_message_and_exits_1(tmp_path, file, o
     if moved == 1:
         assert lines[0].startswith("verify cotangent --x 1/1000 ")
         assert (numeric, exact) == (
-            "0 of 600 numeric outcomes differ (seeds 0, far, edge)",
+            "0 of 604 numeric outcomes differ (seeds 0, far, edge)",
             "1 of 231 exact items differ (--max 20)",
         )
     else:
         for line in lines:
             assert line.startswith(("far ", "edge ")) and " zeta_em: OutOfValidatedRange: " in line
             assert f"{old} for |Im s| <= 1e4 only -> " in line and new in line
-        assert numeric == f"{moved} of 600 numeric outcomes differ (seeds 0, far, edge)"
+        assert numeric == f"{moved} of 604 numeric outcomes differ (seeds 0, far, edge)"
         assert exact == "0 of 231 exact items differ (--max 20)"
 
 
