@@ -23,11 +23,12 @@ interpreter with PYTHONPATH=ROOT/src, and reports two halves:
   exit status and the sha256 of stdout and of stderr of these commands,
   run in order through cli.run in one process: ``bernoulli --max N
   --method both``, ``table classical --max N/2``, ``zeta exact K --route
-  all`` for every classical K with |K| <= 60, ``verify funceq --exact-max
-  N/4``, and the identity checks ``verify contour-inversion`` (s = -2.5 at 10^5 poles,
-  -0.5-2i at 10^3, and the refusals -2 and -27.5) and ``verify cotangent``
-  (x = 1/4 and 1/3 at 10^4 terms, and the refusal 1/1000), each with
-  ``--format json``.
+  all`` for every classical K with |K| <= 60, ``abel M`` for M = 0, 3 and
+  60, ``abel 8 --numeric-oracle``, ``verify funceq --exact-max N/4``, and
+  the identity checks ``verify contour-inversion`` (s = -2.5 at 10^5
+  poles, -0.5-2i at 10^3, and the refusals -2 and -27.5) and ``verify
+  cotangent`` (x = 1/4 and 1/3 at 10^4 terms, and the refusal 1/1000),
+  each with ``--format json``.
 
 It prints every outcome that differs between the trees and names every
 route that only one of them has, then one summary line per half. It exits
@@ -128,6 +129,8 @@ def exact_items(n: int) -> dict[str, list]:
         ["bernoulli", "--max", str(n), "--method", "both"],
         ["table", "classical", "--max", str(n // 2)],
         *(["zeta", "exact", str(k), "--route", "all"] for k in CLASSICAL),
+        *(["abel", m] for m in ("0", "3", "60")),
+        ["abel", "8", "--numeric-oracle"],
         ["verify", "funceq", "--exact-max", str(n // 4)],
         *(["verify", "contour-inversion", f"--s={s}", "--poles", poles] for s, poles in CONTOUR),
         *(["verify", "cotangent", "--x", x, "--terms", "10000"] for x in ("1/4", "1/3", "1/1000")),

@@ -10,8 +10,9 @@ Three independent routes live here:
   fixed point by blocks of sqrt(K) of their K terms through the binomial
   expansion of (k0 + i)^m, and Richardson extrapolated in 1 - x.
 
-The alternating sums pin down zeta at nonpositive integers through
-zeta(-m) = A_m / (1 - 2^{1+m}).
+No route reads another: the ``abel`` command compares the operator route
+with the closed form. The alternating sums pin down zeta at nonpositive
+integers through zeta(-m) = A_m / (1 - 2^{1+m}).
 
 Sign note: A_3 = 1^3 - 2^3 + 3^3 - ... is occasionally quoted as +1/8;
 the two exact routes (the operator chain and the Bernoulli closed form) and
@@ -21,27 +22,22 @@ the numeric Abel limit all give -1/8.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 from .bernoulli import _tangent_entry
-from .errors import DomainError, InternalInconsistency, require_index
-
-
-_THETA_NUMERATORS: list[list[int]] = [[1]]  # P_0, P_1, ..., grown under the lock
-_LOCK = threading.Lock()
+from .errors import DomainError, require_index
+from .errors import InternalInconsistency  # noqa: F401  -- defined here once, still importable
 
 
 def _theta_numerator(m: int) -> list[int]:
     """P_m with theta^m 1/(1+x) = P_m(x)/(1+x)^{m+1}, integer coefficients low
-    degree first, by P_k = x[(1+x) P'_{k-1} - k P_{k-1}]."""
-    chain = _THETA_NUMERATORS
-    with _LOCK:
-        for k in range(len(chain), m + 1):
-            p = chain[-1] + [0]
-            # coefficient i of (1+x) P' - k P is (i+1) p_{i+1} + (i-k) p_i
-            chain.append([0] + [(i + 1) * p[i + 1] + (i - k) * p[i] for i in range(k)])
-    return chain[m]
+    degree first, by P_k = x[(1+x) P'_{k-1} - k P_{k-1}], built per call."""
+    p = [1]
+    for k in range(1, m + 1):
+        p.append(0)
+        # coefficient i of (1+x) P' - k P is (i+1) p_{i+1} + (i-k) p_i
+        p = [0] + [(i + 1) * p[i + 1] + (i - k) * p[i] for i in range(k)]
+    return p
 
 
 # -- the Abel sums -----------------------------------------------------------
@@ -61,17 +57,11 @@ def abel_sum_exact(m: int) -> Fraction:
     theta^m 1/(1+x) = sum_{k>=0} (-1)^k k^m x^k = P_m(x)/(1+x)^{m+1}, so
     A_m is the k = 0 term 0^m minus P_m(1)/2^{m+1}. That term is 1 only at
     m = 0, so A_0 = 1 - P_0(1)/2 (the geometric series) and
-    A_m = -P_m(1)/2^{m+1} for m >= 1. Cross-checked against the Bernoulli
-    closed form on every call.
+    A_m = -P_m(1)/2^{m+1} for m >= 1. The ``abel`` command checks it against
+    the Bernoulli closed form; the route itself reads only the theta chain.
     """
     require_index("m", m)
-    value = (m == 0) - Fraction(sum(_theta_numerator(m)), 2 ** (m + 1))
-    check = abel_closed_form(m)
-    if value != check:
-        raise InternalInconsistency(
-            f"operator route gave {value}, closed form gave {check} at m={m}"
-        )
-    return value
+    return (m == 0) - Fraction(sum(_theta_numerator(m)), 2 ** (m + 1))
 
 
 def zeta_neg_via_abel(m: int) -> Fraction:

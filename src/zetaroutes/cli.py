@@ -221,6 +221,11 @@ def _residual_check(residual: float, bound: float, route: str, argument: str):
 
 def _cmd_abel(args):
     exact = abel.abel_sum_exact(args.m)
+    closed = abel.abel_closed_form(args.m)
+    if exact != closed:
+        raise InternalInconsistency(
+            f"operator route gave {exact}, closed form gave {closed} at m={args.m}"
+        )
     records = [OutputRecord(exact, "abel", str(args.m))]
     status = 0
     if args.numeric_oracle:

@@ -117,26 +117,30 @@ def _dirichlet_cutoff(s: complex) -> int:
     4e-15; each further term only adds the round-off eps |Im s| log k of its
     phase. At N = |Im s|/4 the remainder dominates (1.6e-7).
 
-    For Re s < 0 the terms k^{-s} grow, and round-off of the partial sum
-    against the N^{1-s} continuation term costs ~ N^{1-Re s} eps; balancing
-    that against the first omitted Bernoulli term picks a smaller N, capped
-    at max(30, ceil(2|Im s|)). At negative integer s the rising product
-    vanishes and the expansion terminates, so N = 2 is taken. In floating
-    point its correction terms, up to 7e9 at s = -26, then cancel only to
-    round-off: ``zeta_em`` returns 4.7e-7, -6.9e-8 and -2.3e-10 at the
-    trivial zeros -26, -24 and -20 unrefused (ROADMAP item 2).
+    For Re s < 0, N = ceil(2|Im s|) once that is at least 30, so from
+    |Im s| > 14.5 the balance below is never read (ROADMAP items 2, 20).
+    Nearer the real axis the terms k^{-s} grow, and round-off of the partial
+    sum against the N^{1-s} continuation term costs ~ N^{1-Re s} eps. Its
+    balance n* with the first omitted Bernoulli term gives
+    N = max(ceil(2|Im s|), min(30, max(2, ceil(n*)))). At negative integer s
+    the rising product vanishes, the expansion terminates and N = 2; the
+    correction terms, up to 7e9 at s = -26, then cancel only to round-off:
+    ``zeta_em`` returns 4.7e-7, -6.9e-8 and -2.3e-10 at the trivial zeros
+    -26, -24 and -20 unrefused (ROADMAP item 2).
     """
     sigma = s.real
     if sigma >= 0:
         return max(_EM_FLOOR_N, math.ceil(abs(s.imag) / 2))
     n_im = math.ceil(2 * abs(s.imag))
+    if n_im >= _EM_FLOOR_N:
+        return n_im
     j = _EM_TERMS_J
     rising = 1.0
     for i in range(2 * j + 1):
         rising *= abs(s + i)
     tail_coeff = abs(_B2J_OVER_FACT[j]) * rising
     n_star = (tail_coeff * (sigma + 2 * j + 1) / _EPS) ** (1.0 / (2 * j + 2))
-    return min(max(_EM_FLOOR_N, n_im), max(2, math.ceil(n_star), n_im))
+    return max(n_im, min(_EM_FLOOR_N, max(2, math.ceil(n_star))))
 
 
 def _power_sum(w: complex, n: int) -> complex:

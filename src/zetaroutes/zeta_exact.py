@@ -37,7 +37,7 @@ ROUTES = {
     Route.CLOSED_FORM: ("zeta_nonpositive", "zeta_even_positive", ("tangent",)),
     Route.RESIDUE_SERIES: ("zeta_neg_via_residue", None, ("series",)),
     Route.GENERATING_FUNCTION: ("_zeta_neg_via_genfun", None, ("invert",)),
-    Route.ABEL_SUMMATION: ("zeta_neg_via_abel", None, ("theta", "tangent")),
+    Route.ABEL_SUMMATION: ("zeta_neg_via_abel", None, ("theta",)),
     Route.FUNCTIONAL_EQUATION: (None, "zeta_even_via_funceq", ("series",)),
 }
 

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
 from math import comb
@@ -89,12 +91,25 @@ class TestIntegerChain:
     def test_pinned_third_power(self):
         assert abel._theta_numerator(3) == [0, -1, 4, -1]  # x(-1 + 4x - x^2)
 
-    def test_concurrent_growth_stores_each_power_once(self, monkeypatch, concurrently):
-        expected = [list(abel._theta_numerator(m)) for m in range(101)]
-        monkeypatch.setattr(abel, "_THETA_NUMERATORS", [[1]])
-        ms = [100, 3, 57, 11, 100, 29, 73, 7]
-        got = concurrently(abel._theta_numerator, ms)
-        assert got == [expected[m] for m in ms]
+    def test_a_call_keeps_no_chain(self):
+        # the whole chain P_0..P_400 is 19 MB; a call keeps only its value
+        code = (
+            "import tracemalloc\n"
+            "from zetaroutes.abel import abel_sum_exact\n"
+            "tracemalloc.start()\n"
+            "value = abel_sum_exact(400)\n"
+            "print(tracemalloc.get_traced_memory()[0])\n"
+        )
+        src = os.path.dirname(os.path.dirname(abel.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 100_000
 
     def test_completes_past_a_low_recursion_limit(self):
         # a chain that recursed once per power of theta would hit the limit

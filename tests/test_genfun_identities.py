@@ -13,7 +13,6 @@ from genfun_identities import (
     odd_genfun_check,
     operator_genfun_check,
 )
-from zetaroutes import abel
 
 CHECKS = {
     "finite_G": lambda: finite_G_check(5, 10),
@@ -35,6 +34,10 @@ def test_fails_on_a_corrupt_inversion(monkeypatch, check):
 
 
 def test_operator_check_fails_on_a_corrupt_theta_chain(monkeypatch):
-    chain = [[3 * c for c in abel._theta_numerator(m)] for m in range(20)]
-    monkeypatch.setattr(abel, "_THETA_NUMERATORS", [[1]] + chain[1:])
+    chain = genfun_identities._theta_numerator
+
+    def tripled(m):
+        return [3 * c for c in chain(m)] if m else chain(m)
+
+    monkeypatch.setattr(genfun_identities, "_theta_numerator", tripled)
     assert operator_genfun_check(20) is False

@@ -41,6 +41,29 @@ def test_script_runs(script, args):
     assert proc.stdout.strip()
 
 
+def test_abel_table_marks_a_mismatch_and_exits_1():
+    # abel_sum_exact does not check itself, so the table compares its columns.
+    code = (
+        "import runpy, sys\n"
+        "from fractions import Fraction\n"
+        "from zetaroutes import abel\n"
+        "abel.abel_closed_form = lambda m: Fraction(1, 8)\n"
+        "sys.argv = ['abel_table.py', '--max', '2']\n"
+        f"runpy.run_path({str(ROOT / 'scripts' / 'abel_table.py')!r}, run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    marked = [line.split()[0] for line in lines if line.endswith("<- operator != closed")]
+    assert marked == ["0", "1", "2"]
+
+
 def _result(wall_s):
     return json.dumps({"metrics": {"wall_s": {"value": wall_s, "unit": "s"}}})
 
@@ -130,7 +153,7 @@ def test_tree_diff_finds_no_difference_between_a_tree_and_itself():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == (
         "0 of 604 numeric outcomes differ (seeds 1, far, edge)\n"
-        "0 of 231 exact items differ (--max 20)\n"
+        "0 of 235 exact items differ (--max 20)\n"
     )
 
 
@@ -147,7 +170,7 @@ def test_tree_diff_names_a_moved_route_and_exits_1(tmp_path):
     *moved, numeric, exact = proc.stdout.splitlines()
     assert moved and all(line.startswith("seed 0 ") and " zeta_hankel: " in line for line in moved)
     assert numeric == f"{len(moved)} of 604 numeric outcomes differ (seeds 0, far, edge)"
-    assert exact == "0 of 231 exact items differ (--max 20)"
+    assert exact == "0 of 235 exact items differ (--max 20)"
 
 
 @pytest.mark.parametrize(
@@ -176,14 +199,14 @@ def test_tree_diff_names_a_changed_refusal_message_and_exits_1(tmp_path, file, o
         assert lines[0].startswith("verify cotangent --x 1/1000 ")
         assert (numeric, exact) == (
             "0 of 604 numeric outcomes differ (seeds 0, far, edge)",
-            "1 of 231 exact items differ (--max 20)",
+            "1 of 235 exact items differ (--max 20)",
         )
     else:
         for line in lines:
             assert line.startswith(("far ", "edge ")) and " zeta_em: OutOfValidatedRange: " in line
             assert f"{old} for |Im s| <= 1e4 only -> " in line and new in line
         assert numeric == f"{moved} of 604 numeric outcomes differ (seeds 0, far, edge)"
-        assert exact == "0 of 231 exact items differ (--max 20)"
+        assert exact == "0 of 235 exact items differ (--max 20)"
 
 
 def test_tree_diff_exits_2_for_a_root_without_the_package(tmp_path):

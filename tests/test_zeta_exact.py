@@ -6,9 +6,10 @@ import pytest
 from test_primitives import CORRUPT
 from zetaroutes import abel, bernoulli, cli
 from zetaroutes.abel import zeta_neg_via_abel
-from zetaroutes.errors import DomainError, InternalInconsistency
+from zetaroutes.errors import DomainError
 from zetaroutes.exact import PiValue
 from zetaroutes.zeta_exact import (
+    ROUTES,
     ArgumentNotEvenPositive,
     PoleArgument,
     Route,
@@ -205,6 +206,13 @@ class TestDispatch:
 # sample; these check the CLI's comparison under its exact corrupters.
 
 
+def test_routes_compared_at_an_argument_read_no_primitive_in_common():
+    for k in (*range(-60, 1), *range(2, 121, 2)):
+        reads = [ROUTES[route][2] for route in routes_for_argument(k)]
+        primitives = [p for row in reads for p in row]
+        assert len(primitives) == len(set(primitives)), (k, reads)
+
+
 def _corrupt_series_prefix(monkeypatch):
     # the cached table itself, where CORRUPT["series"] corrupts its recurrence
     table = [v * 3 if i > 1 else v for i, v in enumerate(bernoulli.bernoulli_via_series(64))]
@@ -228,33 +236,25 @@ EACH_PRIMITIVE = pytest.mark.parametrize(
 @pytest.mark.parametrize("k", [-5, -1, 4, 40])
 def test_no_corrupt_primitive_passes_route_all(monkeypatch, k, corrupt):
     # Routes that --route all compares must not share a primitive: with any
-    # one of them corrupted, the routes either raise, disagree, or all stay
-    # right because none of them reads it.
+    # one of them corrupted, the routes either disagree or all stay right
+    # because none of them reads it.
     routes = routes_for_argument(k)
     truth = zeta_classical(k, Route.CLOSED_FORM)
     corrupt(monkeypatch)
-    try:
-        values = [zeta_classical(k, route) for route in routes]
-    except InternalInconsistency:
-        return
+    values = [zeta_classical(k, route) for route in routes]
     assert len(set(values)) >= 2 or set(values) == {truth}
 
 
 @EACH_PRIMITIVE
 @pytest.mark.parametrize("k", [-5, -1, 4, 40])
 def test_route_all_exit_status_is_the_comparison(monkeypatch, capsys, k, corrupt):
-    # Exit 1 when the printed values are not all equal, 0 when they are; a
-    # route that raises (the abel check) exits 1 and prints no value.
+    # One line per route, and exit 1 when they are not all equal, 0 when they are.
     corrupt(monkeypatch)
     code = cli.run(["zeta", "exact", str(k), "--route", "all"])
     out, err = capsys.readouterr()
-    if err:
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ")
-    else:
-        lines = out.splitlines()
-        assert len(lines) == len(routes_for_argument(k))
-        assert code == (0 if len(set(lines)) == 1 else 1)
+    lines = out.splitlines()
+    assert (len(lines), err) == (len(routes_for_argument(k)), "")
+    assert code == (0 if len(set(lines)) == 1 else 1)
 
 
 @pytest.mark.parametrize(
